@@ -119,6 +119,7 @@ class _Search:
             if self.source.order == 1 and self.target.order >= 1:
                 return [np.zeros(1, dtype=np.int32)]
             return []
+        self.nodes = 0
         out: list = []
         top = self.cands[0] if branch is None else [self.cands[0][branch]]
         for c in top:
@@ -172,28 +173,35 @@ def _pool_init(search: _Search, first_only: bool) -> None:
     _POOL_STATE["first_only"] = first_only
 
 
-def _pool_run(branch: int) -> list:
+def _pool_run(branch: int) -> tuple:
     s: _Search = _POOL_STATE["search"]
-    return [a.tobytes() for a in s.run(first_only=_POOL_STATE["first_only"], branch=branch)]
+    found = s.run(first_only=_POOL_STATE["first_only"], branch=branch)
+    return s.nodes, [a.tobytes() for a in found]
 
 
 def _run_search(search: _Search, first_only: bool = False, workers: Optional[int] = None) -> list:
     """Run a search, optionally partitioning the top-level branches across
     processes; results are merged in branch order, so output is identical
-    for every worker count."""
+    for every worker count.
+
+    The budget is one count over the whole search: the branches' node
+    counts are summed after the merge, so it is exceeded for every worker
+    count or for none.
+    """
     workers = _worker_count() if workers is None else max(1, workers)
     branches = len(search.cands[0]) if search.gens else 0
     if workers == 1 or branches < 2 or first_only:
         return search.run(first_only=first_only)
-    per_branch = max(1, search.budget // branches)
+    nodes = 0
     results: list = []
     ctx = multiprocessing.get_context("fork")
-    sub = _Search(search.source, search.target, search.gens, search.cands,
-                  search.inv_src, search.inv_tgt, per_branch)
     with ctx.Pool(processes=min(workers, branches), initializer=_pool_init,
-                  initargs=(sub, False)) as pool:
-        for chunk in pool.map(_pool_run, range(branches)):
+                  initargs=(search, False)) as pool:
+        for branch_nodes, chunk in pool.map(_pool_run, range(branches)):
+            nodes += branch_nodes
             results.extend(np.frombuffer(b, dtype=np.int32).copy() for b in chunk)
+    if nodes > search.budget:
+        raise SearchBudgetExceeded(f"search exceeded {search.budget} nodes")
     return results
 
 

@@ -76,16 +76,21 @@ def _intersect_status(g: Group, non_normal: list) -> RStatus:
 
 def is_blackburn(g: Group) -> bool:
     """True when R(G) is defined and nontrivial; R(G) is then a cyclic p-group."""
+    return _blackburn_r(g) is not None
+
+
+def _blackburn_r(g: Group) -> Optional[Subgroup]:
+    """R(G) when G is a Blackburn group, else None."""
     status = r_of(g)
     if status.tag != NONTRIVIAL:
-        return False
+        return None
     r = status.subgroup
     k = r.order
     if not any(g.order_of(x) == k for x in r.members.tolist()):
         raise TrichotomyViolated("R(G) is nontrivial but not cyclic")
     if len(_prime_factors(k)) != 1:
         raise TrichotomyViolated("R(G) is nontrivial but not of prime-power order")
-    return True
+    return r
 
 
 def blackburn_prime(g: Group) -> int:
@@ -237,7 +242,7 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     status = r_of(g)
     if status.tag != NONTRIVIAL:
         raise PreconditionFailed("group has no non-normal subgroup with nontrivial R(G)")
-    p = blackburn_prime(g)
+    p = _prime_factors(status.order)[0]
     if q == p or len(_prime_factors(q)) != 1 or q < 2 or _prime_factors(q) != [q]:
         raise PreconditionFailed(f"q must be a prime different from {p}")
     orders = g.element_orders()
@@ -317,11 +322,12 @@ def verify_normal_subgroup_trichotomy(g: Group, n_sub: Subgroup) -> TrichotomyVe
     T <= O_p(N), |C_<x>(H)| = exponent of O_p(N), and anything centralizing
     C_<x>(H) centralizes T.
     """
-    if not is_blackburn(g):
+    r = _blackburn_r(g)
+    if r is None:
         raise PreconditionFailed("G is not a Blackburn group")
     if not n_sub.is_normal():
         raise PreconditionFailed("N is not normal in G")
-    p = blackburn_prime(g)
+    p = _prime_factors(r.order)[0]
     n_grp, mem = n_sub.as_group()
 
     h_sub = n_grp.normal_p_complement(p)

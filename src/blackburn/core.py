@@ -42,7 +42,9 @@ class Group:
         "_orders",
         "_classes",
         "_class_id",
+        "_class_size",
         "_gens",
+        "_cyclics",
     )
 
     def __init__(self, table: np.ndarray, names: Optional[Sequence[str]] = None):
@@ -61,7 +63,9 @@ class Group:
         self._orders = None
         self._classes = None
         self._class_id = None
+        self._class_size = None
         self._gens = None
+        self._cyclics = None
 
     # -- element arithmetic ------------------------------------------------
 
@@ -146,8 +150,11 @@ class Group:
                 cid[members] = len(classes)
                 classes.append(members)
             cid.flags.writeable = False
+            size = np.asarray([c.size for c in classes], dtype=np.int64)
+            size.flags.writeable = False
             self._classes = classes
             self._class_id = cid
+            self._class_size = size
         return self._classes
 
     def class_ids(self) -> np.ndarray:
@@ -165,13 +172,51 @@ class Group:
         return self.centralizer(range(self.order))
 
     def closure(self, seed: Iterable[int]) -> np.ndarray:
-        """Smallest subgroup containing `seed`, as a sorted index array."""
-        mem = np.unique(np.asarray([0, *seed], dtype=np.int32))
-        while True:
-            prod = np.unique(self.table[np.ix_(mem, mem)])
-            if prod.size == mem.size:
-                return prod
-            mem = prod
+        """Smallest subgroup containing `seed`, as a sorted index array.
+
+        Dimino's algorithm (Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, ch. 4): the seed elements are added one at a time,
+        and an element already inside the current subgroup is skipped.
+        """
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        sub = np.zeros(1, dtype=np.int32)
+        gens: list = []
+        for x in seed:
+            x = int(x)
+            if not mask[x]:
+                gens.append(x)
+                sub = self._extend(sub, mask, gens)
+        return np.flatnonzero(mask).astype(np.int32)
+
+    def _extend(self, sub: np.ndarray, mask: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+        """Members of <H, g> for the subgroup H = `sub` generated by gens[:-1]
+        and the new generator g = gens[-1], which lies outside H.
+
+        The result is built from whole right cosets T[H, y] of H: only the
+        coset representatives y are multiplied by the generators.  `mask`
+        marks the members of H on entry and is updated to mark <H, g>.
+        """
+        # Gathers from one column with intp indices are numpy's fast path.
+        # Products are read with T.item rather than from self.rows, whose
+        # Python ints would cost several times the table's memory.
+        T = self.table
+        sub = sub.astype(np.intp, copy=False)
+        reps = [gens[-1]]
+        cosets = [sub, T[:, reps[0]][sub].astype(np.intp)]
+        mask[cosets[1]] = True
+        i = 0
+        while i < len(reps):
+            r = reps[i]
+            for s in gens:
+                y = T.item(r, s)
+                if not mask[y]:
+                    coset = T[:, y][sub].astype(np.intp)
+                    mask[coset] = True
+                    cosets.append(coset)
+                    reps.append(y)
+            i += 1
+        return np.concatenate(cosets)
 
     def subgroup(self, seed: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.closure(seed))
@@ -180,72 +225,91 @@ class Group:
         """Greedy canonical generators: lowest index not yet generated."""
         if self._gens is None:
             gens: list = []
-            mem = np.array([0], dtype=np.int32)
-            while mem.size < self.order:
-                free = np.setdiff1d(np.arange(self.order, dtype=np.int32), mem)
-                g = int(free[0])
-                gens.append(g)
-                mem = self.closure([*mem.tolist(), g])
+            mask = np.zeros(self.order, dtype=bool)
+            mask[0] = True
+            sub = np.zeros(1, dtype=np.int32)
+            while sub.size < self.order:
+                gens.append(int(np.argmin(mask)))
+                sub = self._extend(sub, mask, gens)
             self._gens = gens
         return list(self._gens)
 
     def cyclic_subgroups(self) -> list:
         """All distinct cyclic subgroups, ordered by least generator index."""
-        seen = {}
-        row = self.rows
-        for g in range(self.order):
-            mem = [0]
-            x = g
-            while x != 0:
-                mem.append(x)
-                x = row[x][g]
-            key = tuple(sorted(mem))
-            if key not in seen:
-                seen[key] = Subgroup(self, np.asarray(key, dtype=np.int32))
-        return list(seen.values())
+        if self._cyclics is None:
+            # member arrays only: a cached Subgroup refers back to this group,
+            # and such a cycle is freed only by the cyclic garbage collector
+            seen = {}
+            row = self.rows
+            for g in range(self.order):
+                mem = [0]
+                x = g
+                while x != 0:
+                    mem.append(x)
+                    x = row[x][g]
+                key = tuple(sorted(mem))
+                if key not in seen:
+                    seen[key] = np.asarray(key, dtype=np.int32)
+            self._cyclics = list(seen.values())
+        return [Subgroup(self, m) for m in self._cyclics]
 
     def all_subgroups(self, cap: int = SUBGROUP_ENUM_CAP) -> list:
-        """Every subgroup, each exactly once, ordered by (order, members)."""
+        """Every subgroup, each exactly once, ordered by (order, members).
+
+        Starting from the cyclic subgroups, each subgroup found is joined
+        with every cyclic subgroup it does not contain, until no join is new.
+        A subgroup is kept with one generator list, so a join extends it by
+        the cyclic subgroup's generator rather than closing from scratch.
+        """
         if self.order > cap:
             raise OrderCap(f"all_subgroups: order {self.order} exceeds cap {cap}")
-        cyclics = [tuple(s.members.tolist()) for s in self.cyclic_subgroups()]
-        found = {c: np.asarray(c, dtype=np.int32) for c in cyclics}
-        frontier = list(found)
+        orders = self.element_orders()
+        cyc_gens, found, frontier = [], set(), []
+        for c in self.cyclic_subgroups():
+            mem = c.members
+            gen = next(x for x in mem.tolist() if orders[x] == mem.size)
+            mask = np.zeros(self.order, dtype=bool)
+            mask[mem] = True
+            gens = [gen] if gen else []
+            cyc_gens.append(gen)
+            found.add(mask.tobytes())
+            frontier.append((mask, mem, gens))
         while frontier:
             fresh = []
-            for hk in frontier:
-                hset = set(hk)
-                for ck in cyclics:
-                    if hset.issuperset(ck):
+            for hmask, hmem, hgens in frontier:
+                for c in cyc_gens:
+                    if hmask[c]:
                         continue
-                    mem = self.closure(hk + ck)
-                    key = tuple(mem.tolist())
+                    mask = hmask.copy()
+                    gens = [*hgens, c]
+                    mem = self._extend(hmem, mask, gens)
+                    key = mask.tobytes()
                     if key not in found:
-                        found[key] = mem
-                        fresh.append(key)
+                        found.add(key)
+                        fresh.append((mask, mem, gens))
             frontier = fresh
-        keys = sorted(found, key=lambda k: (len(k), k))
-        return [Subgroup(self, found[k]) for k in keys]
+        subs = [np.flatnonzero(np.frombuffer(k, dtype=bool)).astype(np.int32) for k in found]
+        subs.sort(key=lambda m: (m.size, m.tolist()))
+        return [Subgroup(self, m) for m in subs]
+
+    def _conjugation_block(self, mem: np.ndarray) -> np.ndarray:
+        """The (n x |mem|) array whose row g holds g^-1 * h * g for h in mem."""
+        T = self.table
+        return T[self.inverses[:, None], T[mem, :].T]
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
-        T, inv = self.table, self.inverses
-        mem = sub.members
-        keep = []
-        memset = frozenset(mem.tolist())
-        for g in range(self.order):
-            conj = T[inv[g], T[mem, g]]
-            if frozenset(conj.tolist()) == memset:
-                keep.append(g)
-        return Subgroup(self, np.asarray(keep, dtype=np.int32))
+        mask = np.zeros(self.order, dtype=bool)
+        mask[sub.members] = True
+        keep = mask[self._conjugation_block(sub.members)].all(axis=1)
+        return Subgroup(self, np.flatnonzero(keep))
 
     def is_normal(self, sub: "Subgroup") -> bool:
-        T, inv = self.table, self.inverses
-        mem = sub.members
-        memset = frozenset(mem.tolist())
-        for g in range(self.order):
-            if not frozenset(T[inv[g], T[mem, g]].tolist()) <= memset:
-                return False
-        return True
+        """True when the members form a union of conjugacy classes."""
+        if self._class_size is None:
+            self.conjugacy_classes()
+        hit = np.zeros(self._class_size.size, dtype=bool)
+        hit[self._class_id[sub.members]] = True
+        return int(self._class_size[hit].sum()) == sub.members.size
 
     def sylow(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy normalizer extension."""
@@ -261,27 +325,23 @@ class Group:
         if full == 1:
             return Subgroup(self, np.array([0], dtype=np.int32))
         start = max(p_elems, key=lambda g: (orders[g], -g))
-        mem = self.closure([start])
+        gens = [start]
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        mem = self._extend(np.zeros(1, dtype=np.int32), mask, gens)
         while mem.size < full:
             norm = self.normalizer(Subgroup(self, mem)).members
-            inside = set(mem.tolist())
-            ext = next(g for g in norm.tolist() if g not in inside and _is_power_of(orders[g], p))
-            mem = self.closure([*mem.tolist(), ext])
+            gens.append(next(g for g in norm.tolist() if not mask[g] and _is_power_of(orders[g], p)))
+            mem = self._extend(mem, mask, gens)
         return Subgroup(self, mem)
 
     def o_p(self, p: int) -> "Subgroup":
         """Largest normal p-subgroup: intersection of all Sylow p-conjugates."""
-        P = self.sylow(p).members
-        T, inv = self.table, self.inverses
-        keep = np.zeros(self.order, dtype=bool)
-        keep[P] = True
-        for g in range(self.order):
-            conj = np.zeros(self.order, dtype=bool)
-            conj[T[inv[g], T[P, g]]] = True
-            keep &= conj
-            if keep.sum() == 1:
-                break
-        return Subgroup(self, np.nonzero(keep)[0])
+        block = self._conjugation_block(self.sylow(p).members)
+        # each row lists one conjugate of P without repeats, so an element
+        # lies in every conjugate exactly when it appears in all n rows
+        hits = np.bincount(block.ravel(), minlength=self.order)
+        return Subgroup(self, np.flatnonzero(hits == self.order))
 
     def normal_p_complement(self, p: int) -> Optional["Subgroup"]:
         """The set of p'-elements, when it happens to form a subgroup."""

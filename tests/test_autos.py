@@ -102,6 +102,15 @@ def test_search_budget():
         enumerate_aut(elementary_abelian(2, 4), budget=10)
 
 
+def test_search_budget_is_global_across_workers():
+    # the full search of Aut(E8) visits exactly 350 nodes over 7 top branches
+    g = elementary_abelian(2, 3)
+    for workers in (1, 2):
+        assert len(enumerate_aut(g, budget=350, workers=workers)) == 168
+        with pytest.raises(SearchBudgetExceeded, match="349 nodes"):
+            enumerate_aut(g, budget=349, workers=workers)
+
+
 def test_worker_partitioning_is_deterministic():
     g = builtin("q8xc4")
     solo = [m._bytes for m in enumerate_autc(g, workers=1)[0]]
