@@ -2,21 +2,30 @@
 
 The enumeration backtracks over images of a canonical generating sequence.
 At depth d the subgroup H_d generated by the first d+1 generators is fixed,
-so its element list, a spanning tree of products, and the (element,
-generator) product positions are precomputed once.  A candidate image for
-generator d determines the images of all of H_d along the tree; a partial
-assignment survives only if it is injective, class-compatible, and
-multiplicative on every (element, generator) pair.  Multiplicativity on
-those pairs forces it on all pairs, because every right factor is a word
-in the generators.
+so its element list, a product tree of logarithmic depth, and the (element,
+generator) product positions are precomputed once.  A partial assignment
+of generator images determines the images of all of H_d along the tree; it
+survives only if it is class-compatible (or order-compatible), injective,
+and multiplicative on every (element, generator) pair.  Multiplicativity on
+those pairs forces it on all pairs, because every right factor is a word in
+the generators.
+
+The search is evaluated in blocks: all partial assignments of one step form
+the rows of one (rows x |H_d|) numpy array, and the three checks run on the
+whole array.  Rows keep the depth-first order, so the maps come out in the
+same order as from a node-by-node search.  A full enumeration uses blocks
+of up to BLOCK_ELEMENTS elements from the start; a first-hit search starts
+with one row per block and doubles, so it evaluates few rows past its hit.
+The node count and the budget count evaluated rows, so a first-hit search
+also counts the rows of its blocks that follow its hit.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,44 +65,82 @@ class AutcReport:
     inn_order: int
     outc_trivial: bool
     witness: Optional[GroupMap]
+    # _Search.stats() of the enumeration; not part of the report's value
+    search_stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 # -- generic image search -----------------------------------------------------
 
+# Elements per block array (rows x |H_d|).  The multiplicativity check holds
+# d + 1 arrays of this size at depth d.
+BLOCK_ELEMENTS = 1 << 16
+REJECT_REASONS = ("invariant", "injectivity", "multiplicativity")
+
 
 class _DepthInfo:
-    __slots__ = ("members", "size", "parent_pos", "parent_gen", "prod_pos")
+    """H_d = <gens[:d+1]> with a product tree of logarithmic depth.
 
-    def __init__(self, g: Group, gens: Sequence[int], depth: int):
-        t = g.table
-        sub = list(gens[: depth + 1])
-        pos = {0: 0}
-        members = [0]
-        parent_pos: List[int] = [-1]
-        parent_gen: List[int] = [-1]
+    A breadth-first search over the generators gives every member x a
+    shortest word, of length L.  For L >= 2 the word's prefix of length P,
+    the largest power of two below L, is a member u, and x = u * v where
+    v = u^-1 x has a word of length at most L - P < P.  So x can be computed
+    in layer ceil(log2 L) + 1 from u and v in earlier layers, and a block
+    computes the images of H_d in O(log |H_d|) steps.  Members are in
+    breadth-first order: position 0 is the identity, positions 1..d+1 are
+    the generators, and `layers` holds (lo, hi, u_pos, v_pos) for each later
+    layer.  prod_pos[j, i] is the position of members[i] * gens[j].
+    """
+
+    __slots__ = ("members", "size", "layers", "prod_pos", "inv_src", "max_rows")
+
+    def __init__(self, g: Group, cols: list, depth: int, invariant: np.ndarray):
+        # cols[j] is the column of generator j of the table, as a list
+        index = {0: 0}
+        members, length, u_of = [0], [0], [0]
         i = 0
-        rows = g.rows
         while i < len(members):
-            e = members[i]
-            for j, gen in enumerate(sub):
-                f = rows[e][gen]
-                if f not in pos:
-                    pos[f] = len(members)
-                    members.append(f)
-                    parent_pos.append(i)
-                    parent_gen.append(j)
+            x, n = members[i], length[i]
+            # the children's prefix member: this one when n is a power of two
+            u = i if n & (n - 1) == 0 else u_of[i]
+            for col in cols[: depth + 1]:
+                y = col[x]
+                if y not in index:
+                    index[y] = len(members)
+                    members.append(y)
+                    length.append(n + 1)
+                    u_of.append(u)
             i += 1
-        self.members = np.asarray(members, dtype=np.int32)
+        t = g.table
+        self.members = np.asarray(members, dtype=np.intp)
         self.size = len(members)
-        self.parent_pos = parent_pos
-        self.parent_gen = parent_gen
-        posarr = np.full(g.order, -1, dtype=np.int32)
-        posarr[self.members] = np.arange(self.size, dtype=np.int32)
-        self.prod_pos = [posarr[t[self.members, gen]] for gen in sub]
+        pos = np.zeros(g.order, dtype=np.intp)
+        pos[self.members] = np.arange(self.size)
+        u_pos = np.asarray(u_of, dtype=np.intp)
+        v_pos = pos[t[g.inverses[self.members[u_pos]], self.members]]
+        # layer k >= 2 holds the word lengths in (2^(k-2), 2^(k-1)]
+        edges = 1 + (1 << np.arange(max(1, length[-1].bit_length()) + 1))
+        bounds = np.searchsorted(length, edges).tolist()
+        self.layers = [(lo, hi, u_pos[lo:hi], v_pos[lo:hi])
+                       for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        gens = [cols[j][0] for j in range(depth + 1)]  # identity * gen = gen
+        self.prod_pos = pos[t[self.members[:, None], gens]].T
+        self.inv_src = invariant[self.members]
+        self.max_rows = max(1, BLOCK_ELEMENTS // self.size)
 
 
 class _Search:
-    """Backtracking over generator images with per-depth candidate lists."""
+    """Backtracking over generator images, evaluated a block of rows at a time.
+
+    A row at depth d is one partial assignment: its parent's images of
+    gens[:d] plus one candidate image of gens[d].  Rows run in lexicographic
+    (parent, candidate) order, which is the visiting order of a depth-first
+    search, and the survivors of each block are expanded before the next
+    block at the same depth is evaluated.
+
+    `nodes` counts evaluated rows.  `rows[d]` counts them at depth d,
+    `rejected[d, r]` those whose first failed check is REJECT_REASONS[r], and
+    `survivors[d]` those that passed every check.
+    """
 
     def __init__(
         self,
@@ -106,56 +153,113 @@ class _Search:
         budget: int,
     ):
         self.source, self.target = source, target
+        self._flat = target.table.ravel()
         self.gens = list(gens)
-        self.cands = [list(c) for c in candidates]
-        self.inv_src = invariant_src
-        self.inv_tgt = invariant_tgt
-        self.depths = [_DepthInfo(source, gens, d) for d in range(len(gens))]
+        self.cands = [np.asarray(c, dtype=np.intp) for c in candidates]
+        self.inv_tgt = np.asarray(invariant_tgt)
+        inv_src = np.asarray(invariant_src)
+        cols = source.table[:, self.gens].T.tolist()
+        self.depths = [_DepthInfo(source, cols, d, inv_src) for d in range(len(gens))]
         self.budget = budget
+        self._reset()
+
+    def _reset(self) -> None:
         self.nodes = 0
+        self.rows = np.zeros(len(self.gens), dtype=np.int64)
+        self.rejected = np.zeros((len(self.gens), len(REJECT_REASONS)), dtype=np.int64)
+        self.survivors = np.zeros(len(self.gens), dtype=np.int64)
+
+    def stats(self) -> dict:
+        """Nodes, and per depth the rows evaluated, rejected by reason, and surviving."""
+        depths = []
+        for d, info in enumerate(self.depths):
+            depths.append({
+                "depth": d,
+                "subgroup_order": info.size,
+                "candidates": int(self.cands[d].size),
+                "rows": int(self.rows[d]),
+                "rejected": dict(zip(REJECT_REASONS, self.rejected[d].tolist())),
+                "survivors": int(self.survivors[d]),
+            })
+        return {"nodes": int(self.nodes), "depths": depths}
 
     def run(self, first_only: bool = False, branch: Optional[int] = None) -> list:
+        """Images of every map found, in depth-first order; only the first one
+        when first_only.  branch restricts gens[0] to its branch-th candidate."""
         if not self.gens:
             if self.source.order == 1 and self.target.order >= 1:
                 return [np.zeros(1, dtype=np.int32)]
             return []
-        self.nodes = 0
+        self._reset()
+        # a first-hit search starts with one row per block and doubles
+        self._width = [1 if first_only else info.max_rows for info in self.depths]
         out: list = []
-        top = self.cands[0] if branch is None else [self.cands[0][branch]]
-        for c in top:
-            if self._descend(0, c, [], out, first_only):
-                break
+        top = self.cands[0] if branch is None else self.cands[0][branch : branch + 1]
+        self._expand(0, np.zeros((1, 0), dtype=np.intp), top, out, first_only)
         return out
 
-    def _descend(self, depth: int, cand: int, gen_imgs: list, out: list, first_only: bool) -> bool:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(f"search exceeded {self.budget} nodes")
+    def _expand(self, depth: int, parents: np.ndarray, cands: np.ndarray, out: list,
+                first_only: bool) -> bool:
+        """Evaluate every (parent, candidate) row at this depth, a block at a
+        time; True once a first-only search has its hit."""
         info = self.depths[depth]
-        imgs = gen_imgs + [cand]
-        rows = self.target.rows
-        li = [0] * info.size
-        pp, pg = info.parent_pos, info.parent_gen
-        for i in range(1, info.size):
-            li[i] = rows[li[pp[i]]][imgs[pg[i]]]
-        img = np.asarray(li, dtype=np.int32)
-        if not np.array_equal(self.inv_tgt[img], self.inv_src[info.members]):
-            return False
-        if np.bincount(img, minlength=self.target.order).max() != 1:
-            return False
-        tt = self.target.table
-        for j, gi in enumerate(imgs):
-            if not np.array_equal(img[info.prod_pos[j]], tt[img, gi]):
-                return False
-        if depth + 1 == len(self.gens):
-            full = np.empty(self.source.order, dtype=np.int32)
-            full[info.members] = img
-            out.append(full)
-            return first_only
-        for c in self.cands[depth + 1]:
-            if self._descend(depth + 1, c, imgs, out, first_only):
+        last = depth + 1 == len(self.gens)
+        k = cands.size
+        total = parents.shape[0] * k
+        start = 0
+        while start < total:
+            width = self._width[depth]
+            self._width[depth] = min(2 * width, info.max_rows)
+            stop = min(total, start + width)
+            self.nodes += stop - start
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(f"search exceeded {self.budget} nodes")
+            idx = np.arange(start, stop)
+            gen_imgs = np.concatenate([parents[idx // k], cands[idx % k, None]], axis=1)
+            img, gen_imgs = self._survivors(depth, info, gen_imgs)
+            start = stop
+            if not last:
+                if gen_imgs.shape[0] and self._expand(depth + 1, gen_imgs, self.cands[depth + 1],
+                                                      out, first_only):
+                    return True
+                continue
+            if first_only:
+                img = img[:1]
+            full = np.empty((img.shape[0], self.source.order), dtype=np.int32)
+            full[:, info.members] = img
+            out.extend(full)
+            if first_only and img.shape[0]:
                 return True
         return False
+
+    def _survivors(self, depth: int, info: _DepthInfo, gen_imgs: np.ndarray) -> tuple:
+        """The images of H_d for each row, and the rows that pass all three checks:
+        invariant match, injectivity, and multiplicativity on every
+        (element, generator) pair."""
+        t, n = self._flat, self.target.order
+        img = np.zeros((gen_imgs.shape[0], info.size), dtype=np.intp)
+        img[:, 1 : depth + 2] = gen_imgs
+        for lo, hi, u, v in info.layers:
+            img[:, lo:hi] = t[img[:, u] * n + img[:, v]]
+        self.rows[depth] += img.shape[0]
+        ok = (self.inv_tgt[img] == info.inv_src).all(axis=1)
+        img, gen_imgs = self._keep(depth, 0, ok, img, gen_imgs)
+        srt = np.sort(img, axis=1)
+        ok = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+        img, gen_imgs = self._keep(depth, 1, ok, img, gen_imgs)
+        prod = t[img[:, None, :] * n + gen_imgs[:, :, None]]
+        ok = (img[:, info.prod_pos] == prod).all(axis=(1, 2))
+        img, gen_imgs = self._keep(depth, 2, ok, img, gen_imgs)
+        self.survivors[depth] += img.shape[0]
+        return img, gen_imgs
+
+    def _keep(self, depth: int, reason: int, ok: np.ndarray, img: np.ndarray,
+              gen_imgs: np.ndarray) -> tuple:
+        kept = int(np.count_nonzero(ok))
+        if kept == ok.size:
+            return img, gen_imgs
+        self.rejected[depth, reason] += ok.size - kept
+        return img[ok], gen_imgs[ok]
 
 
 def _worker_count() -> int:
@@ -176,7 +280,7 @@ def _pool_init(search: _Search, first_only: bool) -> None:
 def _pool_run(branch: int) -> tuple:
     s: _Search = _POOL_STATE["search"]
     found = s.run(first_only=_POOL_STATE["first_only"], branch=branch)
-    return s.nodes, [a.tobytes() for a in found]
+    return s.nodes, s.rows, s.rejected, s.survivors, [a.tobytes() for a in found]
 
 
 def _run_search(search: _Search, first_only: bool = False, workers: Optional[int] = None) -> list:
@@ -192,15 +296,18 @@ def _run_search(search: _Search, first_only: bool = False, workers: Optional[int
     branches = len(search.cands[0]) if search.gens else 0
     if workers == 1 or branches < 2 or first_only:
         return search.run(first_only=first_only)
-    nodes = 0
+    search._reset()
     results: list = []
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, branches), initializer=_pool_init,
                   initargs=(search, False)) as pool:
-        for branch_nodes, chunk in pool.map(_pool_run, range(branches)):
-            nodes += branch_nodes
+        for nodes, rows, rejected, survivors, chunk in pool.map(_pool_run, range(branches)):
+            search.nodes += nodes
+            search.rows += rows
+            search.rejected += rejected
+            search.survivors += survivors
             results.extend(np.frombuffer(b, dtype=np.int32).copy() for b in chunk)
-    if nodes > search.budget:
+    if search.nodes > search.budget:
         raise SearchBudgetExceeded(f"search exceeded {search.budget} nodes")
     return results
 
@@ -241,6 +348,7 @@ def enumerate_autc(
         inn_order=inn_order,
         outc_trivial=len(maps) == inn_order,
         witness=witness,
+        search_stats=search.stats(),
     )
     return maps, report
 

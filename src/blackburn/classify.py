@@ -322,7 +322,12 @@ def verify_normal_subgroup_trichotomy(g: Group, n_sub: Subgroup) -> TrichotomyVe
     T <= O_p(N), |C_<x>(H)| = exponent of O_p(N), and anything centralizing
     C_<x>(H) centralizes T.
     """
-    r = _blackburn_r(g)
+    return _trichotomy(g, _blackburn_r(g), n_sub)
+
+
+def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyVerdict:
+    """verify_normal_subgroup_trichotomy with R(G) given (None when G is not
+    a Blackburn group), so a caller checking many N computes it once."""
     if r is None:
         raise PreconditionFailed("G is not a Blackburn group")
     if not n_sub.is_normal():

@@ -3,12 +3,15 @@
 Commands: classify, autc, example, suite, catalog.  Exit codes: 0 when all
 checks pass, 1 when a mathematical claim fails, 2 on input or usage errors.
 Reports are plain text by default; --porcelain switches to line-oriented
-key=value records with stable keys.
+key=value records with stable keys.  `autc --stats FILE` also writes the
+search statistics (nodes, and rows rejected per depth by reason) to FILE as
+JSON; the report itself does not change.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -74,9 +77,13 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def cmd_autc(source: str, porcelain: bool, budget: int) -> int:
+def cmd_autc(source: str, porcelain: bool, budget: int, stats: Optional[str] = None) -> int:
     g = resolve_source(source).load()
     maps, rep = enumerate_autc(g, budget=budget)
+    if stats is not None:
+        with open(stats, "w", encoding="utf-8") as fh:
+            json.dump(rep.search_stats, fh, indent=1)
+            fh.write("\n")
     rows = [
         ("order", g.order),
         ("generators", " ".join(str(x) for x in rep.generating_set)),
@@ -178,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_autc.add_argument("source")
     p_autc.add_argument("--porcelain", action="store_true")
     p_autc.add_argument("--budget", type=int, default=10**8)
+    p_autc.add_argument("--stats", metavar="FILE", help="write search statistics as JSON")
 
     p_example = sub.add_parser("example", help="verify the witness construction")
     p_example.add_argument("--p", type=int, default=3)
@@ -202,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "classify":
             return cmd_classify(args.source, args.porcelain, args.max_order)
         if args.command == "autc":
-            return cmd_autc(args.source, args.porcelain, args.budget)
+            return cmd_autc(args.source, args.porcelain, args.budget, args.stats)
         if args.command == "example":
             return cmd_example(args.p, args.porcelain)
         if args.command == "suite":

@@ -169,7 +169,8 @@ class Group:
         return Subgroup(self, np.nonzero(mask)[0])
 
     def center(self) -> "Subgroup":
-        return self.centralizer(range(self.order))
+        T = self.table
+        return Subgroup(self, np.flatnonzero((T == T.T).all(axis=1)))
 
     def closure(self, seed: Iterable[int]) -> np.ndarray:
         """Smallest subgroup containing `seed`, as a sorted index array.

@@ -300,12 +300,15 @@ def normal_subgroup_trichotomy(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
     """Every normal subgroup of every Blackburn catalog group classifies into
     exactly one trichotomy case with all sub-assertions passing."""
     col = _Collector("normal-subgroup-trichotomy")
-    for name, g in blackburn_catalog(max_order):
+    for name, g in _catalog_groups(max_order):
+        r = classify._blackburn_r(g)  # once per group, not once per N
+        if r is None:
+            continue
         for s in g.all_subgroups():
             if not s.is_normal():
                 continue
             try:
-                verdict = classify.verify_normal_subgroup_trichotomy(g, s)
+                verdict = classify._trichotomy(g, r, s)
                 ok = verdict.case in ("a", "b", "c") and verdict.dedekind_complement
                 if verdict.case == "c":
                     ok = ok and verdict.case_c is not None

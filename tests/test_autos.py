@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blackburn.autos import (
+    _Search,
     enumerate_aut,
     enumerate_autc,
     find_isomorphism,
@@ -22,9 +23,12 @@ from blackburn.catalog import (
     direct_product,
     elementary_abelian,
     generalized_quaternion,
+    power_action,
+    semidirect_product,
     symmetric,
 )
-from blackburn.core import Action, GroupMap, identity_map
+from blackburn.core import Action, Group, GroupMap, identity_map
+from blackburn.counterexample import build_witness
 from blackburn.errors import NotAutomorphism, PreconditionFailed, SearchBudgetExceeded
 
 
@@ -109,6 +113,64 @@ def test_search_budget_is_global_across_workers():
         assert len(enumerate_aut(g, budget=350, workers=workers)) == 168
         with pytest.raises(SearchBudgetExceeded, match="349 nodes"):
             enumerate_aut(g, budget=349, workers=workers)
+
+
+def test_autc_budget_boundary_on_witness_group():
+    # enumerate_autc on the order-243 witness group, as constructed, visits 37 nodes
+    table = build_witness(3).g_group.table
+    for workers in (1, 2):
+        _, rep = enumerate_autc(Group(table), budget=37, workers=workers)
+        assert rep.autc_order == 27 and rep.search_stats["nodes"] == 37
+        with pytest.raises(SearchBudgetExceeded, match="36 nodes"):
+            enumerate_autc(Group(table), budget=36, workers=workers)
+
+
+def test_autc_does_not_build_python_rows():
+    g = Group(build_witness(3).g_group.table)
+    enumerate_autc(g)
+    assert g._rows is None
+
+
+def test_search_stats_account_for_every_row():
+    for g in (builtin("c7_q8"), builtin("s4"), Group(build_witness(3).g_group.table)):
+        for workers in (1, 2):
+            _, rep = enumerate_autc(g, workers=workers)
+            stats = rep.search_stats
+            assert stats["nodes"] == sum(d["rows"] for d in stats["depths"])
+            for d, nxt in zip(stats["depths"], stats["depths"][1:] + [None]):
+                assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
+                if nxt is not None:  # a full enumeration expands every survivor
+                    assert nxt["rows"] == d["survivors"] * nxt["candidates"]
+            assert stats["depths"][-1]["survivors"] == rep.autc_order
+
+
+def test_search_stats_count_every_rejection_reason():
+    # an invariant that only tells the identity apart lets every check reject rows
+    seen = np.zeros(3, dtype=np.int64)
+    for name in ("s3", "d8"):
+        g = builtin(name)
+        gens = g.generating_sequence()
+        ident = (np.arange(g.order) == 0).astype(np.int32)
+        search = _Search(g, g, gens, [range(g.order)] * len(gens), ident, ident, 10**6)
+        found = search.run()
+        assert len(found) == len(enumerate_aut(g))
+        assert np.array_equal(search.rows, search.rejected.sum(axis=1) + search.survivors)
+        assert search.nodes == search.rows.sum() and search.survivors[-1] == len(found)
+        seen += search.rejected.sum(axis=0)
+    assert (seen > 0).all()
+
+
+def test_holomorph_of_c8_has_outer_class_preserving_automorphisms():
+    # the holomorph C8 x| Aut(C8), of order 32
+    c8, e4 = cyclic(8), elementary_abelian(2, 2)
+    g = semidirect_product(c8, e4, power_action(e4, c8, [1, 3, 5, 7]))
+    assert g.order == 32
+    maps, rep = enumerate_autc(g)
+    assert rep.autc_order == len(maps) == 32
+    assert rep.inn_order == 16
+    assert not rep.outc_trivial
+    assert is_class_preserving(g, rep.witness)
+    assert all(rep.witness != inner_automorphism(g, a) for a in range(g.order))
 
 
 def test_worker_partitioning_is_deterministic():

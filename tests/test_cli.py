@@ -1,5 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import json
+
 import pytest
 
 from blackburn.cli import main
@@ -86,6 +88,19 @@ def test_reports_byte_stable(capsys):
         _, out = run(capsys, "example", "--p", "3", "--porcelain")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_autc_stats_file_leaves_report_byte_stable(capsys, tmp_path):
+    _, plain = run(capsys, "autc", "c7_q8", "--porcelain")
+    path = tmp_path / "stats.json"
+    code, out = run(capsys, "autc", "c7_q8", "--porcelain", "--stats", str(path))
+    assert code == 0
+    assert out == plain
+    stats = json.loads(path.read_text())
+    assert stats["nodes"] == sum(d["rows"] for d in stats["depths"]) > 0
+    for d in stats["depths"]:
+        assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
+    assert stats["depths"][-1]["survivors"] == 28
 
 
 def test_usage_errors(capsys):

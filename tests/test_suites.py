@@ -1,8 +1,11 @@
 """Suite runner and the remaining spot checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from blackburn import classify
 from blackburn.autos import enumerate_autc, outc_trivial
 from blackburn.catalog import builtin, cyclic, direct_product, generalized_quaternion
 from blackburn.core import Action
@@ -13,6 +16,7 @@ from blackburn.suites import (
     coprime_action_instances,
     has_abelian_index2,
     is_abelian_by_cyclic,
+    normal_subgroup_trichotomy,
     run_suites,
 )
 
@@ -25,6 +29,21 @@ def test_run_suites_quick_all_pass():
     assert "core-invariants" in names
     assert "pointwise-power" in names
     assert "witness-construction" not in names  # full level only
+
+
+def test_trichotomy_suite_computes_r_once_per_group(monkeypatch):
+    calls = []
+    real = classify.r_of
+
+    def counting(g):
+        calls.append(g)  # holding g keeps its id unique
+        return real(g)
+
+    monkeypatch.setattr(classify, "r_of", counting)
+    result = normal_subgroup_trichotomy()
+    assert result.ok and result.run > 0
+    per_group = Counter(id(g) for g in calls)
+    assert max(per_group.values()) == 1
 
 
 def test_abelian_index2_detection():
