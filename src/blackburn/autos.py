@@ -83,7 +83,7 @@ class _DepthInfo:
     A breadth-first search over the generators gives every member x a
     shortest word, of length L.  For L >= 2 the word's prefix of length P,
     the largest power of two below L, is a member u, and x = u * v where
-    v = u^-1 x has a word of length at most L - P < P.  So x can be computed
+    v = u^-1 x has a word of length at most L - P <= P.  So x can be computed
     in layer ceil(log2 L) + 1 from u and v in earlier layers, and a block
     computes the images of H_d in O(log |H_d|) steps.  Members are in
     breadth-first order: position 0 is the identity, positions 1..d+1 are
@@ -93,8 +93,9 @@ class _DepthInfo:
 
     __slots__ = ("members", "size", "layers", "prod_pos", "inv_src", "max_rows")
 
-    def __init__(self, g: Group, cols: list, depth: int, invariant: np.ndarray):
-        # cols[j] is the column of generator j of the table, as a list
+    def __init__(self, g: Group, gens: Sequence[int], cols: list, depth: int,
+                 invariant: np.ndarray):
+        # cols[j] lists the products x * gens[j] for every x
         index = {0: 0}
         members, length, u_of = [0], [0], [0]
         i = 0
@@ -122,8 +123,7 @@ class _DepthInfo:
         bounds = np.searchsorted(length, edges).tolist()
         self.layers = [(lo, hi, u_pos[lo:hi], v_pos[lo:hi])
                        for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        gens = [cols[j][0] for j in range(depth + 1)]  # identity * gen = gen
-        self.prod_pos = pos[t[self.members[:, None], gens]].T
+        self.prod_pos = pos[t[self.members[:, None], list(gens[: depth + 1])]].T
         self.inv_src = invariant[self.members]
         self.max_rows = max(1, BLOCK_ELEMENTS // self.size)
 
@@ -159,7 +159,8 @@ class _Search:
         self.inv_tgt = np.asarray(invariant_tgt)
         inv_src = np.asarray(invariant_src)
         cols = source.table[:, self.gens].T.tolist()
-        self.depths = [_DepthInfo(source, cols, d, inv_src) for d in range(len(gens))]
+        self.depths = [_DepthInfo(source, self.gens, cols, d, inv_src)
+                       for d in range(len(gens))]
         self.budget = budget
         self._reset()
 
