@@ -137,7 +137,7 @@ class _Search:
     search, and the survivors of each block are expanded before the next
     block at the same depth is evaluated.
 
-    `nodes` counts evaluated rows.  `rows[d]` counts them at depth d,
+    `nodes` counts evaluated rows.  `evaluated[d]` counts them at depth d,
     `rejected[d, r]` those whose first failed check is REJECT_REASONS[r], and
     `survivors[d]` those that passed every check.
     """
@@ -166,7 +166,7 @@ class _Search:
 
     def _reset(self) -> None:
         self.nodes = 0
-        self.rows = np.zeros(len(self.gens), dtype=np.int64)
+        self.evaluated = np.zeros(len(self.gens), dtype=np.int64)
         self.rejected = np.zeros((len(self.gens), len(REJECT_REASONS)), dtype=np.int64)
         self.survivors = np.zeros(len(self.gens), dtype=np.int64)
 
@@ -178,7 +178,7 @@ class _Search:
                 "depth": d,
                 "subgroup_order": info.size,
                 "candidates": int(self.cands[d].size),
-                "rows": int(self.rows[d]),
+                "rows": int(self.evaluated[d]),
                 "rejected": dict(zip(REJECT_REASONS, self.rejected[d].tolist())),
                 "survivors": int(self.survivors[d]),
             })
@@ -242,7 +242,7 @@ class _Search:
         img[:, 1 : depth + 2] = gen_imgs
         for lo, hi, u, v in info.layers:
             img[:, lo:hi] = t[img[:, u] * n + img[:, v]]
-        self.rows[depth] += img.shape[0]
+        self.evaluated[depth] += img.shape[0]
         ok = (self.inv_tgt[img] == info.inv_src).all(axis=1)
         img, gen_imgs = self._keep(depth, 0, ok, img, gen_imgs)
         srt = np.sort(img, axis=1)
@@ -281,7 +281,7 @@ def _pool_init(search: _Search, first_only: bool) -> None:
 def _pool_run(branch: int) -> tuple:
     s: _Search = _POOL_STATE["search"]
     found = s.run(first_only=_POOL_STATE["first_only"], branch=branch)
-    return s.nodes, s.rows, s.rejected, s.survivors, [a.tobytes() for a in found]
+    return s.nodes, s.evaluated, s.rejected, s.survivors, [a.tobytes() for a in found]
 
 
 def _run_search(search: _Search, first_only: bool = False, workers: Optional[int] = None) -> list:
@@ -302,9 +302,9 @@ def _run_search(search: _Search, first_only: bool = False, workers: Optional[int
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, branches), initializer=_pool_init,
                   initargs=(search, False)) as pool:
-        for nodes, rows, rejected, survivors, chunk in pool.map(_pool_run, range(branches)):
+        for nodes, evaluated, rejected, survivors, chunk in pool.map(_pool_run, range(branches)):
             search.nodes += nodes
-            search.rows += rows
+            search.evaluated += evaluated
             search.rejected += rejected
             search.survivors += survivors
             results.extend(np.frombuffer(b, dtype=np.int32).copy() for b in chunk)

@@ -154,8 +154,8 @@ def test_search_stats_count_every_rejection_reason():
         search = _Search(g, g, gens, [range(g.order)] * len(gens), ident, ident, 10**6)
         found = search.run()
         assert len(found) == len(enumerate_aut(g))
-        assert np.array_equal(search.rows, search.rejected.sum(axis=1) + search.survivors)
-        assert search.nodes == search.rows.sum() and search.survivors[-1] == len(found)
+        assert np.array_equal(search.evaluated, search.rejected.sum(axis=1) + search.survivors)
+        assert search.nodes == search.evaluated.sum() and search.survivors[-1] == len(found)
         seen += search.rejected.sum(axis=0)
     assert (seen > 0).all()
 
