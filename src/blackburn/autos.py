@@ -96,21 +96,21 @@ class _DepthInfo:
     def __init__(self, g: Group, gens: Sequence[int], cols: list, depth: int,
                  invariant: np.ndarray):
         # cols[j] lists the products x * gens[j] for every x
-        index = {0: 0}
+        sub_cols = cols[: depth + 1]
+        seen = bytearray(g.order)
+        seen[0] = 1
         members, length, u_of = [0], [0], [0]
-        i = 0
-        while i < len(members):
-            x, n = members[i], length[i]
+        for i, x in enumerate(members):  # members is also the queue: it grows here
+            n = length[i]
             # the children's prefix member: this one when n is a power of two
             u = i if n & (n - 1) == 0 else u_of[i]
-            for col in cols[: depth + 1]:
+            for col in sub_cols:
                 y = col[x]
-                if y not in index:
-                    index[y] = len(members)
+                if not seen[y]:
+                    seen[y] = 1
                     members.append(y)
                     length.append(n + 1)
                     u_of.append(u)
-            i += 1
         t = g.table
         self.members = np.asarray(members, dtype=np.intp)
         self.size = len(members)
