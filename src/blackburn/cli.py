@@ -47,7 +47,7 @@ def _prime_divisors(n: int) -> list:
 
 
 def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
-    g = resolve_source(source).load()
+    g = resolve_source(source).load(cap=max_order)
     if g.order > max_order:
         raise GroupError(f"group order {g.order} exceeds --max-order {max_order}")
     status = classify.r_of(g)

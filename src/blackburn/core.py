@@ -604,9 +604,14 @@ def validate_group(
 
     The identity is located and relabeled to index 0.  Checks: Latin square,
     identity, two-sided inverses, associativity (full O(n^3) for n <= assoc
-    limit, generator-based Light test above it).
+    limit, generator-based Light test above it).  Each check runs on the
+    whole table at once and reports the same first failure as an
+    element-by-element scan would.  The table keeps its integer dtype until
+    the range check, then is narrowed to int16 (n <= 32767) or int32.
     """
-    t = np.asarray(table, dtype=np.int64)
+    t = np.asarray(table)
+    if t.dtype.kind not in "iu":
+        t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise NotLatinSquare(f"table must be square, got shape {t.shape}")
     n = int(t.shape[0])
@@ -614,44 +619,48 @@ def validate_group(
         raise BadParams(f"declared order {order} does not match table size {n}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise NotLatinSquare("table entries out of range")
-    ident = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(t[i]), ident):
-            raise NotLatinSquare(f"row {i} is not a permutation")
-        if not np.array_equal(np.sort(t[:, i]), ident):
-            raise NotLatinSquare(f"column {i} is not a permutation")
-    e = -1
-    for i in range(n):
-        if np.array_equal(t[i], ident) and np.array_equal(t[:, i], ident):
-            e = i
-            break
-    if e < 0:
+    t = t.astype(np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    ident = np.arange(n, dtype=t.dtype)
+    # rows and columns are checked in the order row 0, column 0, row 1, ...
+    bad_row = (np.sort(t, axis=1) != ident).any(axis=1)
+    bad_col = (np.sort(t, axis=0) != ident[:, None]).any(axis=0)
+    bad = np.flatnonzero(bad_row | bad_col)
+    if bad.size:
+        i = int(bad[0])
+        raise NotLatinSquare(f"{'row' if bad_row[i] else 'column'} {i} is not a permutation")
+    # column 0 holds 0 only in row e, so e is the one candidate identity
+    e = int(np.flatnonzero(t[:, 0] == 0)[0]) if n else -1
+    if e < 0 or not (np.array_equal(t[e], ident) and np.array_equal(t[:, e], ident)):
         raise NoIdentity("no two-sided identity element")
     if e != 0:
-        perm = np.arange(n)
+        perm = ident.copy()
         perm[0], perm[e] = e, 0
         t = perm[t[np.ix_(perm, perm)]]
         if names is not None:
             names = list(names)
             names[0], names[e] = names[e], names[0]
-    for a in range(n):
-        b = int(np.nonzero(t[a] == 0)[0][0])
-        if t[b, a] != 0:
-            raise NoInverse(f"element {a} has no two-sided inverse")
+    right_inv = np.argmax(t == 0, axis=1)
+    bad = np.flatnonzero(t[right_inv, ident] != 0)
+    if bad.size:
+        raise NoInverse(f"element {bad[0]} has no two-sided inverse")
     if n <= assoc_limit:
+        # The table is read as a gather index n times, so it is converted to
+        # intp once (2 MiB at n = 512); entries are in range, hence "clip".
+        idx = t.astype(np.intp)
+        lhs, rhs = np.empty_like(t), np.empty_like(t)
         for a in range(n):
-            lhs = t[t[a], :]          # (a*b)*c over (b, c)
-            rhs = t[a][t]             # a*(b*c) over (b, c)
+            np.take(t, idx[a], axis=0, out=lhs, mode="clip")  # (a*b)*c over (b, c)
+            np.take(t[a], idx, out=rhs, mode="clip")          # a*(b*c) over (b, c)
             if not np.array_equal(lhs, rhs):
                 b, c = np.argwhere(lhs != rhs)[0]
                 raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    else:
-        # Light's test: checking (x*a)*y == x*(a*y) for generators a suffices.
-        g = Group(t.astype(np.int32), None)
-        for a in g.generating_sequence():
-            lhs = t[t[:, a], :]
-            rhs = t[:, t[a, :]]
-            if not np.array_equal(lhs, rhs):
-                x, y = np.argwhere(lhs != rhs)[0]
-                raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
-    return Group(t.astype(np.int32), names)
+        return Group(t, names)
+    # Light's test: checking (x*a)*y == x*(a*y) for generators a suffices.
+    g = Group(t, names)
+    for a in g.generating_sequence():
+        lhs = np.take(t, t[:, a], axis=0)
+        rhs = np.take(t, t[a], axis=1)
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+    return g

@@ -27,6 +27,7 @@ from .core import Group, validate_group
 from .errors import BadParams, NotPermutation, OrderCap, ParseError
 
 PERMGEN_CLOSURE_CAP = 65536
+_DIGIT_TABLE_BYTES = b"0123456789 \t\n"
 
 
 def _content_lines(text: str) -> list:
@@ -39,7 +40,9 @@ def _content_lines(text: str) -> list:
     return out
 
 
-def parse_cayley(text: str) -> Group:
+def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
+    """Read a cayley file; an order above `cap` is refused before any row
+    is read."""
     lines = _content_lines(text)
     if not lines or lines[0][1] != "cayley 1":
         raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
@@ -51,6 +54,8 @@ def parse_cayley(text: str) -> Group:
         raise ParseError("malformed order line", lines[1][0])
     if n < 1:
         raise ParseError("order must be positive", lines[1][0])
+    if cap is not None and n > cap:
+        raise OrderCap(f"order {n} exceeds cap {cap}")
     body = lines[2:]
     names = None
     if body and body[0][1].startswith("names"):
@@ -62,6 +67,30 @@ def parse_cayley(text: str) -> Group:
     if len(body) != n:
         raise ParseError(f"expected {n} table rows, got {len(body)}",
                          body[-1][0] if body else lines[1][0])
+    table = _digit_table([content for _, content in body], n)
+    if table is None:
+        table = _checked_rows(body, n)
+    return validate_group(table, names)
+
+
+def _digit_table(rows: list, n: int) -> Optional[np.ndarray]:
+    """The rows as one (n x n) array when they hold only ASCII digits and
+    blanks, n entries each, all below n; None otherwise."""
+    text = "\n".join(rows)
+    # deleting every allowed byte leaves nothing exactly when all are allowed
+    if not text.isascii() or text.encode("ascii").translate(None, _DIGIT_TABLE_BYTES):
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=np.int64, ndmin=2)
+    except ValueError:  # ragged rows, or an entry beyond int64
+        return None
+    if table.shape != (n, n) or table.max() >= n:
+        return None
+    return table
+
+
+def _checked_rows(body: list, n: int) -> list:
+    """Row by row conversion that names the first malformed row."""
     table = []
     for lineno, content in body:
         try:
@@ -73,7 +102,7 @@ def parse_cayley(text: str) -> Group:
         if any(x < 0 or x >= n for x in row):
             raise ParseError("table entry out of range", lineno)
         table.append(row)
-    return validate_group(table, names)
+    return table
 
 
 def dump_cayley(g: Group) -> str:
@@ -112,30 +141,58 @@ def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
         if sorted(imgs) != list(range(degree)):
             raise NotPermutation(f"line {lineno}: image list is not a permutation")
         gens.append(imgs)
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gen in gens:
-                prod = tuple(gen[e[x]] for x in range(degree))  # e then gen
-                if prod not in index:
-                    if len(elements) >= cap:
-                        raise OrderCap(f"permutation closure exceeds cap {cap}")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    elements, parent, via, right = _closure(gens, degree, cap)
     n = len(elements)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[tuple(b[a[x]] for x in range(degree))]
+    # Element j was first reached as parent[j] * via[j], so column j is the
+    # right multiplication by that generator applied to column parent[j].
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n)
+    for j in range(1, n):
+        table[:, j] = right[via[j]][table[:, parent[j]]]
     sep = "" if degree <= 10 else ","
-    names = [sep.join(str(x) for x in e) for e in elements]
+    names = [sep.join(map(str, e)) for e in elements.tolist()]
     return Group(table, names)
+
+
+def _closure(gens: list, degree: int, cap: int) -> tuple:
+    """Breadth-first closure of the generators, one frontier block at a time.
+
+    Returns the elements as an (n x degree) array in order of discovery,
+    and for each element j > 0 the element `parent[j]` and generator
+    `via[j]` it was first reached from, with e_j = e_parent * gen_via.
+    `right[s, x]` is the index of e_x * gen_s.  Products of a frontier are
+    numbered in (element, generator) order, as a loop over both would.
+    """
+    k = len(gens)
+    gen_arr = np.asarray(gens, dtype=np.intp).reshape(k, degree)
+    pick = np.arange(k)[None, :, None]
+    row_key = np.dtype((np.void, degree * gen_arr.itemsize))
+    frontier = np.arange(degree, dtype=np.intp)[None, :]
+    index = {frontier.tobytes(): 0}
+    blocks, parents, vias, rights = [frontier], [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], []
+    base = 0  # index of the frontier's first element
+    while len(frontier):
+        prods = gen_arr[pick, frontier[:, None, :]]  # e then gen, as (f, k, degree)
+        found = np.empty(prods.shape[0] * k, dtype=np.intp)
+        fresh = []
+        for pos, key in enumerate(prods.view(row_key).ravel().tolist()):
+            j = index.get(key)
+            if j is None:
+                j = len(index)
+                if j >= cap:
+                    raise OrderCap(f"permutation closure exceeds cap {cap}")
+                index[key] = j
+                fresh.append(pos)
+            found[pos] = j
+        rights.append(found.reshape(len(frontier), k))
+        fresh = np.asarray(fresh, dtype=np.intp)
+        parents.append(base + fresh // k)
+        vias.append(fresh % k)
+        base += len(frontier)
+        frontier = prods.reshape(-1, degree)[fresh]
+        blocks.append(frontier)
+    right = np.ascontiguousarray(np.concatenate(rights).T)
+    return np.concatenate(blocks), np.concatenate(parents), np.concatenate(vias), right
 
 
 @dataclass(frozen=True)
@@ -145,14 +202,17 @@ class GroupSource:
     kind: str  # "builtin" | "cayley" | "permgen"
     locator: str
 
-    def load(self) -> Group:
+    def load(self, cap: Optional[int] = None) -> Group:
+        """The group; a file group of order above `cap` is refused before
+        its table is built."""
         if self.kind == "builtin":
             return builtin(self.locator)
         with open(self.locator, "r", encoding="utf-8") as fh:
             text = fh.read()
         if self.kind == "cayley":
-            return parse_cayley(text)
-        return parse_permgen(text)
+            return parse_cayley(text, cap)
+        return parse_permgen(text, PERMGEN_CLOSURE_CAP if cap is None
+                             else min(cap, PERMGEN_CLOSURE_CAP))
 
 
 def resolve_source(spec: str) -> GroupSource:
@@ -161,10 +221,13 @@ def resolve_source(spec: str) -> GroupSource:
     import os
 
     if os.path.exists(spec):
+        head = ""
         with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = _content_lines(text)
-        head = lines[0][1] if lines else ""
+            for raw in fh:  # read up to the first content line only
+                lines = _content_lines(raw)
+                if lines:
+                    head = lines[0][1]
+                    break
         if head.startswith("cayley"):
             return GroupSource("cayley", spec)
         if head.startswith("permgen"):

@@ -114,3 +114,16 @@ def test_bad_file_is_input_error(capsys, tmp_path):
     path.write_text("cayley 1\norder 3\n0 1 2\n1 2 0\n")
     code, _ = run(capsys, "classify", str(path))
     assert code == 2
+
+
+def test_max_order_refuses_before_the_table_is_built(capsys, tmp_path):
+    sym7 = tmp_path / "sym7.permgen"
+    sym7.write_text("permgen 1\ndegree 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
+    assert main(["classify", str(sym7), "--max-order", "1000"]) == 2
+    assert "1000" in capsys.readouterr().err
+    # the order line is checked before any row is read
+    big = tmp_path / "big.cayley"
+    big.write_text("cayley 1\norder 5040\nnot a table row\n")
+    assert main(["classify", str(big), "--max-order", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "5040" in err and "1000" in err

@@ -84,6 +84,22 @@ def test_lights_test_path_above_full_check_limit():
     assert g.order == 600
 
 
+def test_lights_test_rejects_nonassociative_loop_above_full_check_limit():
+    # NONASSOC_LOOP x C103: a loop of order 515 with identity and two-sided
+    # inverses, so only the associativity check can reject it
+    c = cyclic(103).table
+    loop = np.asarray(NONASSOC_LOOP)
+    t = (loop[:, None, :, None] * 103 + c[None, :, None, :]).reshape(515, 515)
+    with pytest.raises(NotAssociative):
+        validate_group(t)
+    perm = np.random.default_rng(7).permutation(515)
+    moved = np.empty_like(t)
+    moved[np.ix_(perm, perm)] = perm[t]
+    assert perm[0] != 0  # the identity is no longer at index 0
+    with pytest.raises(NotAssociative):
+        validate_group(moved)
+
+
 def _brute_subgroups(g):
     """All subgroups by subset enumeration; independent of closure code."""
     out = []

@@ -1,10 +1,11 @@
-"""Property tests: the lattice primitives and the image search against the
-direct algorithms they replaced.
+"""Property tests: the lattice primitives, the image search and file ingest
+against the direct algorithms they replaced.
 
 The oracles below are those direct algorithms: closure by squaring the
 member set until it stops growing, normality and normalizers by conjugating
 the subset with every element of G, O_p(G) by intersecting every conjugate
-of a Sylow subgroup, and the generator-image search one node at a time.
+of a Sylow subgroup, the generator-image search one node at a time, and the
+row-by-row parsers and table checks.
 """
 
 import numpy as np
@@ -13,7 +14,17 @@ from hypothesis import strategies as st
 
 from blackburn.autos import _Search, enumerate_aut, enumerate_autc, find_isomorphism
 from blackburn.catalog import CATALOG, builtin
-from blackburn.core import Group, Subgroup, _is_power_of
+from blackburn.core import FULL_ASSOC_LIMIT, Group, Subgroup, _is_power_of, validate_group
+from blackburn.errors import (
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotLatinSquare,
+    NotPermutation,
+    OrderCap,
+    ParseError,
+)
+from blackburn.formats import PERMGEN_CLOSURE_CAP, _content_lines, parse_cayley, parse_permgen
 from blackburn.suites import _normal_via_cyclic
 
 NAMES = [e.name for e in CATALOG if e.order <= 64]
@@ -150,6 +161,131 @@ def order_candidates(g: Group, h: Group) -> tuple:
     gens = g.generating_sequence()
     g_orders, h_orders = g.element_orders(), h.element_orders()
     return gens, [[x for x in range(h.order) if h_orders[x] == g_orders[gen]] for gen in gens]
+
+
+def old_validate_group(table, names=None) -> Group:
+    """Every check one row, column or element at a time, on an int64 copy."""
+    t = np.asarray(table, dtype=np.int64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise NotLatinSquare(f"table must be square, got shape {t.shape}")
+    n = int(t.shape[0])
+    if t.min(initial=0) < 0 or t.max(initial=0) >= n:
+        raise NotLatinSquare("table entries out of range")
+    ident = np.arange(n)
+    for i in range(n):
+        if not np.array_equal(np.sort(t[i]), ident):
+            raise NotLatinSquare(f"row {i} is not a permutation")
+        if not np.array_equal(np.sort(t[:, i]), ident):
+            raise NotLatinSquare(f"column {i} is not a permutation")
+    e = -1
+    for i in range(n):
+        if np.array_equal(t[i], ident) and np.array_equal(t[:, i], ident):
+            e = i
+            break
+    if e < 0:
+        raise NoIdentity("no two-sided identity element")
+    if e != 0:
+        perm = np.arange(n)
+        perm[0], perm[e] = e, 0
+        t = perm[t[np.ix_(perm, perm)]]
+        if names is not None:
+            names = list(names)
+            names[0], names[e] = names[e], names[0]
+    for a in range(n):
+        b = int(np.nonzero(t[a] == 0)[0][0])
+        if t[b, a] != 0:
+            raise NoInverse(f"element {a} has no two-sided inverse")
+    assert n <= FULL_ASSOC_LIMIT
+    for a in range(n):
+        lhs = t[t[a], :]
+        rhs = t[a][t]
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    return Group(t.astype(np.int32), names)
+
+
+def old_parse_cayley(text: str) -> Group:
+    """Every entry converted and range-checked with int(), row by row."""
+    lines = _content_lines(text)
+    if not lines or lines[0][1] != "cayley 1":
+        raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
+    if len(lines) < 2 or not lines[1][1].startswith("order "):
+        raise ParseError("expected 'order n'", lines[1][0] if len(lines) > 1 else 1)
+    try:
+        n = int(lines[1][1].split()[1])
+    except (IndexError, ValueError):
+        raise ParseError("malformed order line", lines[1][0])
+    if n < 1:
+        raise ParseError("order must be positive", lines[1][0])
+    body = lines[2:]
+    names = None
+    if body and body[0][1].startswith("names"):
+        lineno, content = body[0]
+        names = content.split()[1:]
+        if len(names) != n:
+            raise ParseError(f"expected {n} names, got {len(names)}", lineno)
+        body = body[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {n} table rows, got {len(body)}",
+                         body[-1][0] if body else lines[1][0])
+    table = []
+    for lineno, content in body:
+        try:
+            row = [int(x) for x in content.split()]
+        except ValueError:
+            raise ParseError("table row has a non-integer entry", lineno)
+        if len(row) != n:
+            raise ParseError(f"expected {n} entries, got {len(row)}", lineno)
+        if any(x < 0 or x >= n for x in row):
+            raise ParseError("table entry out of range", lineno)
+        table.append(row)
+    return old_validate_group(table, names)
+
+
+def old_parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
+    """Closure over tuples, and every product of two elements composed."""
+    lines = _content_lines(text)
+    degree = int(lines[1][1].split()[1])
+    gens = []
+    for lineno, content in lines[2:]:
+        imgs = tuple(int(x) for x in content.split()[1:])
+        if sorted(imgs) != list(range(degree)):
+            raise NotPermutation(f"line {lineno}: image list is not a permutation")
+        gens.append(imgs)
+    ident = tuple(range(degree))
+    elements = [ident]
+    index = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for gen in gens:
+                prod = tuple(gen[e[x]] for x in range(degree))
+                if prod not in index:
+                    if len(elements) >= cap:
+                        raise OrderCap(f"permutation closure exceeds cap {cap}")
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    n = len(elements)
+    table = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            table[i, j] = index[tuple(b[a[x]] for x in range(degree))]
+    sep = "" if degree <= 10 else ","
+    return Group(table, [sep.join(str(x) for x in e) for e in elements])
+
+
+def outcome(load, *args) -> tuple:
+    """What a loader returns or raises, in comparable form."""
+    try:
+        g = load(*args)
+    except (ParseError, NotPermutation, OrderCap, NotLatinSquare, NoIdentity, NoInverse,
+            NotAssociative) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return g.table.dtype.str, g.table.tolist(), g.names
 
 
 # -- strategies ---------------------------------------------------------------
@@ -301,3 +437,83 @@ def test_find_isomorphism_first_hit_matches_node_by_node_search(data):
     iso = find_isomorphism(g, h)
     assert iso is not None and iso.is_homomorphism() and iso.is_bijective()
     assert iso.images.tolist() == want[0].tolist()
+
+
+INGEST_NAMES = [e.name for e in CATALOG if e.order <= 48]
+# tokens int() reads or rejects in ways a plain digit parser would not
+ODD_TOKENS = ["x", "-1", "+0", "1_0", "00", "7.0", "1" + "0" * 22, "\u0663", "\u00b2"]
+
+
+@st.composite
+def cayley_texts(draw) -> str:
+    """A relabelled catalog table with the identity anywhere, laid out with
+    random blanks, tabs and comments, possibly with one corruption."""
+    g = _group(draw(st.sampled_from(INGEST_NAMES)))
+    n = g.order
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    rows = np.empty((n, n), dtype=np.int64)
+    rows[np.ix_(perm, perm)] = perm[g.table]
+    rows = [[str(x) for x in row] for row in rows.tolist()]
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["none", "entry", "range", "short", "token", "swap"]))
+    i, j = rnd.randrange(n), rnd.randrange(n)
+    if kind == "entry":
+        rows[i][j] = str((int(rows[i][j]) + rnd.randrange(1, n + 1)) % (n + 1))
+    elif kind == "range":
+        rows[i][j] = str(n + rnd.randrange(3))
+    elif kind == "short":
+        rows[i].pop()
+    elif kind == "token":
+        rows[i][j] = draw(st.sampled_from(ODD_TOKENS + [str(n)]))
+    elif kind == "swap":
+        k = rnd.randrange(n)
+        rows[i], rows[k] = rows[k], rows[i]
+    blanks = [" ", "  ", "\t", " \t "]
+    lines = ["# a table", "cayley 1", f"order {n}   # order"]
+    if draw(st.booleans()):
+        lines.append("names " + " ".join(f"g{x}" for x in range(n)))
+    for row in rows:
+        line = rnd.choice(["", " ", "\t"]) + "".join(rnd.choice(blanks) + x for x in row)
+        if rnd.random() < 0.2:
+            line += rnd.choice(blanks) + "# comment"
+        lines.append(line)
+        if rnd.random() < 0.1:
+            lines.append(rnd.choice(["", "   ", "# between rows"]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def permgen_texts(draw) -> str:
+    degree = draw(st.integers(1, 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    gens = [rnd.sample(range(degree), degree) for _ in range(draw(st.integers(0, 3)))]
+    body = "".join("gen " + " ".join(map(str, g)) + "\n" for g in gens)
+    return f"permgen 1\ndegree {degree}\n{body}"
+
+
+@settings(max_examples=150)
+@given(cayley_texts())
+def test_parse_cayley_matches_row_by_row_parser(text):
+    assert outcome(parse_cayley, text) == outcome(old_parse_cayley, text)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_validate_group_matches_element_by_element_checks(data):
+    g = _group(data.draw(st.sampled_from(INGEST_NAMES)))
+    n = g.order
+    perm = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[[a, b]] = table[[b, a]]  # rows swapped: still Latin, maybe not a group
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64, np.uint8, np.uint16]))
+    assert outcome(validate_group, table.astype(dtype)) == outcome(old_validate_group, table)
+
+
+@settings(max_examples=60)
+@given(permgen_texts(), st.integers(1, 200))
+def test_parse_permgen_matches_tuple_closure(text, cap):
+    assert outcome(parse_permgen, text) == outcome(old_parse_permgen, text)
+    assert outcome(parse_permgen, text, cap) == outcome(old_parse_permgen, text, cap)
