@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ._arith import is_p_power, is_prime, perm_order, perm_power
 from .autos import enumerate_aut
 from .core import Group
 from .errors import CounterexampleFound
@@ -93,17 +94,6 @@ def gl_order(p: int, r: int) -> int:
 
 
 # -- candidates for a fixed alpha ----------------------------------------------
-
-
-def _perm_power(perm: np.ndarray, times: int) -> np.ndarray:
-    out = np.arange(perm.size, dtype=np.int64)
-    base = perm.astype(np.int64)
-    while times:
-        if times & 1:
-            out = base[out]
-        base = base[base]
-        times >>= 1
-    return out
 
 
 def _orbit_ids(perm: np.ndarray) -> np.ndarray:
@@ -173,13 +163,13 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
         if np.bincount(beta, minlength=n).max() != 1:
             continue
         bp = beta
-        is_p_power = False
+        p_order = False
         for _ in range(max_pstep + 1):
             if np.array_equal(bp, ident):
-                is_p_power = True
+                p_order = True
                 break
-            bp = _perm_power(bp, p)
-        if not is_p_power:
+            bp = perm_power(bp, p)
+        if not p_order:
             continue
         stats.pairs += 1
         if beta.tobytes() not in power_bytes:
@@ -195,11 +185,7 @@ def _exhaustive_alphas(group: Group, p: int) -> list:
     out = []
     seen = set()
     for m in enumerate_aut(group):
-        order = m.map_order()
-        k = order
-        while k % p == 0:
-            k //= p
-        if k != 1:
+        if not is_p_power(m.map_order(), p):
             continue
         img = m.images.astype(np.int64)
         powers = [np.arange(group.order, dtype=np.int64)]
@@ -216,11 +202,7 @@ def _exhaustive_alphas(group: Group, p: int) -> list:
 
 
 def is_elementary(factors: Sequence[int]) -> bool:
-    return len(set(factors)) == 1 and all(_is_prime(f) for f in set(factors))
-
-
-def _is_prime(f: int) -> bool:
-    return f > 1 and all(f % d for d in range(2, int(f**0.5) + 1))
+    return len(set(factors)) == 1 and all(is_prime(f) for f in set(factors))
 
 
 def jordan_representatives(p: int, r: int) -> list:
@@ -327,16 +309,10 @@ def nonabelian_contrast(p: int = 3) -> ContrastReport:
     return ContrastReport(
         order=g.order,
         commuting=bool(np.array_equal(alpha.images[beta.images], beta.images[alpha.images])),
-        p_power_orders=_is_p_power(ao, p) and _is_p_power(bo, p),
+        p_power_orders=is_p_power(ao, p) and is_p_power(bo, p),
         pointwise=locally_power(g, alpha, beta),
         is_power=power_of(alpha, beta) is not None,
     )
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # -- oracle for the Jordan shortcut ----------------------------------------------
@@ -355,11 +331,7 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
         raise CounterexampleFound("automorphism enumeration does not match GL order")
     unipotent = []
     for img in auts:
-        order = _perm_order(img)
-        k = order
-        while k % p == 0:
-            k //= p
-        if k == 1:
+        if is_p_power(perm_order(img), p):
             unipotent.append(img)
     gens = _generating_subset(auts)
     reps = _jordan_alphas(p, r)
@@ -387,24 +359,6 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     if covered != {u.tobytes() for u in unipotent}:
         raise CounterexampleFound("Jordan classes do not cover the unipotent elements")
     return classes, len(unipotent)
-
-
-def _perm_order(perm: np.ndarray) -> int:
-    from math import gcd
-
-    n = perm.size
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            ln += 1
-        out = out * ln // gcd(out, ln)
-    return out
 
 
 def _generating_subset(elements: list) -> list:

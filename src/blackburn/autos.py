@@ -22,13 +22,12 @@ also counts the rows of its blocks that follow its hit.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._arith import is_p_power, prime_divisors
 from .core import Action, Group, GroupMap, identity_map
 from .errors import (
     NoWitness,
@@ -40,7 +39,6 @@ from .errors import (
 
 AUTC_ORDER_CAP = 4096
 DEFAULT_BUDGET = 10**8
-WORKER_ENV = "BLACKBURN_WORKERS"
 
 
 def inner_automorphism(g: Group, a: int) -> GroupMap:
@@ -184,9 +182,9 @@ class _Search:
             })
         return {"nodes": int(self.nodes), "depths": depths}
 
-    def run(self, first_only: bool = False, branch: Optional[int] = None) -> list:
+    def run(self, first_only: bool = False) -> list:
         """Images of every map found, in depth-first order; only the first one
-        when first_only.  branch restricts gens[0] to its branch-th candidate."""
+        when first_only."""
         if not self.gens:
             if self.source.order == 1 and self.target.order >= 1:
                 return [np.zeros(1, dtype=np.int32)]
@@ -195,8 +193,7 @@ class _Search:
         # a first-hit search starts with one row per block and doubles
         self._width = [1 if first_only else info.max_rows for info in self.depths]
         out: list = []
-        top = self.cands[0] if branch is None else self.cands[0][branch : branch + 1]
-        self._expand(0, np.zeros((1, 0), dtype=np.intp), top, out, first_only)
+        self._expand(0, np.zeros((1, 0), dtype=np.intp), self.cands[0], out, first_only)
         return out
 
     def _expand(self, depth: int, parents: np.ndarray, cands: np.ndarray, out: list,
@@ -263,56 +260,6 @@ class _Search:
         return img[ok], gen_imgs[ok]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKER_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(search: _Search, first_only: bool) -> None:
-    _POOL_STATE["search"] = search
-    _POOL_STATE["first_only"] = first_only
-
-
-def _pool_run(branch: int) -> tuple:
-    s: _Search = _POOL_STATE["search"]
-    found = s.run(first_only=_POOL_STATE["first_only"], branch=branch)
-    return s.nodes, s.evaluated, s.rejected, s.survivors, [a.tobytes() for a in found]
-
-
-def _run_search(search: _Search, first_only: bool = False, workers: Optional[int] = None) -> list:
-    """Run a search, optionally partitioning the top-level branches across
-    processes; results are merged in branch order, so output is identical
-    for every worker count.
-
-    The budget is one count over the whole search: the branches' node
-    counts are summed after the merge, so it is exceeded for every worker
-    count or for none.
-    """
-    workers = _worker_count() if workers is None else max(1, workers)
-    branches = len(search.cands[0]) if search.gens else 0
-    if workers == 1 or branches < 2 or first_only:
-        return search.run(first_only=first_only)
-    search._reset()
-    results: list = []
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, branches), initializer=_pool_init,
-                  initargs=(search, False)) as pool:
-        for nodes, evaluated, rejected, survivors, chunk in pool.map(_pool_run, range(branches)):
-            search.nodes += nodes
-            search.evaluated += evaluated
-            search.rejected += rejected
-            search.survivors += survivors
-            results.extend(np.frombuffer(b, dtype=np.int32).copy() for b in chunk)
-    if search.nodes > search.budget:
-        raise SearchBudgetExceeded(f"search exceeded {search.budget} nodes")
-    return results
-
-
 # -- public search entry points ------------------------------------------------
 
 
@@ -321,7 +268,6 @@ def enumerate_autc(
     *,
     budget: int = DEFAULT_BUDGET,
     order_cap: int = AUTC_ORDER_CAP,
-    workers: Optional[int] = None,
 ) -> tuple:
     """All class-preserving automorphisms, plus the report.
 
@@ -336,8 +282,7 @@ def enumerate_autc(
     classes = g.conjugacy_classes()
     cands = [classes[cid[gen]].tolist() for gen in gens]
     search = _Search(g, g, gens, cands, cid, cid, budget)
-    images = _run_search(search, workers=workers)
-    maps = [GroupMap(g, g, img) for img in images]
+    maps = [GroupMap(g, g, img) for img in search.run()]
     inn_tuples = _inner_generator_tuples(g, gens)
     inn_order = g.order // g.center().order
     non_inner = [m for m in maps if tuple(int(m.images[x]) for x in gens) not in inn_tuples]
@@ -366,7 +311,7 @@ def outc_trivial(g: Group, **kw) -> AutcReport:
     return report
 
 
-def enumerate_aut(g: Group, *, budget: int = DEFAULT_BUDGET, workers: Optional[int] = None) -> list:
+def enumerate_aut(g: Group, *, budget: int = DEFAULT_BUDGET) -> list:
     """The full automorphism group by unconstrained generator-image search.
 
     Candidates are merely order-matched, so this scales far worse than
@@ -379,7 +324,7 @@ def enumerate_aut(g: Group, *, budget: int = DEFAULT_BUDGET, workers: Optional[i
         by_order.setdefault(int(orders[x]), []).append(x)
     cands = [by_order[int(orders[gen])] for gen in gens]
     search = _Search(g, g, gens, cands, orders, orders, budget)
-    return [GroupMap(g, g, img) for img in _run_search(search, workers=workers)]
+    return [GroupMap(g, g, img) for img in search.run()]
 
 
 def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Optional[GroupMap]:
@@ -446,7 +391,7 @@ def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int, *, step_cap: int 
     when sigma is.
     """
     g = sigma.source
-    if not _is_prime_power(sigma.map_order(), p):
+    if not is_p_power(sigma.map_order(), p):
         raise PreconditionFailed("sigma must have p-power order")
     if not is_class_preserving(g, sigma):
         raise PreconditionFailed("sigma must be class-preserving")
@@ -460,7 +405,7 @@ def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int, *, step_cap: int 
     out = identity_map(g)
     for _ in range(r):
         out = out.then(comp)
-    if not _is_prime_power(out.map_order(), p) or not is_class_preserving(g, out):
+    if not is_p_power(out.map_order(), p) or not is_class_preserving(g, out):
         raise PreconditionFailed("normalized map lost its defining properties")
     if _is_inner(g, out) != _is_inner(g, sigma):
         raise PreconditionFailed("innerness was not preserved")
@@ -472,12 +417,6 @@ def _map_order_capped(f: GroupMap, cap: int) -> int:
     if order > cap:
         raise PreconditionFailed(f"map order {order} exceeds step cap {cap}")
     return order
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _is_inner(g: Group, f: GroupMap) -> bool:
@@ -498,7 +437,7 @@ def find_min_stabilizer_point(action: Action) -> int:
     h, n = action.actor, action.acted
     if not h.is_abelian():
         raise PreconditionFailed("the acting group must be abelian")
-    n_primes = {p for p in range(2, n.order + 1) if n.order % p == 0 and _is_prime(p)}
+    n_primes = prime_divisors(n.order)
     if len(n_primes) > 1:
         raise PreconditionFailed("the acted group must be a p-group")
     if n_primes and any(h.order % p == 0 for p in n_primes):
@@ -512,7 +451,3 @@ def find_min_stabilizer_point(action: Action) -> int:
         if stab == kernel:
             return x
     raise NoWitness("no point has stabilizer equal to the kernel")
-
-
-def _is_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._arith import is_prime
 from .core import Action, Group, DEFAULT_ORDER_CAP
 from .errors import BadParams, OrderCap
 
@@ -27,7 +28,7 @@ def cyclic(n: int) -> Group:
 
 
 def elementary_abelian(p: int, k: int) -> Group:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise BadParams(f"p must be prime, got {p}")
     if k < 0:
         raise BadParams("k must be >= 0")

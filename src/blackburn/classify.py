@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._arith import is_p_power, is_prime, prime_divisors
 from .catalog import cyclic, direct_product, elementary_abelian, generalized_quaternion
 from .core import Group, Subgroup, SUBGROUP_ENUM_CAP
 from .errors import (
@@ -88,7 +89,7 @@ def _blackburn_r(g: Group) -> Optional[Subgroup]:
     k = r.order
     if not any(g.order_of(x) == k for x in r.members.tolist()):
         raise TrichotomyViolated("R(G) is nontrivial but not cyclic")
-    if len(_prime_factors(k)) != 1:
+    if len(prime_divisors(k)) != 1:
         raise TrichotomyViolated("R(G) is nontrivial but not of prime-power order")
     return r
 
@@ -98,20 +99,7 @@ def blackburn_prime(g: Group) -> int:
     status = r_of(g)
     if status.tag != NONTRIVIAL:
         raise PreconditionFailed("R(G) is not nontrivial")
-    return _prime_factors(status.subgroup.order)[0]
-
-
-def _prime_factors(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return prime_divisors(status.subgroup.order)[0]
 
 
 # -- Q-groups -----------------------------------------------------------------
@@ -194,7 +182,7 @@ def blackburn_2group_form(g: Group, cap: int = 256) -> str:
     """
     if g.order > cap:
         raise OrderCap(f"form matching capped at order {cap}")
-    if _prime_factors(g.order) != [2]:
+    if prime_divisors(g.order) != [2]:
         raise NotBlackburn2Group("not a 2-group")
     if not is_blackburn(g):
         raise NotBlackburn2Group("not a Blackburn group")
@@ -242,18 +230,18 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     status = r_of(g)
     if status.tag != NONTRIVIAL:
         raise PreconditionFailed("group has no non-normal subgroup with nontrivial R(G)")
-    p = _prime_factors(status.order)[0]
-    if q == p or len(_prime_factors(q)) != 1 or q < 2 or _prime_factors(q) != [q]:
+    p = prime_divisors(status.order)[0]
+    if q == p or not is_prime(q):
         raise PreconditionFailed(f"q must be a prime different from {p}")
     orders = g.element_orders()
-    members = [x for x in range(g.order) if _q_power(orders[x], q)]
+    members = [x for x in range(g.order) if is_p_power(orders[x], q)]
     violations = []
     tq_set = set(members)
     closed = all(g.mul(a, b) in tq_set for a in members for b in members)
     if not closed:
         violations.append("q-elements are not closed under products")
     sub = Subgroup(g, np.asarray(members, dtype=np.int32))
-    q_order = _q_power(sub.order, q)
+    q_order = is_p_power(sub.order, q)
     if not q_order:
         violations.append("q-elements do not form a q-group")
     normal = sub.is_normal() if closed else False
@@ -284,12 +272,6 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
         abelian_when_odd=abelian_odd,
         violations=tuple(violations),
     )
-
-
-def _q_power(n: int, q: int) -> bool:
-    while n % q == 0:
-        n //= q
-    return n == 1
 
 
 # -- trichotomy for finite normal subgroups ------------------------------------
@@ -332,7 +314,7 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
         raise PreconditionFailed("G is not a Blackburn group")
     if not n_sub.is_normal():
         raise PreconditionFailed("N is not normal in G")
-    p = _prime_factors(r.order)[0]
+    p = prime_divisors(r.order)[0]
     n_grp, mem = n_sub.as_group()
 
     h_sub = n_grp.normal_p_complement(p)

@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import classify
+from ._arith import prime_divisors
 from .autos import enumerate_autc
 from .catalog import CATALOG, CATALOG_VERSION
 from .core import Group
@@ -33,19 +34,6 @@ def _emit(lines: List[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _prime_divisors(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
     g = resolve_source(source).load(cap=max_order)
     if g.order > max_order:
@@ -53,7 +41,7 @@ def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
     status = classify.r_of(g)
     blackburn = status.tag == classify.NONTRIVIAL and classify.is_blackburn(g)
     form = None
-    if blackburn and _prime_divisors(g.order) == [2] and g.order <= 256:
+    if blackburn and prime_divisors(g.order) == [2] and g.order <= 256:
         form = classify.blackburn_2group_form(g)
     rows = [
         ("order", g.order),

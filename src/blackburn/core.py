@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._arith import is_p_power, is_prime, perm_order
 from .errors import (
     BadParams,
     NoIdentity,
@@ -314,7 +315,7 @@ class Group:
 
     def sylow(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy normalizer extension."""
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise BadParams(f"p must be prime, got {p}")
         full = 1
         n = self.order
@@ -322,7 +323,7 @@ class Group:
             full *= p
             n //= p
         orders = self.element_orders()
-        p_elems = [g for g in range(self.order) if _is_power_of(orders[g], p)]
+        p_elems = [g for g in range(self.order) if is_p_power(orders[g], p)]
         if full == 1:
             return Subgroup(self, np.array([0], dtype=np.int32))
         start = max(p_elems, key=lambda g: (orders[g], -g))
@@ -332,7 +333,7 @@ class Group:
         mem = self._extend(np.zeros(1, dtype=np.int32), mask, gens)
         while mem.size < full:
             norm = self.normalizer(Subgroup(self, mem)).members
-            gens.append(next(g for g in norm.tolist() if not mask[g] and _is_power_of(orders[g], p)))
+            gens.append(next(g for g in norm.tolist() if not mask[g] and is_p_power(orders[g], p)))
             mem = self._extend(mem, mask, gens)
         return Subgroup(self, mem)
 
@@ -396,12 +397,6 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 @dataclass(frozen=True)
@@ -513,20 +508,7 @@ class GroupMap:
 
     def map_order(self) -> int:
         """Order as a permutation (lcm of cycle lengths)."""
-        img = self.images
-        n = img.size
-        seen = np.zeros(n, dtype=bool)
-        out = 1
-        for i in range(n):
-            if seen[i]:
-                continue
-            ln, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = int(img[j])
-                ln += 1
-            out = out * ln // gcd(out, ln)
-        return out
+        return perm_order(self.images)
 
     def fixed_points(self) -> np.ndarray:
         return np.nonzero(self.images == np.arange(self.source.order))[0]

@@ -17,10 +17,12 @@ verified; conjugacy-class computations at that size are out of reach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import List, Optional
 
 import numpy as np
 
+from ._arith import perm_power
 from .autos import _is_inner, is_class_preserving, locally_power, power_of
 from .catalog import cyclic, direct_product, semidirect_product
 from .core import Action, Group, GroupMap
@@ -61,7 +63,7 @@ def action_matrix(p: int) -> ModMatrix:
         ent[i, i + 1] = 1
     ent[k - 1, 0] = m - 1
     det = int(round(np.linalg.det(ent.astype(float)))) % m
-    if _gcd(det, m) != 1:
+    if gcd(det, m) != 1:
         raise ActionPropertyFailed("matrix determinant is not a unit")
     order, acc = 1, ent % m
     ident = np.eye(k, dtype=np.int64)
@@ -71,12 +73,6 @@ def action_matrix(p: int) -> ModMatrix:
         if order > m * m:
             raise ActionPropertyFailed("matrix order did not terminate")
     return ModMatrix(modulus=m, entries=ent % m, matrix_order=order)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class CoordSpace:
@@ -150,22 +146,26 @@ def base_abelian(p: int, *, table_limit: int = 4096) -> BaseAbelian:
     mat = action_matrix(p)
     space = CoordSpace(p)
     perm = space.matrix_perm(mat)
-    cur = np.arange(space.size, dtype=np.int64)
-    for _ in range(p):
-        cur = perm[cur]
-    if not np.array_equal(cur, np.arange(space.size)):
-        raise ActionPropertyFailed("matrix does not act with order dividing p")
-    if np.array_equal(perm, np.arange(space.size)):
-        raise ActionPropertyFailed("matrix acts trivially")
-    total = np.arange(space.size, dtype=np.int64)
-    img = np.arange(space.size, dtype=np.int64)
-    for _ in range(p - 1):
-        img = perm[img]
-        total = space.add(total, img)
-    if (total != 0).any():
+    order_p, annihilates = _action_properties(space, perm, p)
+    if not order_p:
+        raise ActionPropertyFailed("matrix does not act with order p")
+    if not annihilates:
         raise ActionPropertyFailed("sum of matrix powers does not annihilate A")
     grp = space.group() if space.size <= table_limit else None
     return BaseAbelian(p=p, matrix=mat, space=space, action=perm, group=grp)
+
+
+def _action_properties(space: CoordSpace, perm: np.ndarray, p: int) -> tuple:
+    """Whether the action perm on A has order p, and whether the sum of its
+    first p powers sends every element of A to 0."""
+    ident = np.arange(space.size, dtype=np.int64)
+    order_p = (np.array_equal(perm_power(perm, p), ident)
+               and not np.array_equal(perm, ident))
+    total, img = ident, ident
+    for _ in range(p - 1):
+        img = perm[img]
+        total = space.add(total, img)
+    return order_p, bool((total == 0).all())
 
 
 class CoordWitness:
@@ -231,16 +231,6 @@ class CoordWitness:
                 jz = self.space.scale(self.z, j % self.p)
                 img_a = self.space.add(a, np.full(self.na, jz, dtype=np.int64))
                 out[self.index(a, i, j)] = self.index(img_a, i, j)
-        return out
-
-    def perm_power(self, perm: np.ndarray, times: int) -> np.ndarray:
-        out = np.arange(self.size, dtype=np.int64)
-        base = perm
-        while times:
-            if times & 1:
-                out = base[out]
-            base = base[base]
-            times >>= 1
         return out
 
 
@@ -319,7 +309,7 @@ def build_witness(p: int) -> WitnessBundle:
         raise ClaimFailed("alpha or beta has the wrong order")
     if not np.array_equal(alpha.images[beta.images], beta.images[alpha.images]):
         raise ClaimFailed("alpha and beta do not commute")
-    fixed = GroupMap(g_grp, g_grp, _perm_power(alpha.images, p)).fixed_points()
+    fixed = GroupMap(g_grp, g_grp, perm_power(alpha.images, p)).fixed_points()
     expected = np.asarray(sorted((aa * p) * p + j for aa in range(a_grp.order)
                                  for j in range(p)), dtype=np.int64)
     if not np.array_equal(fixed, expected):
@@ -328,17 +318,6 @@ def build_witness(p: int) -> WitnessBundle:
     bundle.a_group, bundle.k_group, bundle.g_group = a_grp, k_grp, g_grp
     bundle.alpha, bundle.beta = alpha, beta
     return bundle
-
-
-def _perm_power(perm: np.ndarray, times: int) -> np.ndarray:
-    out = np.arange(perm.size, dtype=np.int32)
-    base = perm.astype(np.int32)
-    while times:
-        if times & 1:
-            out = base[out]
-        base = base[base]
-        times >>= 1
-    return out
 
 
 def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
@@ -425,21 +404,22 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
     p, co, space = bundle.p, bundle.coords, bundle.coords.space
     x_order = next(t for t in range(1, space.mod + 1) if space.scale(co.x, t) == 0)
     rep.record("A has order p^p with exponent p^2", space.size == p**p and x_order == p * p)
-    rep.record("matrix action on A has order p", True)  # enforced in base_abelian
-    rep.record("sum of the first p matrix powers annihilates A", True)  # enforced
+    order_p, annihilates = _action_properties(space, bundle.base.action, p)
+    rep.record("matrix action on A has order p", order_p)
+    rep.record("sum of the first p matrix powers annihilates A", annihilates)
     rep.record("x*k has order p", co._xk_sum(p) == 0)
     fz = int(bundle.base.action[co.z])
     rep.record("z is central of order p in K",
                fz == co.z and space.scale(co.z, p) == 0 and co.z != 0)
     alpha, beta = co.alpha, co.beta
     ident = np.arange(co.size, dtype=np.int64)
-    a_p = co.perm_power(alpha, p)
-    a_pp = co.perm_power(alpha, p * p)
+    a_p = perm_power(alpha, p)
+    a_pp = perm_power(alpha, p * p)
     rep.record("alpha has order p^2",
                not np.array_equal(alpha, ident)
                and not np.array_equal(a_p, ident)
                and np.array_equal(a_pp, ident))
-    b_p = co.perm_power(beta, p)
+    b_p = perm_power(beta, p)
     rep.record("beta has order p",
                not np.array_equal(beta, ident) and np.array_equal(b_p, ident))
     rep.record("alpha and beta commute", np.array_equal(alpha[beta], beta[alpha]))

@@ -15,6 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import abelian_pairs, classify
+from ._arith import prime_divisors
 from .autos import (
     enumerate_aut,
     enumerate_autc,
@@ -97,7 +98,7 @@ def core_invariants(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
         col.case(f"{name}: subgroup invariants", ok_subs, lambda: _serialized(g))
         col.case(f"{name}: subgroups unique", len({s.members.tobytes() for s in subs}) == len(subs))
         ok_syl = True
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             syl = g.sylow(p)
             part = 1
             n = g.order
@@ -134,19 +135,6 @@ def _normal_via_cyclic(g: Group, s: Subgroup) -> bool:
             if int(t[t[inv[a], x], a]) not in inside:
                 return False
     return True
-
-
-def _prime_divisors(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- R(G) oracle -------------------------------------------------------------------
@@ -266,7 +254,7 @@ def blackburn_forms(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
               "q8xc4": classify.Q8_C4_E2, "q8xc4xc2": classify.Q8_C4_E2,
               "q8xq8": classify.Q8_Q8_E2, "q8xq8xc2": classify.Q8_Q8_E2}
     for name, g in blackburn_catalog(max_order):
-        if _prime_divisors(g.order) != [2]:
+        if prime_divisors(g.order) != [2]:
             continue
         label = classify.blackburn_2group_form(g)
         col.case(f"{name}: one label", label in
@@ -287,7 +275,7 @@ def q_element_structure(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
     col = _Collector("q-element-structure")
     for name, g in blackburn_catalog(max_order):
         p = classify.blackburn_prime(g)
-        qs = [q for q in _prime_divisors(g.order) if q != p]
+        qs = [q for q in prime_divisors(g.order) if q != p]
         qs.append(next(q for q in (3, 5, 7, 11) if g.order % q != 0 and q != p))
         for q in qs:
             rep = classify.verify_q_element_structure(g, q)

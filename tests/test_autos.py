@@ -106,23 +106,21 @@ def test_search_budget():
         enumerate_aut(elementary_abelian(2, 4), budget=10)
 
 
-def test_search_budget_is_global_across_workers():
-    # the full search of Aut(E8) visits exactly 350 nodes over 7 top branches
+def test_search_budget_boundary():
+    # the full search of Aut(E8) visits exactly 350 nodes
     g = elementary_abelian(2, 3)
-    for workers in (1, 2):
-        assert len(enumerate_aut(g, budget=350, workers=workers)) == 168
-        with pytest.raises(SearchBudgetExceeded, match="349 nodes"):
-            enumerate_aut(g, budget=349, workers=workers)
+    assert len(enumerate_aut(g, budget=350)) == 168
+    with pytest.raises(SearchBudgetExceeded, match="349 nodes"):
+        enumerate_aut(g, budget=349)
 
 
 def test_autc_budget_boundary_on_witness_group():
     # enumerate_autc on the order-243 witness group, as constructed, visits 37 nodes
     table = build_witness(3).g_group.table
-    for workers in (1, 2):
-        _, rep = enumerate_autc(Group(table), budget=37, workers=workers)
-        assert rep.autc_order == 27 and rep.search_stats["nodes"] == 37
-        with pytest.raises(SearchBudgetExceeded, match="36 nodes"):
-            enumerate_autc(Group(table), budget=36, workers=workers)
+    _, rep = enumerate_autc(Group(table), budget=37)
+    assert rep.autc_order == 27 and rep.search_stats["nodes"] == 37
+    with pytest.raises(SearchBudgetExceeded, match="36 nodes"):
+        enumerate_autc(Group(table), budget=36)
 
 
 def test_autc_does_not_build_python_rows():
@@ -133,15 +131,14 @@ def test_autc_does_not_build_python_rows():
 
 def test_search_stats_account_for_every_row():
     for g in (builtin("c7_q8"), builtin("s4"), Group(build_witness(3).g_group.table)):
-        for workers in (1, 2):
-            _, rep = enumerate_autc(g, workers=workers)
-            stats = rep.search_stats
-            assert stats["nodes"] == sum(d["rows"] for d in stats["depths"])
-            for d, nxt in zip(stats["depths"], stats["depths"][1:] + [None]):
-                assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
-                if nxt is not None:  # a full enumeration expands every survivor
-                    assert nxt["rows"] == d["survivors"] * nxt["candidates"]
-            assert stats["depths"][-1]["survivors"] == rep.autc_order
+        _, rep = enumerate_autc(g)
+        stats = rep.search_stats
+        assert stats["nodes"] == sum(d["rows"] for d in stats["depths"])
+        for d, nxt in zip(stats["depths"], stats["depths"][1:] + [None]):
+            assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
+            if nxt is not None:  # a full enumeration expands every survivor
+                assert nxt["rows"] == d["survivors"] * nxt["candidates"]
+        assert stats["depths"][-1]["survivors"] == rep.autc_order
 
 
 def test_search_stats_count_every_rejection_reason():
@@ -171,13 +168,6 @@ def test_holomorph_of_c8_has_outer_class_preserving_automorphisms():
     assert not rep.outc_trivial
     assert is_class_preserving(g, rep.witness)
     assert all(rep.witness != inner_automorphism(g, a) for a in range(g.order))
-
-
-def test_worker_partitioning_is_deterministic():
-    g = builtin("q8xc4")
-    solo = [m._bytes for m in enumerate_autc(g, workers=1)[0]]
-    duo = [m._bytes for m in enumerate_autc(g, workers=2)[0]]
-    assert solo == duo
 
 
 def test_find_isomorphism():

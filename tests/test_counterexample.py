@@ -1,5 +1,7 @@
 """The order-p^(p+2) witness construction and its claims."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from blackburn.autos import _is_inner
 from blackburn.catalog import cyclic, direct_product
 from blackburn.core import GroupMap
 from blackburn.counterexample import (
+    WitnessReport,
+    _verify_coordinate_claims,
     action_matrix,
     base_abelian,
     build_witness,
@@ -174,6 +178,21 @@ def test_verify_witness_p5():
     assert rep.group_orders["G"] == 5**7
     assert rep.group_orders["GA"] is None
     assert rep.matrix_order == 25
+
+
+def test_action_claims_are_computed_from_the_recorded_action():
+    bundle = build_witness(3)
+    names = ("matrix action on A has order p", "sum of the first p matrix powers annihilates A")
+
+    def claims(b):
+        rep = WitnessReport(p=3, mode="table", matrix_order=3, group_orders={})
+        _verify_coordinate_claims(b, rep)
+        return [dict(rep.claims)[name] for name in names]
+
+    assert claims(bundle) == [True, True]
+    ident = np.arange(bundle.base.space.size, dtype=np.int64)
+    trivial = dataclasses.replace(bundle, base=dataclasses.replace(bundle.base, action=ident))
+    assert claims(trivial) == [False, False]
 
 
 def test_build_witness_rejects_unsupported():

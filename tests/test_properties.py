@@ -1,5 +1,6 @@
 """Property tests: the lattice primitives, the image search and file ingest
-against the direct algorithms they replaced.
+against the direct algorithms they replaced, and the shared arithmetic
+helpers against their definitions.
 
 The oracles below are those direct algorithms: closure by squaring the
 member set until it stops growing, normality and normalizers by conjugating
@@ -12,9 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blackburn._arith import is_p_power, is_prime, perm_order, perm_power, prime_divisors
 from blackburn.autos import _Search, enumerate_aut, enumerate_autc, find_isomorphism
 from blackburn.catalog import CATALOG, builtin
-from blackburn.core import FULL_ASSOC_LIMIT, Group, Subgroup, _is_power_of, validate_group
+from blackburn.core import FULL_ASSOC_LIMIT, Group, Subgroup, validate_group
 from blackburn.errors import (
     NoIdentity,
     NoInverse,
@@ -87,12 +89,12 @@ def old_sylow(g: Group, p: int) -> np.ndarray:
     if full == 1:
         return np.array([0], dtype=np.int32)
     orders = g.element_orders()
-    p_elems = [x for x in range(g.order) if _is_power_of(orders[x], p)]
+    p_elems = [x for x in range(g.order) if is_p_power(orders[x], p)]
     mem = old_closure(g, [max(p_elems, key=lambda x: (orders[x], -x))])
     while mem.size < full:
         inside = set(mem.tolist())
         ext = next(x for x in old_normalizer(g, mem).tolist()
-                   if x not in inside and _is_power_of(orders[x], p))
+                   if x not in inside and is_p_power(orders[x], p))
         mem = old_closure(g, [*mem.tolist(), ext])
     return mem
 
@@ -396,7 +398,7 @@ def test_enumerate_aut_matches_node_by_node_search(g):
     gens, cands = order_candidates(g, g)
     orders = g.element_orders()
     want, nodes = dfs_search(g, g, gens, cands, orders, orders)
-    got = enumerate_aut(g, workers=1)
+    got = enumerate_aut(g)
     assert [m.images.tolist() for m in got] == [w.tolist() for w in want]
     search = _Search(g, g, gens, cands, np.asarray(orders), np.asarray(orders), 10**8)
     search.run()
@@ -417,7 +419,7 @@ def test_enumerate_autc_matches_node_by_node_search(g):
     classes = g.conjugacy_classes()
     cands = [classes[cid[gen]].tolist() for gen in gens]
     want, nodes = dfs_search(g, g, gens, cands, cid.tolist(), cid.tolist())
-    maps, rep = enumerate_autc(g, workers=1)
+    maps, rep = enumerate_autc(g)
     assert [m.images.tolist() for m in maps] == [w.tolist() for w in want]
     assert rep.search_stats["nodes"] == nodes
     assert all(m.is_automorphism() for m in maps)
@@ -517,3 +519,31 @@ def test_validate_group_matches_element_by_element_checks(data):
 def test_parse_permgen_matches_tuple_closure(text, cap):
     assert outcome(parse_permgen, text) == outcome(old_parse_permgen, text)
     assert outcome(parse_permgen, text, cap) == outcome(old_parse_permgen, text, cap)
+
+
+# -- shared arithmetic ----------------------------------------------------------
+
+PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3000), st.sampled_from(PRIMES), st.data())
+def test_arith_helpers_match_their_definitions(n, p, data):
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    assert prime_divisors(n) == [d for d in divisors if all(d % e for e in range(2, d))]
+    assert is_prime(n) == (divisors == [n])
+    assert is_p_power(n, p) == (prime_divisors(n) in ([], [p]))
+    k = data.draw(st.integers(1, 9))
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    perm = np.asarray(data.draw(st.permutations(range(k))), dtype=dtype)
+    ident = np.arange(k)
+    order, cur = 1, perm
+    while not np.array_equal(cur, ident):
+        order, cur = order + 1, perm[cur]
+    assert perm_order(perm) == order
+    times = data.draw(st.integers(0, 3 * order))
+    cur = ident
+    for _ in range(times):
+        cur = perm[cur]
+    got = perm_power(perm, times)
+    assert got.dtype == dtype and np.array_equal(got, cur)
