@@ -5,13 +5,15 @@ At depth d the subgroup H_d generated by the first d+1 generators is fixed,
 so its element list, a product tree of logarithmic depth, and the (element,
 generator) product positions are precomputed once.  A partial assignment
 of generator images determines the images of all of H_d along the tree; it
-survives only if it is class-compatible (or order-compatible), injective,
-and multiplicative on every (element, generator) pair.  Multiplicativity on
+survives only if it is class-compatible (or order-compatible) and
+multiplicative on every (element, generator) pair.  Multiplicativity on
 those pairs forces it on all pairs, because every right factor is a word in
-the generators.
+the generators.  A survivor is therefore a homomorphism on H_d, and it is
+injective, since the invariants used (class ids or element orders) tell the
+identity apart.
 
 The search is evaluated in blocks: all partial assignments of one step form
-the rows of one (rows x |H_d|) numpy array, and the three checks run on the
+the rows of one (rows x |H_d|) numpy array, and both checks run on the
 whole array.  Rows keep the depth-first order, so the maps come out in the
 same order as from a node-by-node search.  A full enumeration uses blocks
 of up to BLOCK_ELEMENTS elements from the start; a first-hit search starts
@@ -72,7 +74,7 @@ class AutcReport:
 # Elements per block array (rows x |H_d|).  The multiplicativity check holds
 # d + 1 arrays of this size at depth d.
 BLOCK_ELEMENTS = 1 << 16
-REJECT_REASONS = ("invariant", "injectivity", "multiplicativity")
+REJECT_REASONS = ("invariant", "multiplicativity")
 
 
 class _DepthInfo:
@@ -89,7 +91,7 @@ class _DepthInfo:
     layer.  prod_pos[j, i] is the position of members[i] * gens[j].
     """
 
-    __slots__ = ("members", "size", "layers", "prod_pos", "inv_src", "max_rows")
+    __slots__ = ("members", "size", "layers", "prod_pos", "inv_src", "max_width")
 
     def __init__(self, g: Group, gens: Sequence[int], cols: list, depth: int,
                  invariant: np.ndarray):
@@ -123,7 +125,7 @@ class _DepthInfo:
                        for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         self.prod_pos = pos[t[self.members[:, None], list(gens[: depth + 1])]].T
         self.inv_src = invariant[self.members]
-        self.max_rows = max(1, BLOCK_ELEMENTS // self.size)
+        self.max_width = max(1, BLOCK_ELEMENTS // self.size)
 
 
 class _Search:
@@ -191,7 +193,7 @@ class _Search:
             return []
         self._reset()
         # a first-hit search starts with one row per block and doubles
-        self._width = [1 if first_only else info.max_rows for info in self.depths]
+        self._width = [1 if first_only else info.max_width for info in self.depths]
         out: list = []
         self._expand(0, np.zeros((1, 0), dtype=np.intp), self.cands[0], out, first_only)
         return out
@@ -207,7 +209,7 @@ class _Search:
         start = 0
         while start < total:
             width = self._width[depth]
-            self._width[depth] = min(2 * width, info.max_rows)
+            self._width[depth] = min(2 * width, info.max_width)
             stop = min(total, start + width)
             self.nodes += stop - start
             if self.nodes > self.budget:
@@ -231,9 +233,11 @@ class _Search:
         return False
 
     def _survivors(self, depth: int, info: _DepthInfo, gen_imgs: np.ndarray) -> tuple:
-        """The images of H_d for each row, and the rows that pass all three checks:
-        invariant match, injectivity, and multiplicativity on every
-        (element, generator) pair."""
+        """The images of H_d for each row, and the rows that pass both checks:
+        invariant match, and multiplicativity on every (element, generator)
+        pair.  A surviving row is a homomorphism on H_d, and it is injective:
+        the invariant tells the identity apart, so only the identity maps to
+        the identity."""
         t, n = self._flat, self.target.order
         img = np.zeros((gen_imgs.shape[0], info.size), dtype=np.intp)
         img[:, 1 : depth + 2] = gen_imgs
@@ -242,12 +246,9 @@ class _Search:
         self.evaluated[depth] += img.shape[0]
         ok = (self.inv_tgt[img] == info.inv_src).all(axis=1)
         img, gen_imgs = self._keep(depth, 0, ok, img, gen_imgs)
-        srt = np.sort(img, axis=1)
-        ok = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-        img, gen_imgs = self._keep(depth, 1, ok, img, gen_imgs)
         prod = t[img[:, None, :] * n + gen_imgs[:, :, None]]
         ok = (img[:, info.prod_pos] == prod).all(axis=(1, 2))
-        img, gen_imgs = self._keep(depth, 2, ok, img, gen_imgs)
+        img, gen_imgs = self._keep(depth, 1, ok, img, gen_imgs)
         self.survivors[depth] += img.shape[0]
         return img, gen_imgs
 

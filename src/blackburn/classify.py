@@ -113,9 +113,7 @@ class QGroupWitness:
 
 def index2_subgroups(g: Group) -> list:
     """All index-2 subgroups, via the quotient by squares and commutators."""
-    seeds = [g.mul(x, x) for x in range(g.order)]
-    seeds += g.commutator_subgroup().members.tolist()
-    m = g.subgroup(seeds)
+    m = g.subgroup(np.concatenate([np.diagonal(g.table), g.commutator_subgroup().members]))
     if g.order // m.order == 1:
         return []
     q, proj = g.quotient(m)
@@ -236,11 +234,13 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     orders = g.element_orders()
     members = [x for x in range(g.order) if is_p_power(orders[x], q)]
     violations = []
-    tq_set = set(members)
-    closed = all(g.mul(a, b) in tq_set for a in members for b in members)
+    m = np.asarray(members, dtype=np.intp)
+    in_tq = np.zeros(g.order, dtype=bool)
+    in_tq[m] = True
+    closed = bool(in_tq[g.table[np.ix_(m, m)]].all())
     if not closed:
         violations.append("q-elements are not closed under products")
-    sub = Subgroup(g, np.asarray(members, dtype=np.int32))
+    sub = Subgroup(g, m)
     q_order = is_p_power(sub.order, q)
     if not q_order:
         violations.append("q-elements do not form a q-group")
@@ -362,9 +362,10 @@ def _case_c_data(g: Group, n_grp: Group, mem, h_sub, s_sub, op, p) -> CaseCData:
     op_set = set(op.members.tolist())
     s_orders = s_grp.element_orders()
     candidates = sorted(range(s_grp.order), key=lambda i: (-s_orders[i], i))
+    tn = n_grp.table
     for xi in candidates:
         x_in_n = s_mem[xi]
-        if all(n_grp.mul(x_in_n, h) == n_grp.mul(h, x_in_n) for h in h_members):
+        if np.array_equal(tn[x_in_n, h_members], tn[h_members, x_in_n]):
             continue  # [x, H] must be nontrivial
         x_cyc = set(s_grp.closure([xi]).tolist())
         need = s_grp.order // len(x_cyc)
@@ -389,19 +390,18 @@ def _sub_abelian(parent: Group, sub: Subgroup) -> bool:
 
 def _check_case_c(g, n_grp, mem, h_members, s_mem, xi, x_cyc, t_set, op) -> CaseCData:
     # C_<x>(H): the part of <x> centralizing the p-complement
+    tn = n_grp.table
     cx = [i for i in sorted(x_cyc)
-          if all(n_grp.mul(s_mem[i], h) == n_grp.mul(h, s_mem[i]) for h in h_members)]
+          if np.array_equal(tn[s_mem[i], h_members], tn[h_members, s_mem[i]])]
     op_grp, _ = op.as_group()
     exponent_ok = len(cx) == op_grp.exponent()
     cx_in_g = [mem[s_mem[i]] for i in cx]
     t_in_g = [mem[s_mem[i]] for i in sorted(t_set)]
-    centralizing_ok = True
-    rows = g.rows
-    for z in range(g.order):
-        if all(rows[z][c] == rows[c][z] for c in cx_in_g):
-            if not all(rows[z][t] == rows[t][z] for t in t_in_g):
-                centralizing_ok = False
-                break
+    # every element centralizing C_<x>(H) must centralize T
+    tg = g.table
+    cent_cx = (tg[:, cx_in_g] == tg[cx_in_g, :].T).all(axis=1)
+    cent_t = (tg[:, t_in_g] == tg[t_in_g, :].T).all(axis=1)
+    centralizing_ok = not (cent_cx & ~cent_t).any()
     if not (exponent_ok and centralizing_ok):
         raise TrichotomyViolated("case c sub-assertions failed")
     return CaseCData(

@@ -11,6 +11,7 @@ JSON; the report itself does not change.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -157,7 +158,9 @@ def cmd_catalog(porcelain: bool) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="blackburn",
         description="Finite group toolkit: classification and class-preserving automorphisms",

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, perm_order
+from ._arith import is_p_power, is_prime, perm_order, prime_divisors
 from .errors import (
     BadParams,
     NoIdentity,
@@ -38,7 +38,6 @@ class Group:
         "order",
         "table",
         "names",
-        "_rows",
         "_inv",
         "_orders",
         "_classes",
@@ -59,7 +58,6 @@ class Group:
         self.names = tuple(names) if names is not None else None
         if self.names is not None and len(self.names) != self.order:
             raise BadParams("names length does not match order")
-        self._rows = None
         self._inv = None
         self._orders = None
         self._classes = None
@@ -69,13 +67,6 @@ class Group:
         self._cyclics = None
 
     # -- element arithmetic ------------------------------------------------
-
-    @property
-    def rows(self) -> list:
-        """Table as a list of Python lists, for scalar-heavy loops."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
 
     @property
     def inverses(self) -> np.ndarray:
@@ -89,32 +80,31 @@ class Group:
         return self._inv
 
     def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
     def conj(self, a: int, g: int) -> int:
         """g^-1 * a * g."""
-        r = self.rows
-        return r[r[self.inv(g)][a]][g]
+        T = self.table
+        return T.item(T.item(self.inv(g), a), g)
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
-        acc, row = 0, self.rows
-        base = a
+        acc, base, T = 0, a, self.table
         while k:
             if k & 1:
-                acc = row[acc][base]
-            base = row[base][base]
+                acc = T.item(acc, base)
+            base = T.item(base, base)
             k >>= 1
         return acc
 
     def order_of(self, a: int) -> int:
-        x, n, row = a, 1, self.rows
+        x, n, T = a, 1, self.table
         while x != 0:
-            x = row[x][a]
+            x = T.item(x, a)
             n += 1
         return n
 
@@ -200,8 +190,6 @@ class Group:
         marks the members of H on entry and is updated to mark <H, g>.
         """
         # Gathers from one column with intp indices are numpy's fast path.
-        # Products are read with T.item rather than from self.rows, whose
-        # Python ints would cost several times the table's memory.
         T = self.table
         sub = sub.astype(np.intp, copy=False)
         reps = [gens[-1]]
@@ -242,13 +230,13 @@ class Group:
             # member arrays only: a cached Subgroup refers back to this group,
             # and such a cycle is freed only by the cyclic garbage collector
             seen = {}
-            row = self.rows
+            T = self.table
             for g in range(self.order):
                 mem = [0]
                 x = g
                 while x != 0:
                     mem.append(x)
-                    x = row[x][g]
+                    x = T.item(x, g)
                 key = tuple(sorted(mem))
                 if key not in seen:
                     seen[key] = np.asarray(key, dtype=np.int32)
@@ -362,18 +350,7 @@ class Group:
         return Subgroup(self, self.closure(comms))
 
     def is_nilpotent(self) -> bool:
-        n, primes = self.order, []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
-        return all(self.is_normal(self.sylow(p)) for p in primes)
+        return all(self.is_normal(self.sylow(p)) for p in prime_divisors(self.order))
 
     def quotient(self, sub: "Subgroup") -> tuple:
         """Coset group G/N plus the canonical projection map."""
@@ -553,12 +530,12 @@ class Action:
             gm = GroupMap(self.acted, self.acted, m)
             if not gm.is_automorphism():
                 raise BadParams("actor element does not act as an automorphism")
-        th = self.actor.rows
+        th = self.actor.table
         for h1 in range(self.actor.order):
             for h2 in range(self.actor.order):
                 # act(h1 h2) must equal act(h1) after act(h2):
                 # (act(h1)∘act(h2))(x) = act(h1)(act(h2)(x))
-                lhs = self.maps[th[h1][h2]]
+                lhs = self.maps[th.item(h1, h2)]
                 rhs = self.maps[h1][self.maps[h2]]
                 if not np.array_equal(lhs, rhs):
                     raise BadParams(f"action is not a homomorphism at ({h1},{h2})")
@@ -580,14 +557,13 @@ def validate_group(
     names: Optional[Sequence[str]] = None,
     *,
     order: Optional[int] = None,
-    assoc_limit: int = FULL_ASSOC_LIMIT,
 ) -> Group:
     """Validate a raw multiplication table and return a Group.
 
     The identity is located and relabeled to index 0.  Checks: Latin square,
-    identity, two-sided inverses, associativity (full O(n^3) for n <= assoc
-    limit, generator-based Light test above it).  Each check runs on the
-    whole table at once and reports the same first failure as an
+    identity, two-sided inverses, associativity (full O(n^3) for n <=
+    FULL_ASSOC_LIMIT, generator-based Light test above it).  Each check runs
+    on the whole table at once and reports the same first failure as an
     element-by-element scan would.  The table keeps its integer dtype until
     the range check, then is narrowed to int16 (n <= 32767) or int32.
     """
@@ -625,7 +601,7 @@ def validate_group(
     bad = np.flatnonzero(t[right_inv, ident] != 0)
     if bad.size:
         raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-    if n <= assoc_limit:
+    if n <= FULL_ASSOC_LIMIT:
         # The table is read as a gather index n times, so it is converted to
         # intp once (2 MiB at n = 512); entries are in range, hence "clip".
         idx = t.astype(np.intp)

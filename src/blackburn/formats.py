@@ -69,7 +69,7 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
                          body[-1][0] if body else lines[1][0])
     table = _digit_table([content for _, content in body], n)
     if table is None:
-        table = _checked_rows(body, n)
+        table = _checked_table(body, n)
     return validate_group(table, names)
 
 
@@ -89,7 +89,7 @@ def _digit_table(rows: list, n: int) -> Optional[np.ndarray]:
     return table
 
 
-def _checked_rows(body: list, n: int) -> list:
+def _checked_table(body: list, n: int) -> list:
     """Row by row conversion that names the first malformed row."""
     table = []
     for lineno, content in body:
@@ -111,7 +111,7 @@ def dump_cayley(g: Group) -> str:
         if any((" " in nm or "\t" in nm or not nm) for nm in g.names):
             raise BadParams("names must be non-empty and whitespace-free")
         out.append("names " + " ".join(g.names))
-    for row in g.rows:
+    for row in g.table.tolist():
         out.append(" ".join(str(x) for x in row))
     return "\n".join(out) + "\n"
 

@@ -180,7 +180,7 @@ def is_abelian_by_cyclic(g: Group) -> bool:
         if not np.array_equal(sub_t, sub_t.T):
             continue
         q, _ = g.quotient(s)
-        if any(q.order_of(x) == q.order for x in range(q.order)):
+        if q.order in q.element_orders():
             return True
     return False
 

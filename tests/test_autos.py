@@ -123,12 +123,6 @@ def test_autc_budget_boundary_on_witness_group():
         enumerate_autc(Group(table), budget=36)
 
 
-def test_autc_does_not_build_python_rows():
-    g = Group(build_witness(3).g_group.table)
-    enumerate_autc(g)
-    assert g._rows is None
-
-
 def test_search_stats_account_for_every_row():
     for g in (builtin("c7_q8"), builtin("s4"), Group(build_witness(3).g_group.table)):
         _, rep = enumerate_autc(g)
@@ -143,7 +137,7 @@ def test_search_stats_account_for_every_row():
 
 def test_search_stats_count_every_rejection_reason():
     # an invariant that only tells the identity apart lets every check reject rows
-    seen = np.zeros(3, dtype=np.int64)
+    seen = np.zeros(2, dtype=np.int64)
     for name in ("s3", "d8"):
         g = builtin(name)
         gens = g.generating_sequence()

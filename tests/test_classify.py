@@ -155,6 +155,8 @@ def test_trichotomy_cases():
     assert v.case_c is not None
     assert v.case_c.t_members == (0,)  # T is trivial here
     assert v.case_c.exponent_ok and v.case_c.centralizing_ok
+    x = v.case_c.x  # [x, H] is nontrivial
+    assert any(c7c9.mul(x, h) != c7c9.mul(h, x) for h in v.p_complement)
 
 
 def test_trichotomy_rejects_non_blackburn():

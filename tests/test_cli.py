@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from blackburn.cli import main
+from blackburn.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -107,6 +107,18 @@ def test_usage_errors(capsys):
     assert run(capsys, "classify", "totally_unknown")[0] == 2
     assert run(capsys, "classify", "/no/such/file.cayley")[0] == 2
     assert main(["bogus_command"]) == 2
+
+
+def test_shared_parser_repeats_usage_errors(capsys):
+    # the parser is built once, so a second call must fail exactly like the first
+    assert build_parser() is build_parser()
+    results = []
+    for _ in range(2):
+        code = main(["autc", "d8", "--budget", "many"])
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    code, err = results[0]
+    assert code == 2 and "invalid int value: 'many'" in err
 
 
 def test_bad_file_is_input_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Property tests: the lattice primitives, the image search and file ingest
 against the direct algorithms they replaced, and the shared arithmetic
-helpers against their definitions.
+helpers, the scalar group arithmetic and quotients against their
+definitions.
 
 The oracles below are those direct algorithms: closure by squaring the
 member set until it stops growing, normality and normalizers by conjugating
@@ -10,6 +11,7 @@ row-by-row parsers and table checks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from blackburn.errors import (
     NoInverse,
     NotAssociative,
     NotLatinSquare,
+    NotNormal,
     NotPermutation,
     OrderCap,
     ParseError,
@@ -385,6 +388,60 @@ def test_all_subgroups_do_not_depend_on_labels(data):
         assert np.array_equal(old_closure(g, s.members), s.members)
     expected = [s.order for s in _group(name).all_subgroups()]
     assert [s.order for s in subs] == expected
+
+
+def power_block(g: Group) -> np.ndarray:
+    """Row k holds x^k for every element x, for k = 0 .. exponent."""
+    ar = np.arange(g.order)
+    pows = [np.zeros_like(ar), ar]
+    while pows[-1].any():
+        pows.append(g.table[pows[-1], ar])
+    return np.asarray(pows)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_scalar_arithmetic_matches_the_table(data):
+    g = data.draw(groups())
+    T, n, ar = g.table, g.order, np.arange(g.order)
+    pows = power_block(g)
+    orders = np.argmax(pows[1:] == 0, axis=0) + 1
+    assert [g.order_of(x) for x in range(n)] == orders.tolist()
+    assert g.element_orders() == orders.tolist()
+    k = data.draw(st.integers(0, 3 * n))
+    for e in (k, -k):
+        assert [g.power(x, e) for x in range(n)] == pows[e % orders, ar].tolist()
+    inv = np.argmax(T == 0, axis=1)
+    conj = T[T[inv[:, None], ar[None, :]], ar[:, None]]  # conj[y, x] = y^-1 x y
+    assert [[g.conj(x, y) for x in range(n)] for y in range(n)] == conj.tolist()
+    least_gen: dict = {}
+    for x in range(n):
+        least_gen.setdefault(tuple(np.unique(pows[: orders[x], x]).tolist()), x)
+    want = sorted(least_gen, key=least_gen.get)
+    assert [tuple(c.members.tolist()) for c in g.cyclic_subgroups()] == want
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_quotient_by_a_normal_subgroup(data):
+    g = data.draw(groups())
+    seed = data.draw(elements(g, max_size=3))
+    s = g.subgroup(seed)
+    if not old_is_normal(g, s.members):
+        with pytest.raises(NotNormal):
+            g.quotient(s)
+    # the subgroup generated by whole conjugacy classes is normal
+    classes, cid = g.conjugacy_classes(), g.class_ids()
+    normal = g.subgroup(np.concatenate([classes[cid[x]] for x in [0, *seed]]))
+    assert old_is_normal(g, normal.members)
+    q, proj = g.quotient(normal)
+    assert q.order == g.order // normal.order
+    assert np.array_equal(validate_group(q.table).table, q.table)
+    f = proj.images
+    assert proj.source is g and proj.target is q
+    assert np.array_equal(f[g.table], q.table[np.ix_(f, f)])
+    assert np.array_equal(np.unique(f), np.arange(q.order))
+    assert np.array_equal(np.flatnonzero(f == 0), normal.members)
 
 
 def test_subgroup_counts_pinned():
