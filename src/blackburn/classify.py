@@ -366,7 +366,9 @@ def _case_c_data(g: Group, n_grp: Group, mem, h_sub, s_sub, op, p) -> CaseCData:
     for xi in candidates:
         x_in_n = s_mem[xi]
         if np.array_equal(tn[x_in_n, h_members], tn[h_members, x_in_n]):
-            continue  # [x, H] must be nontrivial
+            # [x, H] must be nontrivial.  This skip only saves work: such an
+            # x lies in C_S(H) = O_p(N), and no T <= O_p(N) completes it to S
+            continue
         x_cyc = set(s_grp.closure([xi]).tolist())
         need = s_grp.order // len(x_cyc)
         for t_cand in s_grp.all_subgroups():

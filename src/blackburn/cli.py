@@ -5,7 +5,8 @@ checks pass, 1 when a mathematical claim fails, 2 on input or usage errors.
 Reports are plain text by default; --porcelain switches to line-oriented
 key=value records with stable keys.  `autc --stats FILE` also writes the
 search statistics (nodes, and rows rejected per depth by reason) to FILE as
-JSON; the report itself does not change.
+JSON, and `suite --stats FILE` the elapsed seconds per suite and per case;
+the report itself does not change.
 """
 
 from __future__ import annotations
@@ -119,8 +120,21 @@ def cmd_example(p: int, porcelain: bool) -> int:
     return EXIT_OK if report.ok else EXIT_CLAIM_FAILED
 
 
-def cmd_suite(level: str, porcelain: bool) -> int:
+def cmd_suite(level: str, porcelain: bool, stats: Optional[str] = None) -> int:
     results = run_suites(level)
+    if stats is not None:
+        timings = {
+            "level": level,
+            "seconds": sum(r.seconds for r in results),
+            "suites": [
+                {"suite": r.suite, "seconds": r.seconds,
+                 "cases": [{"case": label, "seconds": sec} for label, sec in r.case_seconds]}
+                for r in results
+            ],
+        }
+        with open(stats, "w", encoding="utf-8") as fh:
+            json.dump(timings, fh, indent=1)
+            fh.write("\n")
     lines = []
     failed = False
     for r in results:
@@ -185,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run the verification suites")
     p_suite.add_argument("--level", choices=("quick", "full"), default="quick")
     p_suite.add_argument("--porcelain", action="store_true")
+    p_suite.add_argument("--stats", metavar="FILE", help="write per-suite and per-case timings as JSON")
 
     p_catalog = sub.add_parser("catalog", help="list the builtin catalog")
     p_catalog.add_argument("--porcelain", action="store_true")
@@ -205,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "example":
             return cmd_example(args.p, args.porcelain)
         if args.command == "suite":
-            return cmd_suite(args.level, args.porcelain)
+            return cmd_suite(args.level, args.porcelain, args.stats)
         if args.command == "catalog":
             return cmd_catalog(args.porcelain)
         return EXIT_USAGE

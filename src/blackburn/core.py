@@ -28,6 +28,8 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 65536
 SUBGROUP_ENUM_CAP = 128
+# Largest order at which a table that fails the associativity check is
+# scanned in full, so that the error names its first failing (a, b, c).
 FULL_ASSOC_LIMIT = 512
 
 
@@ -110,8 +112,26 @@ class Group:
 
     def element_orders(self) -> list:
         if self._orders is None:
-            self._orders = [self.order_of(a) for a in range(self.order)]
+            self._power_block()
         return self._orders
+
+    def _power_block(self) -> tuple:
+        """The element orders, and the array whose row j-1 holds x^j for
+        every element x, for j = 1 at least up to the largest element order;
+        caches the orders as `element_orders`.
+
+        The block doubles at each step (rows k+1 .. 2k are the one gather
+        T[rows 1 .. k, row k]) until every column has reached the identity.
+        Column x then lists the members of <x> in its first |x| rows.
+        """
+        T = self.table
+        block = np.arange(self.order, dtype=T.dtype)[None, :]
+        while block.min(axis=0).any():
+            block = np.concatenate([block, T[block, block[-1]]])
+        orders = np.argmax(block == 0, axis=0) + 1
+        if self._orders is None:
+            self._orders = orders.tolist()
+        return orders, block
 
     def exponent(self) -> int:
         e = 1
@@ -229,19 +249,22 @@ class Group:
         if self._cyclics is None:
             # member arrays only: a cached Subgroup refers back to this group,
             # and such a cycle is freed only by the cyclic garbage collector
-            seen = {}
-            T = self.table
-            for g in range(self.order):
-                mem = [0]
-                x = g
-                while x != 0:
-                    mem.append(x)
-                    x = T.item(x, g)
-                key = tuple(sorted(mem))
-                if key not in seen:
-                    seen[key] = np.asarray(key, dtype=np.int32)
-            self._cyclics = list(seen.values())
-        return [Subgroup(self, m) for m in self._cyclics]
+            orders, block = self._power_block()
+            n = self.order
+            j = np.arange(1, block.shape[0] + 1)[:, None]
+            inside = j <= orders
+            # the generators of <x> are the x^j with j coprime to |x|, so x is
+            # listed when it is the least generator of <x>
+            least = np.where(inside & (np.gcd(j, orders) == 1), block, n).min(axis=0)
+            reps = np.flatnonzero(least == block[0])  # row 0 holds x^1 = x
+            # each row lists the members of one <x> in order, padded with n
+            mem = np.sort(np.where(inside, block, n)[:, reps].T, axis=1)
+            flat = mem[mem < n]
+            flat.flags.writeable = False
+            sizes = orders[reps]
+            ends = np.cumsum(sizes).tolist()
+            self._cyclics = [flat[e - k : e] for e, k in zip(ends, sizes.tolist())]
+        return [Subgroup._trusted(self, m) for m in self._cyclics]
 
     def all_subgroups(self, cap: int = SUBGROUP_ENUM_CAP) -> list:
         """Every subgroup, each exactly once, ordered by (order, members).
@@ -387,6 +410,15 @@ class Subgroup:
         mem = np.unique(np.asarray(self.members, dtype=np.int32))
         mem.flags.writeable = False
         object.__setattr__(self, "members", mem)
+
+    @classmethod
+    def _trusted(cls, parent: Group, members: np.ndarray) -> "Subgroup":
+        """A Subgroup over `members` as given: the caller guarantees a sorted,
+        read-only int32 array of distinct indices forming a subgroup."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
 
     @property
     def order(self) -> int:
@@ -561,11 +593,29 @@ def validate_group(
     """Validate a raw multiplication table and return a Group.
 
     The identity is located and relabeled to index 0.  Checks: Latin square,
-    identity, two-sided inverses, associativity (full O(n^3) for n <=
-    FULL_ASSOC_LIMIT, generator-based Light test above it).  Each check runs
-    on the whole table at once and reports the same first failure as an
-    element-by-element scan would.  The table keeps its integer dtype until
-    the range check, then is narrowed to int16 (n <= 32767) or int32.
+    identity, two-sided inverses, then associativity by Light's test
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961,
+    section 1.2) on the generators from `Group.generating_sequence`.  Each
+    check runs on the whole table at once and reports the same first
+    failure as an element-by-element scan would.  The table keeps its
+    integer dtype until the range check, then is narrowed to int16
+    (n <= 32767) or int32.
+
+    Light's test is exact at every order:
+
+    - the Latin-square, identity and inverse checks run first, so the table
+      is a loop;
+    - a generator a with (x*a)*y == x*(a*y) for all x, y lies in the middle
+      nucleus, and the middle nucleus of a loop is an associative subloop,
+      that is, a group;
+    - Dimino's arithmetic in `Group._extend` then only multiplies elements
+      of that group, so its element count is exact, and reaching n proves
+      that the middle nucleus is the whole loop.
+
+    The returned Group keeps the generating sequence the test used.  When
+    the test fails and n <= FULL_ASSOC_LIMIT, a full scan names the first
+    failing (a, b, c) in lexicographic order; above that, the error names
+    the first failing (x, a, y) of Light's test.
     """
     t = np.asarray(table)
     if t.dtype.kind not in "iu":
@@ -601,24 +651,34 @@ def validate_group(
     bad = np.flatnonzero(t[right_inv, ident] != 0)
     if bad.size:
         raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-    if n <= FULL_ASSOC_LIMIT:
-        # The table is read as a gather index n times, so it is converted to
-        # intp once (2 MiB at n = 512); entries are in range, hence "clip".
-        idx = t.astype(np.intp)
-        lhs, rhs = np.empty_like(t), np.empty_like(t)
-        for a in range(n):
-            np.take(t, idx[a], axis=0, out=lhs, mode="clip")  # (a*b)*c over (b, c)
-            np.take(t[a], idx, out=rhs, mode="clip")          # a*(b*c) over (b, c)
-            if not np.array_equal(lhs, rhs):
-                b, c = np.argwhere(lhs != rhs)[0]
-                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-        return Group(t, names)
-    # Light's test: checking (x*a)*y == x*(a*y) for generators a suffices.
-    g = Group(t, names)
-    for a in g.generating_sequence():
-        lhs = np.take(t, t[:, a], axis=0)
-        rhs = np.take(t, t[a], axis=1)
+    # names are attached only after the last check, so that a wrong number
+    # of names never hides a failed group axiom
+    g = Group(t)
+    gens = g.generating_sequence()
+    for a in gens:
+        lhs = np.take(t, t[:, a], axis=0)  # (x*a)*y over (x, y)
+        rhs = np.take(t, t[a], axis=1)     # x*(a*y) over (x, y)
         if not np.array_equal(lhs, rhs):
+            if n <= FULL_ASSOC_LIMIT:
+                _raise_first_nonassociative(t)
             x, y = np.argwhere(lhs != rhs)[0]
             raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+    g = Group(g.table, names)
+    g._gens = gens
     return g
+
+
+def _raise_first_nonassociative(t: np.ndarray) -> None:
+    """Raise NotAssociative for the first (a, b, c) with (a*b)*c != a*(b*c),
+    scanning a = 0, 1, ... and (b, c) in row-major order; the table is known
+    not to be associative."""
+    # The table is read as a gather index n times, so it is converted to
+    # intp once (2 MiB at n = 512); entries are in range, hence "clip".
+    idx = t.astype(np.intp)
+    lhs, rhs = np.empty_like(t), np.empty_like(t)
+    for a in range(t.shape[0]):
+        np.take(t, idx[a], axis=0, out=lhs, mode="clip")  # (a*b)*c over (b, c)
+        np.take(t[a], idx, out=rhs, mode="clip")          # a*(b*c) over (b, c)
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")

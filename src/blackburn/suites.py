@@ -9,7 +9,8 @@ catalog and the order-3^7 witness construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -39,6 +40,11 @@ class SuiteResult:
     run: int
     passed: int
     first_failure: Optional[str] = None
+    # Elapsed seconds of the whole suite, and (label, seconds) per case in
+    # the order run.  They vary between runs, so they take no part in
+    # equality and never reach a report; `blackburn suite --stats` writes them.
+    seconds: float = field(default=0.0, compare=False, repr=False)
+    case_seconds: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -51,8 +57,15 @@ class _Collector:
         self.run = 0
         self.passed = 0
         self.first_failure: Optional[str] = None
+        self.start = self.last = time.perf_counter()
+        self.case_seconds: list = []
 
     def case(self, label: str, ok: bool, detail: Callable[[], str] = lambda: "") -> None:
+        """Record one case; its time is the time since the previous case (or
+        the start of the suite), which covers the work that decided it."""
+        now = time.perf_counter()
+        self.case_seconds.append((label, now - self.last))
+        self.last = now
         self.run += 1
         if ok:
             self.passed += 1
@@ -61,7 +74,8 @@ class _Collector:
             self.first_failure = f"{label}: {d}" if d else label
 
     def result(self) -> SuiteResult:
-        return SuiteResult(self.suite, self.run, self.passed, self.first_failure)
+        return SuiteResult(self.suite, self.run, self.passed, self.first_failure,
+                           time.perf_counter() - self.start, tuple(self.case_seconds))
 
 
 def _catalog_groups(max_order: int) -> list:

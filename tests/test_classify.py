@@ -159,6 +159,21 @@ def test_trichotomy_cases():
     assert any(c7c9.mul(x, h) != c7c9.mul(h, x) for h in v.p_complement)
 
 
+def test_case_c_elements_centralising_h_lie_in_o_p():
+    # C_S(H) = O_p(N) != S in case c, and S = <x> x T with T <= O_p(N) needs
+    # x outside O_p(N): so the "[x, H] must be nontrivial" skip in
+    # _case_c_data only saves work, it cannot change a verdict
+    for spec in ("q12", "c3_c8", "c5_c8", "c7_c9"):
+        g = builtin(spec)
+        v = verify_normal_subgroup_trichotomy(g, Subgroup(g, np.arange(g.order)))
+        assert v.case == "c", spec
+        h = np.asarray(v.p_complement)
+        s, op = g.sylow(v.p).members, g.o_p(v.p).members
+        centralising = [x for x in s.tolist() if np.array_equal(g.table[x, h], g.table[h, x])]
+        assert centralising == op.tolist() and op.size < s.size, spec
+        assert v.case_c.x not in centralising
+
+
 def test_trichotomy_rejects_non_blackburn():
     s3 = symmetric(3)
     with pytest.raises(PreconditionFailed):

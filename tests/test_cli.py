@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from blackburn import cli, suites
 from blackburn.cli import build_parser, main
 
 
@@ -101,6 +102,26 @@ def test_autc_stats_file_leaves_report_byte_stable(capsys, tmp_path):
     for d in stats["depths"]:
         assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
     assert stats["depths"][-1]["survivors"] == 28
+
+
+def test_suite_stats_file_leaves_report_byte_stable(capsys, tmp_path, monkeypatch):
+    # two cheap suites stand in for a level, so the report is run twice fast
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda level: [suites.power_action_outc(), suites.format_roundtrip(16)])
+    code, plain = run(capsys, "suite", "--porcelain")
+    path = tmp_path / "stats.json"
+    code2, out = run(capsys, "suite", "--porcelain", "--stats", str(path))
+    assert code == code2 == 0
+    assert out == plain
+    stats = json.loads(path.read_text())
+    assert stats["level"] == "quick"
+    assert [s["suite"] for s in stats["suites"]] == ["power-action-outc", "format-roundtrip"]
+    for s in stats["suites"]:
+        assert f"suite.{s['suite']}.run={len(s['cases'])}" in out
+        assert 0 <= sum(c["seconds"] for c in s["cases"]) <= s["seconds"] + 1e-9
+    assert stats["seconds"] == sum(s["seconds"] for s in stats["suites"])
+    # timings differ from run to run but take no part in equality
+    assert suites.power_action_outc() == suites.power_action_outc()
 
 
 def test_usage_errors(capsys):

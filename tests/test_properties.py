@@ -10,6 +10,8 @@ of a Sylow subgroup, the generator-image search one node at a time, and the
 row-by-row parsers and table checks.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from blackburn._arith import is_p_power, is_prime, perm_order, perm_power, prime_divisors
 from blackburn.autos import _Search, enumerate_aut, enumerate_autc, find_isomorphism
-from blackburn.catalog import CATALOG, builtin
+from blackburn.catalog import CATALOG, builtin, cyclic
 from blackburn.core import FULL_ASSOC_LIMIT, Group, Subgroup, validate_group
 from blackburn.errors import (
     NoIdentity,
@@ -31,6 +33,7 @@ from blackburn.errors import (
 )
 from blackburn.formats import PERMGEN_CLOSURE_CAP, _content_lines, parse_cayley, parse_permgen
 from blackburn.suites import _normal_via_cyclic
+from test_core import NONASSOC_LOOP
 
 NAMES = [e.name for e in CATALOG if e.order <= 64]
 SEARCH_NAMES = [e.name for e in CATALOG if e.order <= 32]
@@ -569,6 +572,83 @@ def test_validate_group_matches_element_by_element_checks(data):
         table[[a, b]] = table[[b, a]]  # rows swapped: still Latin, maybe not a group
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64, np.uint8, np.uint16]))
     assert outcome(validate_group, table.astype(dtype)) == outcome(old_validate_group, table)
+
+
+def octonion_units() -> np.ndarray:
+    """The Moufang loop of the 16 octonion units, (-1)^s e_i at index 8s + i.
+    It is alternative, (x*x)*y == x*(x*y), so the first failing triple of a
+    full scan is not the first failing triple of Light's test."""
+    unit, neg = np.zeros((8, 8), dtype=np.int64), np.zeros((8, 8), dtype=np.int64)
+    unit[0], unit[:, 0] = np.arange(8), np.arange(8)
+    np.fill_diagonal(neg[1:, 1:], 1)  # e_i * e_i = -e_0
+    for a, b, c in [(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)]:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            unit[x, y] = unit[y, x] = z  # e_x * e_y = e_z and e_y * e_x = -e_z
+            neg[y, x] = 1
+    s, u = np.divmod(np.arange(16), 8)
+    return (s[:, None] ^ s ^ neg[np.ix_(u, u)]) * 8 + unit[np.ix_(u, u)]
+
+
+LOOPS = [np.asarray(NONASSOC_LOOP), octonion_units()]
+
+
+@st.composite
+def nonassociative_loops(draw) -> np.ndarray:
+    """L x K or K x L, for L = NONASSOC_LOOP or the octonion units and a
+    cyclic or catalog group K with |L||K| <= FULL_ASSOC_LIMIT, relabelled
+    with the identity anywhere: a loop with two-sided inverses, so only
+    associativity can fail."""
+    loop = LOOPS[draw(st.integers(0, len(LOOPS) - 1))]
+    m = loop.shape[0]
+    if draw(st.booleans()):
+        other = cyclic(draw(st.integers(1, FULL_ASSOC_LIMIT // m))).table
+    else:
+        names = [e.name for e in CATALOG if m * e.order <= FULL_ASSOC_LIMIT]
+        other = _group(draw(st.sampled_from(names))).table
+    k = other.shape[0]
+    # the elements whose L coordinate is the identity form a copy of K, and
+    # each of them associates with every pair of elements
+    if draw(st.booleans()):
+        left, right, inner = loop, other, np.arange(k)
+    else:
+        left, right, inner = other, loop, np.arange(k) * m
+    a, b = left.shape[0], right.shape[0]
+    t = (left[:, None, :, None] * b + right[None, :, None, :]).reshape(a * b, a * b)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(a * b)
+    if draw(st.booleans()):
+        # the copy of K gets the lowest labels, so the first failing a comes after it
+        outer = np.setdiff1d(np.arange(a * b), inner)
+        perm[rng.permutation(inner)] = np.arange(k)
+        perm[rng.permutation(outer)] = np.arange(k, a * b)
+    moved = np.empty_like(t)
+    moved[np.ix_(perm, perm)] = perm[t]
+    return moved
+
+
+@settings(max_examples=60)
+@given(nonassociative_loops(), st.sampled_from([np.int16, np.int32, np.int64, np.uint16]))
+def test_validate_group_names_the_first_nonassociative_triple(table, dtype):
+    assert outcome(validate_group, table.astype(dtype)) == outcome(old_validate_group, table)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_validate_group_keeps_the_generators_of_lights_test(data):
+    # Light's test ran on these generators: each lies in the middle nucleus,
+    # and together they generate the whole table, so the table is a group
+    g = _group(data.draw(st.sampled_from([e.name for e in CATALOG])))
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(g.order)
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    h = validate_group(table)
+    with mock.patch.object(Group, "_extend", side_effect=AssertionError("generators recomputed")):
+        gens = h.generating_sequence()
+    assert gens == old_generating_sequence(h)
+    T = h.table
+    for a in gens:
+        assert np.array_equal(T[T[:, a], :], T[:, T[a, :]])  # (x*a)*y == x*(a*y)
+    assert h.closure(gens).size == h.order
 
 
 @settings(max_examples=60)
