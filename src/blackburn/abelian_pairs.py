@@ -256,8 +256,7 @@ class PairHarnessReport:
         return sum(s.pairs for s in self.stats)
 
 
-def pointwise_power_harness(p: int, max_order: int,
-                            exhaustive_cap: int = EXHAUSTIVE_AUT_CAP) -> PairHarnessReport:
+def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
     """Assert pointwise-power implies power over all abelian p-groups <= cap.
 
     Raises CounterexampleFound on any violating pair (none exist).
@@ -266,7 +265,7 @@ def pointwise_power_harness(p: int, max_order: int,
     for factors in abelian_scope(p, max_order):
         group, basis, digits = abelian_group(factors)
         r = len(factors)
-        jordan = is_elementary(factors) and gl_order(p, r) > exhaustive_cap
+        jordan = is_elementary(factors) and gl_order(p, r) > EXHAUSTIVE_AUT_CAP
         stats = PairStats(factors=tuple(factors), route="jordan" if jordan else "exhaustive")
         alphas = _jordan_alphas(p, r) if jordan else _exhaustive_alphas(group, p)
         for alpha in alphas:

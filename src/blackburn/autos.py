@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, prime_divisors
+from ._arith import is_p_power, perm_power, prime_divisors
 from .core import Action, Group, GroupMap, identity_map
 from .errors import (
     NoWitness,
@@ -264,20 +264,15 @@ class _Search:
 # -- public search entry points ------------------------------------------------
 
 
-def enumerate_autc(
-    g: Group,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    order_cap: int = AUTC_ORDER_CAP,
-) -> tuple:
+def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
     """All class-preserving automorphisms, plus the report.
 
     Generator images are constrained to their conjugacy classes; every
     completed map is injective, multiplicative against each generator on all
     elements, and class-preserving on all elements.
     """
-    if g.order > order_cap:
-        raise OrderCap(f"order {g.order} exceeds the enumeration cap {order_cap}")
+    if g.order > AUTC_ORDER_CAP:
+        raise OrderCap(f"order {g.order} exceeds the enumeration cap {AUTC_ORDER_CAP}")
     gens = g.generating_sequence()
     cid = g.class_ids()
     classes = g.conjugacy_classes()
@@ -384,7 +379,7 @@ def _require_automorphism(f: GroupMap) -> None:
         raise NotAutomorphism("expected an automorphism")
 
 
-def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int, *, step_cap: int = 10**6) -> GroupMap:
+def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
     """Strip the p'-part: (gamma.sigma)^r with r the p'-part of its order.
 
     sigma must be class-preserving of p-power order and gamma inner; the
@@ -399,25 +394,15 @@ def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int, *, step_cap: int 
     if not _is_inner(g, gamma):
         raise PreconditionFailed("gamma must be inner")
     comp = gamma.then(sigma)
-    order = _map_order_capped(comp, step_cap)
-    r = order
+    r = comp.map_order()
     while r % p == 0:
         r //= p
-    out = identity_map(g)
-    for _ in range(r):
-        out = out.then(comp)
+    out = GroupMap(g, g, perm_power(comp.images, r))
     if not is_p_power(out.map_order(), p) or not is_class_preserving(g, out):
         raise PreconditionFailed("normalized map lost its defining properties")
     if _is_inner(g, out) != _is_inner(g, sigma):
         raise PreconditionFailed("innerness was not preserved")
     return out
-
-
-def _map_order_capped(f: GroupMap, cap: int) -> int:
-    order = f.map_order()
-    if order > cap:
-        raise PreconditionFailed(f"map order {order} exceeds step cap {cap}")
-    return order
 
 
 def _is_inner(g: Group, f: GroupMap) -> bool:

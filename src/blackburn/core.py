@@ -380,14 +380,8 @@ class Group:
         if not self.is_normal(sub):
             raise NotNormal("quotient by a non-normal subgroup")
         T = self.table
-        nmem = sub.members
-        coset_id = np.full(self.order, -1, dtype=np.int32)
-        reps = []
-        for i in range(self.order):
-            if coset_id[i] < 0:
-                coset_id[T[i, nmem]] = len(reps)
-                reps.append(i)
-        reps = np.asarray(reps, dtype=np.int32)
+        # cosets numbered in order of their least member
+        reps, coset_id = np.unique(T[:, sub.members].min(axis=1), return_inverse=True)
         qtable = coset_id[T[np.ix_(reps, reps)]]
         names = None
         if self.names is not None:
@@ -546,14 +540,13 @@ class Action:
 
     __slots__ = ("actor", "acted", "maps")
 
-    def __init__(self, actor: Group, acted: Group, maps: Sequence[np.ndarray], check: bool = True):
+    def __init__(self, actor: Group, acted: Group, maps: Sequence[np.ndarray]):
         self.actor = actor
         self.acted = acted
         self.maps = [np.ascontiguousarray(m, dtype=np.int32) for m in maps]
         if len(self.maps) != actor.order:
             raise BadParams("need one automorphism per actor element")
-        if check:
-            self.check()
+        self.check()
 
     def check(self) -> None:
         if not np.array_equal(self.maps[0], np.arange(self.acted.order)):
@@ -562,15 +555,14 @@ class Action:
             gm = GroupMap(self.acted, self.acted, m)
             if not gm.is_automorphism():
                 raise BadParams("actor element does not act as an automorphism")
-        th = self.actor.table
-        for h1 in range(self.actor.order):
-            for h2 in range(self.actor.order):
-                # act(h1 h2) must equal act(h1) after act(h2):
-                # (act(h1)∘act(h2))(x) = act(h1)(act(h2)(x))
-                lhs = self.maps[th.item(h1, h2)]
-                rhs = self.maps[h1][self.maps[h2]]
-                if not np.array_equal(lhs, rhs):
-                    raise BadParams(f"action is not a homomorphism at ({h1},{h2})")
+        # act(h1 h2) must equal act(h1) after act(h2):
+        # (act(h1)∘act(h2))(x) = act(h1)(act(h2)(x)), for all (h1, h2, x) at once
+        M = np.stack(self.maps)
+        rows = np.arange(self.actor.order)[:, None, None]
+        bad = (M[self.actor.table] != M[rows, M[None, :, :]]).any(axis=2)
+        if bad.any():
+            h1, h2 = np.argwhere(bad)[0]
+            raise BadParams(f"action is not a homomorphism at ({h1},{h2})")
 
     def apply(self, h: int, n: int) -> int:
         return int(self.maps[h][n])
@@ -578,7 +570,7 @@ class Action:
 
 def trivial_action(actor: Group, acted: Group) -> Action:
     ident = np.arange(acted.order, dtype=np.int32)
-    return Action(actor, acted, [ident] * actor.order, check=False)
+    return Action(actor, acted, [ident] * actor.order)
 
 
 # -- validation of raw tables ----------------------------------------------

@@ -118,15 +118,11 @@ class CoordSpace:
     def matrix_perm(self, mat: ModMatrix) -> np.ndarray:
         return self.encode_values(self.values @ mat.entries)
 
-    def group(self, names: bool = True) -> Group:
-        table = np.empty((self.size, self.size), dtype=np.int32)
-        all_idx = np.arange(self.size, dtype=np.int64)
-        for a in range(self.size):
-            table[a] = self.add(np.full(self.size, a, dtype=np.int64), all_idx)
-        nm = None
-        if names:
-            nm = ["a" + "_".join(str(int(v)) for v in row) for row in self.values]
-        return Group(table, nm)
+    def group(self) -> Group:
+        n = self.size
+        a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        names = ["a" + "_".join(str(int(v)) for v in row) for row in self.values]
+        return Group(self.add(a, b).reshape(n, n), names)
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,9 @@ class BaseAbelian:
     matrix: ModMatrix
     space: CoordSpace
     action: np.ndarray          # index permutation a -> a*kappa
-    group: Optional[Group]      # table form, built for small p
 
 
-def base_abelian(p: int, *, table_limit: int = 4096) -> BaseAbelian:
+def base_abelian(p: int) -> BaseAbelian:
     """Build A and verify the two action properties: the matrix acts as an
     automorphism of order p, and the sum of its first p powers kills A."""
     mat = action_matrix(p)
@@ -151,8 +146,7 @@ def base_abelian(p: int, *, table_limit: int = 4096) -> BaseAbelian:
         raise ActionPropertyFailed("matrix does not act with order p")
     if not annihilates:
         raise ActionPropertyFailed("sum of matrix powers does not annihilate A")
-    grp = space.group() if space.size <= table_limit else None
-    return BaseAbelian(p=p, matrix=mat, space=space, action=perm, group=grp)
+    return BaseAbelian(p=p, matrix=mat, space=space, action=perm)
 
 
 def _action_properties(space: CoordSpace, perm: np.ndarray, p: int) -> tuple:
@@ -265,7 +259,7 @@ def build_witness(p: int) -> WitnessBundle:
     if p != TABLE_PRIME:
         return bundle
 
-    a_grp = base.group
+    a_grp = base.space.group()
     cp = cyclic(p)
     f = base.action.astype(np.int32)
     maps = [np.arange(a_grp.order, dtype=np.int32)]
@@ -286,20 +280,20 @@ def build_witness(p: int) -> WitnessBundle:
     if k_grp.conj(x_k, k_k) != int(f[x_a]) * p:
         raise ClaimFailed("conjugation by k does not apply the matrix action")
 
+    T = g_grp.table
     xk = g_grp.mul(bundle.x, bundle.k)
     zh = g_grp.mul(bundle.z, bundle.h)
-    n = g_grp.order
-    alpha_img = np.empty(n, dtype=np.int32)
-    beta_img = np.empty(n, dtype=np.int32)
-    for aa in range(a_grp.order):
-        for i in range(p):
-            for j in range(p):
-                idx = (aa * p + i) * p + j
-                embedded = (aa * p) * p
-                alpha_img[idx] = g_grp.mul(g_grp.mul(embedded, g_grp.power(xk, i)),
-                                           g_grp.power(zh, j))
-                beta_img[idx] = g_grp.mul(g_grp.mul(embedded, g_grp.power(bundle.k, i)),
-                                          g_grp.power(zh, j))
+
+    def powers(y: int) -> np.ndarray:
+        return np.asarray([g_grp.power(y, i) for i in range(p)])
+
+    # image of (aa*p + i)*p + j, the element aa * k^i * h^j of G, in
+    # (aa, i, j) order: alpha sends it to aa * (x*k)^i * (z*h)^j and beta to
+    # aa * k^i * (z*h)^j
+    embedded = np.arange(a_grp.order)[:, None, None] * p * p
+    zh_j = powers(zh)[None, None, :]
+    alpha_img = T[T[embedded, powers(xk)[None, :, None]], zh_j].ravel()
+    beta_img = T[T[embedded, powers(bundle.k)[None, :, None]], zh_j].ravel()
     alpha = GroupMap(g_grp, g_grp, alpha_img)
     beta = GroupMap(g_grp, g_grp, beta_img)
     for name, m in (("alpha", alpha), ("beta", beta)):
@@ -335,11 +329,7 @@ def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
     act = Action(cp2, g_grp, maps)
     ga = semidirect_product(g_grp, cp2, act)
     m = p * p
-    sigma_img = np.empty(ga.order, dtype=np.int32)
-    for g in range(g_grp.order):
-        base = beta.images[g] * m
-        for t in range(m):
-            sigma_img[g * m + t] = base + t
+    sigma_img = (beta.images[:, None] * m + np.arange(m)).ravel()
     sigma = GroupMap(ga, ga, sigma_img)
     if not sigma.is_automorphism():
         raise ClaimFailed("sigma is not an automorphism of the extension")
@@ -474,8 +464,7 @@ def _verify_table_claims(bundle: WitnessBundle, rep: WitnessReport) -> None:
     rep.record("beta is not a power of alpha on the table group",
                power_of(alpha, beta) is None)
     rep.record("sigma restricted to G equals beta",
-               all(int(sigma.images[g * p * p]) == int(beta.images[g]) * p * p
-                   for g in range(g_grp.order)))
+               np.array_equal(sigma.images[:: p * p], beta.images * p * p))
     rep.record("sigma is class-preserving", is_class_preserving(ga, sigma))
     rep.record("sigma is not inner", not _is_inner(ga, sigma))
 

@@ -114,6 +114,14 @@ def test_semidirect_inversion_gives_s3():
     assert find_isomorphism(g, symmetric(3)) is not None
 
 
+def test_action_names_the_first_non_homomorphic_pair():
+    # act(1) act(2) = inverse != act(0), and (1, 2) precedes (2, 1) row-major
+    c3, inv = cyclic(3), np.asarray([0, 2, 1], dtype=np.int32)
+    ident = np.arange(3, dtype=np.int32)
+    with pytest.raises(BadParams, match=r"^action is not a homomorphism at \(1,2\)$"):
+        Action(c3, c3, [ident, inv, ident])
+
+
 def test_semidirect_conjugation_convention():
     """(1, h)(n, 1)(1, h)^-1 applies act(h)."""
     c3, c2 = cyclic(3), cyclic(2)

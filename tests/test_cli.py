@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from blackburn import cli, suites
+from blackburn import autos, cli, suites
+from blackburn.catalog import builtin
 from blackburn.cli import build_parser, main
+from blackburn.errors import OrderCap
 
 
 def run(capsys, *argv):
@@ -44,6 +46,16 @@ def test_autc_command(capsys):
     code, out = run(capsys, "autc", "d8")
     assert code == 0
     assert "outc_trivial: yes" in out
+
+
+def test_autc_refuses_groups_above_the_order_cap(capsys, monkeypatch):
+    # the cap is read when enumerate_autc runs, so a small one stands in for
+    # 4096 without building a table of that order
+    monkeypatch.setattr(autos, "AUTC_ORDER_CAP", 16)
+    with pytest.raises(OrderCap):
+        autos.enumerate_autc(builtin("q32"))
+    assert main(["autc", "q32"]) == 2
+    assert "exceeds the enumeration cap" in capsys.readouterr().err
 
 
 def test_example_p3(capsys):

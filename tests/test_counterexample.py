@@ -10,6 +10,8 @@ from blackburn.autos import _is_inner
 from blackburn.catalog import cyclic, direct_product
 from blackburn.core import GroupMap
 from blackburn.counterexample import (
+    BaseAbelian,
+    CoordSpace,
     WitnessReport,
     _verify_coordinate_claims,
     action_matrix,
@@ -83,10 +85,18 @@ def test_kappa_orbit_p3():
 
 
 def test_base_abelian_is_c9_x_c3():
-    base = base_abelian(3)
-    assert base.group is not None
+    a_grp = build_witness(3).a_group
     target = direct_product(cyclic(9), cyclic(3))
-    assert find_isomorphism(base.group, target) is not None
+    assert find_isomorphism(a_grp, target) is not None
+
+
+def test_p5_builds_no_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the p = 5 witness must not build a table")
+
+    monkeypatch.setattr(CoordSpace, "group", refuse)
+    assert verify_witness(5).ok
+    assert "group" not in {f.name for f in dataclasses.fields(BaseAbelian)}
 
 
 def test_base_abelian_p5_properties():

@@ -1,13 +1,14 @@
-"""Property tests: the lattice primitives, the image search and file ingest
-against the direct algorithms they replaced, and the shared arithmetic
-helpers, the scalar group arithmetic and quotients against their
-definitions.
+"""Property tests: the lattice primitives, the image search, file ingest,
+quotients and p-part normalization against the direct algorithms they
+replaced, and the shared arithmetic helpers and the scalar group arithmetic
+against their definitions.
 
 The oracles below are those direct algorithms: closure by squaring the
 member set until it stops growing, normality and normalizers by conjugating
 the subset with every element of G, O_p(G) by intersecting every conjugate
-of a Sylow subgroup, the generator-image search one node at a time, and the
-row-by-row parsers and table checks.
+of a Sylow subgroup, the generator-image search one node at a time, the
+row-by-row parsers and table checks, cosets numbered by an element loop,
+and powers of a map by single compositions.
 """
 
 from unittest import mock
@@ -18,10 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blackburn._arith import is_p_power, is_prime, perm_order, perm_power, prime_divisors
-from blackburn.autos import _Search, enumerate_aut, enumerate_autc, find_isomorphism
+from blackburn.autos import (
+    _is_inner,
+    _Search,
+    enumerate_aut,
+    enumerate_autc,
+    find_isomorphism,
+    inner_automorphism,
+    is_class_preserving,
+    p_part_normalize,
+)
 from blackburn.catalog import CATALOG, builtin, cyclic
-from blackburn.core import FULL_ASSOC_LIMIT, Group, Subgroup, validate_group
+from blackburn.core import FULL_ASSOC_LIMIT, Group, GroupMap, Subgroup, identity_map, validate_group
 from blackburn.errors import (
+    GroupError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -30,6 +41,7 @@ from blackburn.errors import (
     NotPermutation,
     OrderCap,
     ParseError,
+    PreconditionFailed,
 )
 from blackburn.formats import PERMGEN_CLOSURE_CAP, _content_lines, parse_cayley, parse_permgen
 from blackburn.suites import _normal_via_cyclic
@@ -103,6 +115,43 @@ def old_sylow(g: Group, p: int) -> np.ndarray:
                    if x not in inside and is_p_power(orders[x], p))
         mem = old_closure(g, [*mem.tolist(), ext])
     return mem
+
+
+def old_quotient(g: Group, mem: np.ndarray) -> tuple:
+    """The quotient table and projection, numbering each coset when the
+    element loop first meets it."""
+    T = g.table
+    coset_id = np.full(g.order, -1, dtype=np.int32)
+    reps = []
+    for i in range(g.order):
+        if coset_id[i] < 0:
+            coset_id[T[i, mem]] = len(reps)
+            reps.append(i)
+    reps = np.asarray(reps, dtype=np.int32)
+    return coset_id[T[np.ix_(reps, reps)]], coset_id
+
+
+def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
+    """p_part_normalize with (gamma.sigma)^r taken as r single compositions."""
+    g = sigma.source
+    if not is_p_power(sigma.map_order(), p):
+        raise PreconditionFailed("sigma must have p-power order")
+    if not is_class_preserving(g, sigma):
+        raise PreconditionFailed("sigma must be class-preserving")
+    if not _is_inner(g, gamma):
+        raise PreconditionFailed("gamma must be inner")
+    comp = gamma.then(sigma)
+    r = comp.map_order()
+    while r % p == 0:
+        r //= p
+    out = identity_map(g)
+    for _ in range(r):
+        out = out.then(comp)
+    if not is_p_power(out.map_order(), p) or not is_class_preserving(g, out):
+        raise PreconditionFailed("normalized map lost its defining properties")
+    if _is_inner(g, out) != _is_inner(g, sigma):
+        raise PreconditionFailed("innerness was not preserved")
+    return out
 
 
 def old_generating_sequence(g: Group) -> list:
@@ -438,6 +487,9 @@ def test_quotient_by_a_normal_subgroup(data):
     normal = g.subgroup(np.concatenate([classes[cid[x]] for x in [0, *seed]]))
     assert old_is_normal(g, normal.members)
     q, proj = g.quotient(normal)
+    want_table, want_images = old_quotient(g, normal.members)
+    assert q.table.tobytes() == want_table.tobytes()
+    assert proj.images.tobytes() == want_images.tobytes()
     assert q.order == g.order // normal.order
     assert np.array_equal(validate_group(q.table).table, q.table)
     f = proj.images
@@ -486,6 +538,24 @@ def test_enumerate_autc_matches_node_by_node_search(g):
     assert all(np.array_equal(cid[m.images], cid) for m in maps)
     keys = {m._bytes for m in maps}
     assert all(m.then(a)._bytes in keys for m in maps for a in maps)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_p_part_normalize_matches_single_compositions(data):
+    g = data.draw(groups([n for n in SEARCH_NAMES if n != "c1"]))
+    p = data.draw(st.sampled_from(_primes(g.order)))
+    maps, _ = enumerate_autc(g)
+    sigma = data.draw(st.sampled_from([m for m in maps if is_p_power(m.map_order(), p)]))
+    gamma = inner_automorphism(g, data.draw(st.integers(0, g.order - 1)))
+
+    def result(normalize):
+        try:
+            return normalize(sigma, gamma, p).images.tobytes()
+        except GroupError as exc:
+            return type(exc).__name__, str(exc)
+
+    assert result(p_part_normalize) == result(old_p_part_normalize)
 
 
 @settings(max_examples=40)
