@@ -41,7 +41,7 @@ def perm_power(perm: np.ndarray, times: int) -> np.ndarray:
             out = base[out]
         base = base[base]
         times >>= 1
-    return out
+    return np.array(out)  # a fresh array, also when times == 0
 
 
 def perm_order(perm: np.ndarray) -> int:
@@ -59,3 +59,33 @@ def perm_order(perm: np.ndarray) -> int:
             ln += 1
         out = out * ln // gcd(out, ln)
     return out
+
+
+def block_power(block: np.ndarray, times: int) -> np.ndarray:
+    """Every row of a permutation block composed with itself `times` times.
+
+    The block form of perm_power: one gather per squaring step for all rows.
+    """
+    out = np.broadcast_to(np.arange(block.shape[1], dtype=block.dtype), block.shape)
+    base = block
+    while times:
+        if times & 1:
+            out = np.take_along_axis(base, out, axis=1)
+        base = np.take_along_axis(base, base, axis=1)
+        times >>= 1
+    return np.array(out)  # a fresh array, also when times == 0
+
+
+def p_power_rows(block: np.ndarray, p: int) -> np.ndarray:
+    """Boolean mask of the rows of a permutation block that have p-power order.
+
+    A permutation of degree n has p-power order exactly when every cycle
+    length is a power of p.  Each such length is at most n, so it divides
+    the largest power of p not above n, and the row's p-power order shows as
+    that power of the row being the identity.
+    """
+    n = block.shape[1]
+    exponent = 1
+    while exponent * p <= n:
+        exponent *= p
+    return (block_power(block, exponent) == np.arange(n)).all(axis=1)

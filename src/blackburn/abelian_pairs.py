@@ -10,12 +10,16 @@ Enumeration strategy.  The hypotheses and the conclusion depend only on the
 cyclic group <alpha>, and conjugating a valid pair by any automorphism gives
 a valid pair again, so one generator per Aut-conjugacy class of cyclic
 p-power-order subgroups suffices.  Small automorphism groups are enumerated
-outright and deduplicated by <alpha>.  For elementary abelian groups whose
-GL is too large to enumerate, the p-power-order automorphisms are exactly
-the unipotent matrices, one conjugacy class per Jordan type; the harness
-checks the block-diagonal representative of each partition.  Completeness
-of those representatives is classical linear algebra, cross-checked by full
-enumeration at small sizes in the test suite.
+outright as one block of images; the p-power-order rows are found by one
+block power, and each class representative is conjugated by the whole block
+at once.  The per-group counts stay those of checking every cyclic subgroup
+<alpha> in turn: they are class-weighted totals (see PairStats).  For
+elementary abelian groups whose GL is too large to enumerate, the
+p-power-order automorphisms are exactly the unipotent matrices, one
+conjugacy class per Jordan type; the harness checks the block-diagonal
+representative of each partition.  Completeness of those representatives is
+classical linear algebra, cross-checked by full enumeration at small sizes
+in the test suite.
 
 Given alpha, candidate betas are found without scanning Aut(G): beta must
 send each basis element into its <alpha>-orbit, and a choice of orbit images
@@ -31,7 +35,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, perm_order, perm_power
+from ._arith import is_p_power, is_prime, p_power_rows, perm_power
 from .autos import enumerate_aut
 from .core import Group
 from .errors import CounterexampleFound
@@ -113,6 +117,18 @@ def _orbit_ids(perm: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PairStats:
+    """Counts for one abelian group.
+
+    On the exhaustive route the counts are class-weighted totals: one alpha
+    is checked per Aut-conjugacy class of cyclic subgroups <alpha>, and the
+    counts are those that checking every such subgroup would give.
+    alphas: the cyclic p-power-order subgroups <alpha> (Jordan route: the
+        Jordan representatives).
+    candidates: the betas built, summed over the subgroups; for one <alpha>
+        that is the product over the basis of the <alpha>-orbit sizes.
+    pairs: the valid (alpha, beta) pairs found, summed over the subgroups.
+    """
+
     factors: tuple
     route: str
     alphas: int = 0
@@ -180,25 +196,76 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
 # -- alpha representatives -------------------------------------------------------
 
 
-def _exhaustive_alphas(group: Group, p: int) -> list:
-    """One generator per cyclic p-power-order subgroup of Aut(G)."""
-    out = []
-    seen = set()
-    for m in enumerate_aut(group):
-        if not is_p_power(m.map_order(), p):
+def _aut_block(group: Group, p: int) -> tuple:
+    """Aut(G) as one int32 (|Aut| x n) block of images, the mask of its
+    p-power-order rows, and the block of inverses."""
+    n = group.order
+    auts = np.concatenate([m.images for m in enumerate_aut(group)]).reshape(-1, n)
+    p_rows = p_power_rows(auts, p)
+    inv = np.empty_like(auts)
+    inv[np.arange(len(auts))[:, None], auts] = np.arange(n, dtype=auts.dtype)
+    return auts, p_rows, inv
+
+
+# Elements per gather in _conjugates, which bounds its temporaries.
+CONJUGATE_ELEMENTS = 1 << 17
+
+
+def _conjugates(auts: np.ndarray, inv: np.ndarray, x: np.ndarray) -> dict:
+    """The distinct rows sigma x sigma^-1 = S[sigma, x[S^-1[sigma]]], as bytes,
+    each with the first sigma in block order that gives it."""
+    m, n = auts.shape
+    row = np.dtype((np.void, auts.itemsize * n))
+    step = max(1, CONJUGATE_ELEMENTS // n)
+    first: dict = {}
+    for lo in range(0, m, step):
+        flat_index = x[inv[lo:lo + step]]
+        flat_index += np.arange(lo * n, lo * n + flat_index.size, n,
+                                dtype=flat_index.dtype)[:, None]
+        keys = auts.ravel()[flat_index].view(row).ravel().tolist()
+        block = dict(zip(reversed(keys), range(lo + len(keys) - 1, lo - 1, -1)))
+        block.update(first)  # an earlier sigma wins
+        first = block
+    return first
+
+
+def _exhaustive_classes(group: Group, basis, p: int):
+    """One generator per Aut-conjugacy class of cyclic p-power-order subgroups.
+
+    Yields (u, size, candidates): u generates the first subgroup of its class
+    in enumerate_aut order, size is the number of subgroups in the class,
+    and candidates is the class total of the count that _pairs_for_alpha
+    makes for one generator of each subgroup.
+
+    Each subgroup of the class holds the same number j of conjugates of u
+    (sigma carries those in <u> onto those in sigma<u>sigma^-1), so the class
+    has (distinct conjugates of u) / j subgroups.  The
+    <sigma u sigma^-1>-orbit of b is sigma applied to the <u>-orbit of
+    sigma^-1(b), so the candidate count of sigma<u>sigma^-1 is the product of
+    the <u>-orbit sizes at the points sigma^-1(b_i).
+    """
+    auts, p_rows, inv = _aut_block(group, p)
+    ident = np.arange(group.order, dtype=auts.dtype)
+    covered: set = set()  # every generator of every subgroup already classed
+    for u in auts[p_rows]:
+        if u.tobytes() in covered:
             continue
-        img = m.images.astype(np.int64)
-        powers = [np.arange(group.order, dtype=np.int64)]
-        cur = img
-        while not np.array_equal(cur, powers[0]):
-            powers.append(cur)
-            cur = img[cur]
-        key = frozenset(pw.tobytes() for pw in powers)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(img)
-    return out
+        powers = [u]  # u^1 .. u^|u|
+        while not np.array_equal(powers[-1], ident):
+            powers.append(u[powers[-1]])
+        gens = [g for k, g in enumerate(powers, 1) if k % p]
+        first = _conjugates(auts, inv, u)
+        covered.update(first)
+        for g in gens[1:]:
+            if g.tobytes() not in covered:  # else conjugate to an earlier generator
+                covered.update(_conjugates(auts, inv, g))
+        per_subgroup = sum(g.tobytes() in first for g in gens)
+        orbit = _orbit_ids(u)
+        orbit_size = np.bincount(orbit)[orbit]
+        sigmas = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        products = orbit_size[inv[sigmas[:, None], basis]].prod(axis=1)
+        yield (u.astype(np.int64), len(first) // per_subgroup,
+               int(products.sum()) // per_subgroup)
 
 
 def is_elementary(factors: Sequence[int]) -> bool:
@@ -267,9 +334,16 @@ def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
         r = len(factors)
         jordan = is_elementary(factors) and gl_order(p, r) > EXHAUSTIVE_AUT_CAP
         stats = PairStats(factors=tuple(factors), route="jordan" if jordan else "exhaustive")
-        alphas = _jordan_alphas(p, r) if jordan else _exhaustive_alphas(group, p)
-        for alpha in alphas:
-            bad = _pairs_for_alpha(group, basis, digits, alpha, p, stats)
+        if jordan:
+            classes = ((alpha, 1, None) for alpha in _jordan_alphas(p, r))
+        else:
+            classes = _exhaustive_classes(group, basis, p)
+        for alpha, size, candidates in classes:
+            rep = PairStats(factors=stats.factors, route=stats.route)
+            bad = _pairs_for_alpha(group, basis, digits, alpha, p, rep)
+            stats.alphas += size
+            stats.candidates += rep.candidates if candidates is None else candidates
+            stats.pairs += size * rep.pairs
             if bad is not None:
                 report.counterexample = (tuple(factors), alpha.tolist(), bad.tolist())
                 report.stats.append(stats)
@@ -325,60 +399,18 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     CounterexampleFound on any gap.  Feasible only while GL(r, p) is small.
     """
     group, _, _ = abelian_group([p] * r)
-    auts = [m.images.astype(np.int64) for m in enumerate_aut(group)]
+    auts, p_rows, inv = _aut_block(group, p)
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
-    unipotent = []
-    for img in auts:
-        if is_p_power(perm_order(img), p):
-            unipotent.append(img)
-    gens = _generating_subset(auts)
-    reps = _jordan_alphas(p, r)
+    unipotent = {u.tobytes() for u in auts[p_rows]}
     covered: set = set()
     classes = 0
-    for rep in reps:
+    for rep in _jordan_alphas(p, r):
+        rep = rep.astype(auts.dtype)
         if rep.tobytes() in covered:
             raise CounterexampleFound("two Jordan representatives are conjugate")
-        orbit = {rep.tobytes(): rep}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in gens:
-                    ainv = np.empty_like(a)
-                    ainv[a] = np.arange(a.size, dtype=np.int64)
-                    conj = a[u[ainv]]
-                    key = conj.tobytes()
-                    if key not in orbit:
-                        orbit[key] = conj
-                        nxt.append(conj)
-            frontier = nxt
+        covered.update(_conjugates(auts, inv, rep))
         classes += 1
-        covered |= set(orbit)
-    if covered != {u.tobytes() for u in unipotent}:
+    if covered != unipotent:
         raise CounterexampleFound("Jordan classes do not cover the unipotent elements")
     return classes, len(unipotent)
-
-
-def _generating_subset(elements: list) -> list:
-    """A small generating subset of a permutation group given in full."""
-    gens: list = []
-    have = {np.arange(elements[0].size, dtype=np.int64).tobytes()}
-    for e in elements:
-        if e.tobytes() in have:
-            continue
-        gens.append(e)
-        have.add(e.tobytes())
-        # close under products with the new generator set
-        stack = [np.frombuffer(b, dtype=np.int64) for b in list(have)]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g[x]
-                key = y.tobytes()
-                if key not in have:
-                    have.add(key)
-                    stack.append(y)
-        if len(have) == len(elements):
-            break
-    return gens

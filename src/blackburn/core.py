@@ -468,7 +468,7 @@ class Subgroup:
 class GroupMap:
     """A map between groups given by an image list, one entry per source element."""
 
-    __slots__ = ("source", "target", "images", "_bytes")
+    __slots__ = ("source", "target", "images", "_bytes", "_automorphism")
 
     def __init__(self, source: Group, target: Group, images):
         self.source = source
@@ -479,6 +479,7 @@ class GroupMap:
         img.flags.writeable = False
         self.images = img
         self._bytes = img.tobytes()
+        self._automorphism = None  # is_automorphism(), once computed
 
     def apply(self, a: int) -> int:
         return int(self.images[a])
@@ -504,7 +505,12 @@ class GroupMap:
         return bool(np.array_equal(f[ts], tt[np.ix_(f, f)]))
 
     def is_automorphism(self) -> bool:
-        return self.source is self.target and self.is_bijective() and self.is_homomorphism()
+        """Computed on the first call and kept: the images and both tables
+        are read-only, so the answer cannot change."""
+        if self._automorphism is None:
+            self._automorphism = (self.source is self.target and self.is_bijective()
+                                  and self.is_homomorphism())
+        return self._automorphism
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.source.order)))

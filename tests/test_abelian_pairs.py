@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from blackburn._arith import is_p_power
 from blackburn.abelian_pairs import (
+    EXHAUSTIVE_AUT_CAP,
+    PairStats,
+    _pairs_for_alpha,
     abelian_group,
     abelian_scope,
     gl_order,
@@ -14,6 +18,7 @@ from blackburn.abelian_pairs import (
     pointwise_power_harness,
     unipotent_class_cover,
 )
+from blackburn.autos import enumerate_aut
 
 
 def test_abelian_group_basis():
@@ -84,9 +89,52 @@ def test_small_scopes_have_no_counterexample():
     assert all(s.pairs >= 1 for s in rep.stats)
 
 
-def test_route_selection():
-    from blackburn.abelian_pairs import EXHAUSTIVE_AUT_CAP
+def _unreduced_alphas(group, p):
+    """One generator per cyclic p-power-order subgroup <alpha> of Aut(G)."""
+    out, seen = [], set()
+    for m in enumerate_aut(group):
+        if not is_p_power(m.map_order(), p):
+            continue
+        img = m.images.astype(np.int64)
+        powers = [np.arange(group.order, dtype=np.int64)]
+        cur = img
+        while not np.array_equal(cur, powers[0]):
+            powers.append(cur)
+            cur = img[cur]
+        key = frozenset(pw.tobytes() for pw in powers)
+        if key not in seen:
+            seen.add(key)
+            out.append(img)
+    return out
 
+
+def _unreduced_harness(p, max_order):
+    """The harness without the conjugacy reduction: every <alpha> in turn.
+
+    Returns (verdict, per-factor [factors, route, alphas, candidates, pairs]).
+    """
+    rows, ok = [], True
+    for factors in abelian_scope(p, max_order):
+        assert not is_elementary(factors) or gl_order(p, len(factors)) <= EXHAUSTIVE_AUT_CAP
+        group, basis, digits = abelian_group(factors)
+        stats = PairStats(factors=tuple(factors), route="exhaustive")
+        for alpha in _unreduced_alphas(group, p):
+            ok &= _pairs_for_alpha(group, basis, digits, alpha, p, stats) is None
+        rows.append([stats.factors, stats.route, stats.alphas, stats.candidates, stats.pairs])
+    return ok, rows
+
+
+@pytest.mark.parametrize("p,max_order", [(2, 8), (3, 27), (5, 25)])
+def test_class_weighted_counts_match_every_cyclic_subgroup(p, max_order):
+    """One alpha per Aut-conjugacy class, weighted by the class size, gives
+    the counts of checking every cyclic subgroup <alpha> one by one."""
+    ok, rows = _unreduced_harness(p, max_order)
+    rep = pointwise_power_harness(p, max_order)
+    assert rep.ok == ok
+    assert [[s.factors, s.route, s.alphas, s.candidates, s.pairs] for s in rep.stats] == rows
+
+
+def test_route_selection():
     assert gl_order(2, 5) > EXHAUSTIVE_AUT_CAP and is_elementary([2] * 5)
     assert gl_order(3, 4) > EXHAUSTIVE_AUT_CAP and is_elementary([3] * 4)
     assert gl_order(2, 4) <= EXHAUSTIVE_AUT_CAP

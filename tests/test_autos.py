@@ -1,5 +1,7 @@
 """Automorphism machinery: enumeration, powers, witnesses."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ def test_class_preserving_predicate():
     broken = GroupMap(s3, s3, np.zeros(6, dtype=np.int64))
     with pytest.raises(NotAutomorphism):
         is_class_preserving(s3, broken)
+
+
+def test_is_automorphism_is_computed_once():
+    s3 = symmetric(3)
+    maps = [inner_automorphism(s3, 1), GroupMap(s3, s3, [0, 2, 1, 3, 4, 5])]
+    calls = []
+    original = GroupMap.is_homomorphism
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    with mock.patch.object(GroupMap, "is_homomorphism", counted):
+        assert [m.is_automorphism() for m in maps] == [True, False]
+        assert [m.is_automorphism() for m in maps] == [True, False]
+    assert calls == maps
 
 
 def test_autc_abelian_is_identity_only():

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blackburn._arith import is_p_power, is_prime, perm_order, perm_power, prime_divisors
+from blackburn._arith import (
+    block_power,
+    is_p_power,
+    is_prime,
+    p_power_rows,
+    perm_order,
+    perm_power,
+    prime_divisors,
+)
 from blackburn.autos import (
     _is_inner,
     _Search,
@@ -754,3 +762,18 @@ def test_arith_helpers_match_their_definitions(n, p, data):
         cur = perm[cur]
     got = perm_power(perm, times)
     assert got.dtype == dtype and np.array_equal(got, cur)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 12), st.sampled_from(PRIMES), st.data())
+def test_block_power_and_p_power_rows_match_row_by_row(k, p, data):
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    rows = data.draw(st.lists(st.permutations(range(k)), max_size=10))
+    block = np.asarray(rows, dtype=dtype).reshape(len(rows), k)
+    times = data.draw(st.integers(0, 300))
+    got = block_power(block, times)
+    assert got.dtype == dtype and got.shape == block.shape
+    for row, power in zip(block, got):
+        assert np.array_equal(power, perm_power(row, times))
+    mask = p_power_rows(block, p)
+    assert mask.tolist() == [is_p_power(perm_order(row), p) for row in block]
