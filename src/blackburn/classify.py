@@ -20,7 +20,7 @@ import numpy as np
 
 from ._arith import is_p_power, is_prime, prime_divisors
 from .catalog import cyclic, direct_product, elementary_abelian, generalized_quaternion
-from .core import Group, Subgroup, SUBGROUP_ENUM_CAP
+from .core import Group, Subgroup, SUBGROUP_ENUM_CAP, _mask_members
 from .errors import (
     NoFormMatched,
     NotBlackburn2Group,
@@ -66,12 +66,10 @@ def r_of_lattice(g: Group, cap: int = SUBGROUP_ENUM_CAP) -> RStatus:
 def _intersect_status(g: Group, non_normal: list) -> RStatus:
     if not non_normal:
         return RStatus(UNDEFINED, None)
-    keep = np.ones(g.order, dtype=bool)
-    for s in non_normal:
-        mask = np.zeros(g.order, dtype=bool)
-        mask[s.members] = True
-        keep &= mask
-    sub = Subgroup(g, np.nonzero(keep)[0])
+    # members are distinct within a subgroup, so an element lies in every
+    # non-normal subgroup exactly when it is counted once per subgroup
+    hits = np.bincount(np.concatenate([s.members for s in non_normal]), minlength=g.order)
+    sub = Subgroup._trusted(g, _mask_members(hits == len(non_normal)))
     return RStatus(TRIVIAL if sub.order == 1 else NONTRIVIAL, sub)
 
 

@@ -47,6 +47,7 @@ class Group:
         "_class_size",
         "_gens",
         "_cyclics",
+        "_subs",
     )
 
     def __init__(self, table: np.ndarray, names: Optional[Sequence[str]] = None):
@@ -67,6 +68,7 @@ class Group:
         self._class_size = None
         self._gens = None
         self._cyclics = None
+        self._subs = None
 
     # -- element arithmetic ------------------------------------------------
 
@@ -177,11 +179,11 @@ class Group:
         mask = np.ones(self.order, dtype=bool)
         for x in xs:
             mask &= T[:, x] == T[x, :]
-        return Subgroup(self, np.nonzero(mask)[0])
+        return Subgroup._trusted(self, _mask_members(mask))
 
     def center(self) -> "Subgroup":
         T = self.table
-        return Subgroup(self, np.flatnonzero((T == T.T).all(axis=1)))
+        return Subgroup._trusted(self, _mask_members((T == T.T).all(axis=1)))
 
     def closure(self, seed: Iterable[int]) -> np.ndarray:
         """Smallest subgroup containing `seed`, as a sorted index array.
@@ -269,24 +271,78 @@ class Group:
     def all_subgroups(self, cap: int = SUBGROUP_ENUM_CAP) -> list:
         """Every subgroup, each exactly once, ordered by (order, members).
 
-        Starting from the cyclic subgroups, each subgroup found is joined
-        with every cyclic subgroup it does not contain, until no join is new.
-        A subgroup is kept with one generator list, so a join extends it by
-        the cyclic subgroup's generator rather than closing from scratch.
+        Built once per group by cyclic extension (Neubüser 1960; Holt, Eick
+        and O'Brien, Handbook of Computational Group Theory, 2005, section
+        4.5), which reaches exactly the solvable subgroups.  When G is not
+        among them, G is not solvable, and the join loop of `_join_cyclics`
+        completes the set: every subgroup is a join of cyclic subgroups, and
+        every cyclic subgroup is solvable, hence already found.
         """
         if self.order > cap:
             raise OrderCap(f"all_subgroups: order {self.order} exceeds cap {cap}")
+        if self._subs is None:
+            # member arrays only, as for `_cyclics`
+            layers = self._cyclic_extension()
+            if layers[-1][0][1].size < self.order:  # G is not solvable
+                self._join_cyclics(layers)
+            subs = [_mask_members(mask) for layer in layers for mask, _, _ in layer]
+            subs.sort(key=lambda m: (m.size, m.tolist()))
+            self._subs = tuple(subs)
+        return [Subgroup._trusted(self, m) for m in self._subs]
+
+    def _cyclic_extension(self) -> list:
+        """The solvable subgroups, in layers by the number of prime factors
+        of their order; each subgroup is (mask, members, generators).
+
+        A subgroup K of one layer yields K<g> in the next for each prime p
+        and each g in N_G(K) \\ K with g^p in K.  Then K<g> is the union of
+        the cosets K g^i, i < p, gathered from the power block, and any other
+        such g' in K<g> gives the same subgroup.  Every solvable subgroup has
+        a series of prime index steps, each normal in the next, so it is
+        reached from {1}.
+        """
+        T, n = self.table, self.order
+        _, block = self._power_block()  # row j-1 holds x^j
+        one = np.zeros(n, dtype=bool)
+        one[0] = True
+        layer = [(one, np.zeros(1, dtype=np.int32), [])]
+        seen = {one.tobytes()}
+        layers = []
+        while layer:
+            layers.append(layer)
+            fresh = []
+            for kmask, kmem, kgens in layer:
+                norm = kmask[self._conjugation_block(kmem)].all(axis=1)
+                index = int(np.count_nonzero(norm)) // kmem.size
+                norm &= ~kmask
+                for p in prime_divisors(index):
+                    cand = norm & kmask[block[p - 1]]
+                    for g in np.flatnonzero(cand).tolist():
+                        if not cand[g]:
+                            continue
+                        cosets = T[kmem[:, None], block[: p - 1, g]]
+                        hmask = kmask.copy()
+                        hmask[cosets] = True
+                        cand &= ~hmask
+                        key = hmask.tobytes()
+                        if key not in seen:
+                            seen.add(key)
+                            hmem = np.concatenate([kmem, cosets.ravel()])
+                            fresh.append((hmask, hmem, [*kgens, g]))
+            layer = fresh
+        return layers
+
+    def _join_cyclics(self, layers: list) -> None:
+        """Append to `layers` every subgroup reached by joining a subgroup
+        found with a cyclic subgroup it does not contain, until no join is
+        new.  A subgroup is kept with one generator list, so a join extends
+        it by the cyclic subgroup's generator rather than closing from
+        scratch."""
         orders = self.element_orders()
-        cyc_gens, found, frontier = [], set(), []
-        for c in self.cyclic_subgroups():
-            mem = c.members
-            gen = next(x for x in mem.tolist() if orders[x] == mem.size)
-            mask = np.zeros(self.order, dtype=bool)
-            mask[mem] = True
-            gens = [gen] if gen else []
-            cyc_gens.append(gen)
-            found.add(mask.tobytes())
-            frontier.append((mask, mem, gens))
+        cyc_gens = [next(x for x in c.members.tolist() if orders[x] == c.order)
+                    for c in self.cyclic_subgroups()]
+        frontier = [sub for layer in layers for sub in layer]
+        seen = {mask.tobytes() for mask, _, _ in frontier}
         while frontier:
             fresh = []
             for hmask, hmem, hgens in frontier:
@@ -297,13 +353,11 @@ class Group:
                     gens = [*hgens, c]
                     mem = self._extend(hmem, mask, gens)
                     key = mask.tobytes()
-                    if key not in found:
-                        found.add(key)
+                    if key not in seen:
+                        seen.add(key)
                         fresh.append((mask, mem, gens))
+            layers.append(fresh)
             frontier = fresh
-        subs = [np.flatnonzero(np.frombuffer(k, dtype=bool)).astype(np.int32) for k in found]
-        subs.sort(key=lambda m: (m.size, m.tolist()))
-        return [Subgroup(self, m) for m in subs]
 
     def _conjugation_block(self, mem: np.ndarray) -> np.ndarray:
         """The (n x |mem|) array whose row g holds g^-1 * h * g for h in mem."""
@@ -314,7 +368,7 @@ class Group:
         mask = np.zeros(self.order, dtype=bool)
         mask[sub.members] = True
         keep = mask[self._conjugation_block(sub.members)].all(axis=1)
-        return Subgroup(self, np.flatnonzero(keep))
+        return Subgroup._trusted(self, _mask_members(keep))
 
     def is_normal(self, sub: "Subgroup") -> bool:
         """True when the members form a union of conjugacy classes."""
@@ -354,7 +408,7 @@ class Group:
         # each row lists one conjugate of P without repeats, so an element
         # lies in every conjugate exactly when it appears in all n rows
         hits = np.bincount(block.ravel(), minlength=self.order)
-        return Subgroup(self, np.flatnonzero(hits == self.order))
+        return Subgroup._trusted(self, _mask_members(hits == self.order))
 
     def normal_p_complement(self, p: int) -> Optional["Subgroup"]:
         """The set of p'-elements, when it happens to form a subgroup."""
@@ -391,6 +445,14 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+def _mask_members(mask: np.ndarray) -> np.ndarray:
+    """The indices where `mask` is True, as a read-only int32 array: the
+    member array that `Subgroup._trusted` expects."""
+    mem = np.flatnonzero(mask).astype(np.int32)
+    mem.flags.writeable = False
+    return mem
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Structural classifiers against the lattice oracle and pinned examples."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from blackburn.classify import (
     verify_normal_subgroup_trichotomy,
     verify_q_element_structure,
 )
-from blackburn.core import Subgroup
+from blackburn.core import Group, Subgroup
 from blackburn.errors import NotBlackburn2Group, PreconditionFailed
 
 
@@ -157,6 +159,15 @@ def test_trichotomy_cases():
     assert v.case_c.exponent_ok and v.case_c.centralizing_ok
     x = v.case_c.x  # [x, H] is nontrivial
     assert any(c7c9.mul(x, h) != c7c9.mul(h, x) for h in v.p_complement)
+
+
+def test_case_c_builds_the_lattice_of_s_once():
+    g = builtin("c7_c9")
+    with mock.patch.object(Group, "_cyclic_extension", autospec=True,
+                           side_effect=Group._cyclic_extension) as extension:
+        v = verify_normal_subgroup_trichotomy(g, Subgroup(g, np.arange(g.order)))
+    assert v.case == "c"
+    assert extension.call_count == 1
 
 
 def test_case_c_elements_centralising_h_lie_in_o_p():

@@ -1,6 +1,7 @@
 """Core group machinery against independent brute-force oracles."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ def test_quotient_order_multiplies():
 def test_all_subgroups_order_cap():
     with pytest.raises(OrderCap):
         symmetric(5).all_subgroups(cap=100)
+
+
+def test_all_subgroups_are_computed_once_per_group():
+    g = symmetric(4)
+    first = g.all_subgroups()
+    with mock.patch.object(Group, "_cyclic_extension", side_effect=AssertionError("recomputed")):
+        second = g.all_subgroups()
+        with pytest.raises(OrderCap):  # the cap is checked before the cache
+            g.all_subgroups(cap=10)
+    assert second == first and second is not first
+    second.clear()
+    assert g.all_subgroups() == first
+    for s in first:
+        assert not s.members.flags.writeable
+        with pytest.raises(ValueError):
+            s.members[0] = 1
 
 
 def test_generating_sequence_is_canonical_and_generates():

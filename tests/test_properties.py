@@ -4,11 +4,12 @@ replaced, and the shared arithmetic helpers and the scalar group arithmetic
 against their definitions.
 
 The oracles below are those direct algorithms: closure by squaring the
-member set until it stops growing, normality and normalizers by conjugating
-the subset with every element of G, O_p(G) by intersecting every conjugate
-of a Sylow subgroup, the generator-image search one node at a time, the
-row-by-row parsers and table checks, cosets numbered by an element loop,
-and powers of a map by single compositions.
+member set until it stops growing, the subgroup lattice by joining every
+subgroup found with every cyclic subgroup, normality and normalizers by
+conjugating the subset with every element of G, O_p(G) by intersecting
+every conjugate of a Sylow subgroup, the generator-image search one node
+at a time, the row-by-row parsers and table checks, cosets numbered by an
+element loop, and powers of a map by single compositions.
 """
 
 from unittest import mock
@@ -38,6 +39,7 @@ from blackburn.autos import (
     p_part_normalize,
 )
 from blackburn.catalog import CATALOG, builtin, cyclic
+from blackburn.classify import r_of
 from blackburn.core import FULL_ASSOC_LIMIT, Group, GroupMap, Subgroup, identity_map, validate_group
 from blackburn.errors import (
     GroupError,
@@ -56,6 +58,7 @@ from blackburn.suites import _normal_via_cyclic
 from test_core import NONASSOC_LOOP
 
 NAMES = [e.name for e in CATALOG if e.order <= 64]
+LATTICE_NAMES = [e.name for e in CATALOG if e.order <= 128]
 SEARCH_NAMES = [e.name for e in CATALOG if e.order <= 32]
 # brute-force Aut of e16 and q8xc4 takes 9k-41k nodes, too many for the oracle
 AUT_NAMES = [n for n in SEARCH_NAMES if n not in ("e16", "q8xc4")]
@@ -160,6 +163,38 @@ def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
     if _is_inner(g, out) != _is_inner(g, sigma):
         raise PreconditionFailed("innerness was not preserved")
     return out
+
+
+def old_all_subgroups(g: Group) -> list:
+    """Every subgroup's members, ordered by (order, members): starting from
+    the cyclic subgroups, each subgroup found is joined with every cyclic
+    subgroup it does not contain, until no join is new."""
+    orders = g.element_orders()
+    cyc_gens, found, frontier = [], set(), []
+    for c in g.cyclic_subgroups():
+        mem = c.members
+        gen = next(x for x in mem.tolist() if orders[x] == mem.size)
+        mask = np.zeros(g.order, dtype=bool)
+        mask[mem] = True
+        cyc_gens.append(gen)
+        found.add(mask.tobytes())
+        frontier.append((mask, mem, [gen] if gen else []))
+    while frontier:
+        fresh = []
+        for hmask, hmem, hgens in frontier:
+            for c in cyc_gens:
+                if hmask[c]:
+                    continue
+                mask = hmask.copy()
+                gens = [*hgens, c]
+                mem = g._extend(hmem, mask, gens)
+                key = mask.tobytes()
+                if key not in found:
+                    found.add(key)
+                    fresh.append((mask, mem, gens))
+        frontier = fresh
+    subs = [np.flatnonzero(np.frombuffer(k, dtype=bool)).tolist() for k in found]
+    return sorted(subs, key=lambda m: (len(m), m))
 
 
 def old_generating_sequence(g: Group) -> list:
@@ -431,23 +466,71 @@ def test_sylow_and_o_p_match_direct_algorithms(data):
     assert np.array_equal(g.o_p(p).members, old_intersect_conjugates(g, syl.members))
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_subgroups_built_from_masks_keep_the_member_invariants(data):
+    # these skip the np.unique of Subgroup.__post_init__, so their members
+    # must already be sorted, distinct, int32 and read-only
+    g = data.draw(groups())
+    s = g.subgroup(data.draw(elements(g, max_size=3)))
+    p = data.draw(st.sampled_from(_primes(g.order) or [2]))
+    r = r_of(g).subgroup
+    for sub in (g.normalizer(s), g.center(), g.centralizer(s.members), g.o_p(p),
+                *([r] if r is not None else [])):
+        mem = sub.members
+        assert mem.dtype == np.int32 and not mem.flags.writeable
+        assert np.array_equal(mem, np.unique(mem))
+
+
 @settings(max_examples=60)
 @given(groups())
 def test_generating_sequence_matches_greedy_closure(g):
     assert g.generating_sequence() == old_generating_sequence(g)
 
 
+def _is_solvable(g: Group) -> bool:
+    while g.order > 1:
+        derived = g.commutator_subgroup()
+        if derived.order == g.order:
+            return False
+        g, _ = derived.as_group()
+    return True
+
+
+def check_lattice(g: Group) -> list:
+    """all_subgroups against the join oracle; and the cyclic extension alone
+    must reach exactly the solvable subgroups, so that the join completion
+    runs only when G is not solvable."""
+    subs = g.all_subgroups()
+    assert [s.members.tolist() for s in subs] == old_all_subgroups(g)
+    reached = {mask.tobytes() for layer in g._cyclic_extension() for mask, _, _ in layer}
+    for s in subs:
+        mask = np.zeros(g.order, dtype=bool)
+        mask[s.members] = True
+        assert (mask.tobytes() in reached) == _is_solvable(s.as_group()[0])
+    return subs
+
+
 @settings(max_examples=20)
 @given(st.data())
 def test_all_subgroups_do_not_depend_on_labels(data):
-    name = data.draw(st.sampled_from(NAMES))
+    name = data.draw(st.sampled_from(LATTICE_NAMES))
     g = data.draw(groups([name]))
-    subs = g.all_subgroups()
-    assert len({s.members.tobytes() for s in subs}) == len(subs)
+    subs = check_lattice(g)
     for s in subs:
         assert np.array_equal(old_closure(g, s.members), s.members)
     expected = [s.order for s in _group(name).all_subgroups()]
     assert [s.order for s in subs] == expected
+
+
+@settings(max_examples=2)
+@given(st.data())
+def test_all_subgroups_of_s5_and_the_order_128_groups(data):
+    # the largest lattices, each drawn in every example; S5 is the one
+    # catalog group that is not solvable: cyclic extension finds its 154
+    # solvable subgroups, and A5 and S5 come from the join completion
+    for name in ("s5", "q128", "q8xq8xc2"):
+        check_lattice(data.draw(groups([name])))
 
 
 def power_block(g: Group) -> np.ndarray:
