@@ -386,31 +386,3 @@ def nonabelian_contrast(p: int = 3) -> ContrastReport:
         pointwise=locally_power(g, alpha, beta),
         is_power=power_of(alpha, beta) is not None,
     )
-
-
-# -- oracle for the Jordan shortcut ----------------------------------------------
-
-
-def unipotent_class_cover(p: int, r: int) -> tuple:
-    """Cross-check by full enumeration that the Jordan representatives hit
-    every p-power-order automorphism class of F_p^r exactly once.
-
-    Returns (number of classes, p-power-order element count); raises
-    CounterexampleFound on any gap.  Feasible only while GL(r, p) is small.
-    """
-    group, _, _ = abelian_group([p] * r)
-    auts, p_rows, inv = _aut_block(group, p)
-    if len(auts) != gl_order(p, r):
-        raise CounterexampleFound("automorphism enumeration does not match GL order")
-    unipotent = {u.tobytes() for u in auts[p_rows]}
-    covered: set = set()
-    classes = 0
-    for rep in _jordan_alphas(p, r):
-        rep = rep.astype(auts.dtype)
-        if rep.tobytes() in covered:
-            raise CounterexampleFound("two Jordan representatives are conjugate")
-        covered.update(_conjugates(auts, inv, rep))
-        classes += 1
-    if covered != unipotent:
-        raise CounterexampleFound("Jordan classes do not cover the unipotent elements")
-    return classes, len(unipotent)

@@ -20,6 +20,12 @@ of up to BLOCK_ELEMENTS elements from the start; a first-hit search starts
 with one row per block and doubles, so it evaluates few rows past its hit.
 The node count and the budget count evaluated rows, so a first-hit search
 also counts the rows of its blocks that follow its hit.
+
+The class-preserving enumeration searches only the stabilizer S of the
+first generator g0: every class-preserving map sends g0 into its class,
+and conjugation reaches every member of that class, so Aut_c(G) is the
+disjoint union of the inner cosets c_x o S, one per conjugate of g0.  Its
+node count and budget count only the rows of the stabilizer search.
 """
 
 from __future__ import annotations
@@ -267,38 +273,62 @@ class _Search:
 def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
     """All class-preserving automorphisms, plus the report.
 
-    Generator images are constrained to their conjugacy classes; every
-    completed map is injective, multiplicative against each generator on all
-    elements, and class-preserving on all elements.
+    Only the stabilizer S of g0 = gens[0] is searched: g0 is its own one
+    candidate, and the other generator images are constrained to their
+    conjugacy classes.  Every completed map is injective, multiplicative
+    against each generator on all elements, and class-preserving on all
+    elements.  Aut_c(G) is the disjoint union of the cosets c_x o S, one for
+    each conjugate x^-1 g0 x of g0, so the maps are the blocks inner_x[S],
+    sorted by their generator images: the order of a depth-first search
+    over all conjugates of every generator.  c_x o s is inner exactly when
+    s is, so innerness is decided on S.
     """
     if g.order > AUTC_ORDER_CAP:
         raise OrderCap(f"order {g.order} exceeds the enumeration cap {AUTC_ORDER_CAP}")
     gens = g.generating_sequence()
     cid = g.class_ids()
     classes = g.conjugacy_classes()
-    cands = [classes[cid[gen]].tolist() for gen in gens]
+    g0 = gens[0] if gens else 0  # the trivial group has no generators
+    k = classes[cid[g0]].size
+    cands = [[g0]] + [classes[cid[gen]] for gen in gens[1:]]
     search = _Search(g, g, gens, cands, cid, cid, budget)
-    maps = [GroupMap(g, g, img) for img in search.run()]
-    inn_tuples = _inner_generator_tuples(g, gens)
-    inn_order = g.order // g.center().order
-    non_inner = [m for m in maps if tuple(int(m.images[x]) for x in gens) not in inn_tuples]
-    witness = non_inner[0] if non_inner else None
+    block = np.stack(search.run())
+    # |Z(G)| is the number of classes of size 1
+    inn_order = g.order // int(np.count_nonzero(np.bincount(cid) == 1))
+    # Inn(G) <= Aut_c(G), so equal orders make every map inner
+    trivial = k * len(block) == inn_order
+    inner = np.ones(len(block), dtype=bool) if trivial else _inner_mask(g, block[:, gens])
+    if k > 1:
+        t, inv, m = g.table, g.inverses, len(block)
+        # each conjugate of g0 is x^-1 g0 x for n/k elements x: one x for each
+        xs = np.argsort(t[inv, t[g0]])[:: g.order // k]
+        conj = t[inv[xs][:, None], t[:, xs].T]  # row i: y -> xs[i]^-1 y xs[i]
+        # row i*m + j: conj[i] after block[j]
+        block = np.take(conj, block, axis=1).reshape(-1, g.order)
+        order = np.lexsort(block[:, gens[::-1]].T)
+        block, inner = block[order], inner[order % m]
+    maps = [GroupMap(g, g, img) for img in block]
+    outer = np.flatnonzero(~inner)
+    stats = search.stats()
+    stats["first_generator_conjugates"] = k
     report = AutcReport(
         group=g,
         generating_set=tuple(gens),
         autc_order=len(maps),
         inn_order=inn_order,
-        outc_trivial=len(maps) == inn_order,
-        witness=witness,
-        search_stats=search.stats(),
+        outc_trivial=trivial,
+        witness=maps[outer[0]] if outer.size else None,
+        search_stats=stats,
     )
     return maps, report
 
 
-def _inner_generator_tuples(g: Group, gens: Sequence[int]) -> set:
+def _inner_mask(g: Group, gen_imgs: np.ndarray) -> np.ndarray:
+    """For each row of images of g.generating_sequence(), whether some
+    conjugation x -> a^-1 x a sends every generator to its image in that row."""
     t, inv = g.table, g.inverses
-    cols = [t[inv, t[gen, np.arange(g.order)]] for gen in gens]
-    return {tuple(int(c[a]) for c in cols) for a in range(g.order)}
+    conj = t[inv[:, None], t[g.generating_sequence()].T]  # conj[a, i] = a^-1 gens[i] a
+    return (conj == gen_imgs[:, None, :]).all(axis=2).any(axis=1)
 
 
 def outc_trivial(g: Group, **kw) -> AutcReport:
@@ -406,9 +436,7 @@ def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
 
 
 def _is_inner(g: Group, f: GroupMap) -> bool:
-    gens = g.generating_sequence()
-    tuples = _inner_generator_tuples(g, gens)
-    return tuple(int(f.images[x]) for x in gens) in tuples
+    return bool(_inner_mask(g, f.images[g.generating_sequence()][None, :])[0])
 
 
 # -- fixed points of coprime actions --------------------------------------------

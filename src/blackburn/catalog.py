@@ -334,7 +334,3 @@ def builtin(spec: str) -> Group:
         params = [int(x) for x in m.group(2).split(",") if x.strip()]
         return catalog_build(name, *params)
     raise BadParams(f"unknown builtin group {spec!r}")
-
-
-def catalog_names() -> list:
-    return [entry.name for entry in CATALOG]

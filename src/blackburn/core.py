@@ -75,10 +75,9 @@ class Group:
     @property
     def inverses(self) -> np.ndarray:
         if self._inv is None:
-            # identity is 0, so T[i, j] == 0 exactly when j is i's inverse
-            r, c = np.nonzero(self.table == 0)
-            inv = np.empty(self.order, dtype=np.int32)
-            inv[r] = c
+            # identity is 0, so T[i, j] == 0 exactly when j is i's inverse;
+            # every row holds exactly one 0
+            inv = np.argmax(self.table == 0, axis=1).astype(np.int32)
             inv.flags.writeable = False
             self._inv = inv
         return self._inv
@@ -140,9 +139,6 @@ class Group:
         for k in self.element_orders():
             e = e * k // gcd(e, k)
         return e
-
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names is not None else str(a)
 
     # -- global structure --------------------------------------------------
 

@@ -7,6 +7,9 @@ from blackburn._arith import is_p_power
 from blackburn.abelian_pairs import (
     EXHAUSTIVE_AUT_CAP,
     PairStats,
+    _aut_block,
+    _conjugates,
+    _jordan_alphas,
     _pairs_for_alpha,
     abelian_group,
     abelian_scope,
@@ -16,9 +19,9 @@ from blackburn.abelian_pairs import (
     matrix_to_perm,
     nonabelian_contrast,
     pointwise_power_harness,
-    unipotent_class_cover,
 )
 from blackburn.autos import enumerate_aut
+from blackburn.errors import CounterexampleFound
 
 
 def test_abelian_group_basis():
@@ -69,6 +72,31 @@ def test_jordan_rep_orders_are_p_powers():
             while k % p == 0:
                 k //= p
             assert k == 1
+
+
+def unipotent_class_cover(p: int, r: int) -> tuple:
+    """Cross-check by full enumeration that the Jordan representatives hit
+    every p-power-order automorphism class of F_p^r exactly once.
+
+    Returns (number of classes, p-power-order element count); raises
+    CounterexampleFound on any gap.  Feasible only while GL(r, p) is small.
+    """
+    group, _, _ = abelian_group([p] * r)
+    auts, p_rows, inv = _aut_block(group, p)
+    if len(auts) != gl_order(p, r):
+        raise CounterexampleFound("automorphism enumeration does not match GL order")
+    unipotent = {u.tobytes() for u in auts[p_rows]}
+    covered: set = set()
+    classes = 0
+    for rep in _jordan_alphas(p, r):
+        rep = rep.astype(auts.dtype)
+        if rep.tobytes() in covered:
+            raise CounterexampleFound("two Jordan representatives are conjugate")
+        covered.update(_conjugates(auts, inv, rep))
+        classes += 1
+    if covered != unipotent:
+        raise CounterexampleFound("Jordan classes do not cover the unipotent elements")
+    return classes, len(unipotent)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])

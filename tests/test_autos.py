@@ -141,6 +141,15 @@ def test_autc_budget_boundary_on_witness_group():
         enumerate_autc(Group(table), budget=36)
 
 
+def test_autc_budget_counts_only_the_stabilizer_search():
+    # c7_q8's first generator has 2 conjugates; searching both took 86 nodes
+    g = builtin("c7_q8")
+    _, rep = enumerate_autc(g, budget=43)
+    assert rep.autc_order == 28 and rep.search_stats["nodes"] == 43
+    with pytest.raises(SearchBudgetExceeded, match="42 nodes"):
+        enumerate_autc(g, budget=42)
+
+
 def test_search_stats_account_for_every_row():
     for g in (builtin("c7_q8"), builtin("s4"), Group(build_witness(3).g_group.table)):
         _, rep = enumerate_autc(g)
@@ -150,7 +159,8 @@ def test_search_stats_account_for_every_row():
             assert d["rows"] == sum(d["rejected"].values()) + d["survivors"]
             if nxt is not None:  # a full enumeration expands every survivor
                 assert nxt["rows"] == d["survivors"] * nxt["candidates"]
-        assert stats["depths"][-1]["survivors"] == rep.autc_order
+        assert (stats["depths"][-1]["survivors"] * stats["first_generator_conjugates"]
+                == rep.autc_order)
 
 
 def test_search_stats_count_every_rejection_reason():

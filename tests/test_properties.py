@@ -8,8 +8,10 @@ member set until it stops growing, the subgroup lattice by joining every
 subgroup found with every cyclic subgroup, normality and normalizers by
 conjugating the subset with every element of G, O_p(G) by intersecting
 every conjugate of a Sylow subgroup, the generator-image search one node
-at a time, the row-by-row parsers and table checks, cosets numbered by an
-element loop, and powers of a map by single compositions.
+at a time and over every conjugate of the first generator, innerness by a
+set of generator-image tuples, the row-by-row parsers and table checks,
+cosets numbered by an element loop, and powers of a map by single
+compositions.
 """
 
 from unittest import mock
@@ -29,6 +31,7 @@ from blackburn._arith import (
     prime_divisors,
 )
 from blackburn.autos import (
+    _inner_mask,
     _is_inner,
     _Search,
     enumerate_aut,
@@ -41,6 +44,7 @@ from blackburn.autos import (
 from blackburn.catalog import CATALOG, builtin, cyclic
 from blackburn.classify import r_of
 from blackburn.core import FULL_ASSOC_LIMIT, Group, GroupMap, Subgroup, identity_map, validate_group
+from blackburn.counterexample import build_witness, extend_witness
 from blackburn.errors import (
     GroupError,
     NoIdentity,
@@ -142,6 +146,18 @@ def old_quotient(g: Group, mem: np.ndarray) -> tuple:
     return coset_id[T[np.ix_(reps, reps)]], coset_id
 
 
+def old_inner_generator_tuples(g: Group) -> set:
+    """The generator images of every inner automorphism, as a set of tuples."""
+    t, inv = g.table, g.inverses
+    cols = [t[inv, t[gen, np.arange(g.order)]] for gen in g.generating_sequence()]
+    return {tuple(int(c[a]) for c in cols) for a in range(g.order)}
+
+
+def old_is_inner(g: Group, f: GroupMap) -> bool:
+    gens = g.generating_sequence()
+    return tuple(int(f.images[x]) for x in gens) in old_inner_generator_tuples(g)
+
+
 def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
     """p_part_normalize with (gamma.sigma)^r taken as r single compositions."""
     g = sigma.source
@@ -149,7 +165,7 @@ def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
         raise PreconditionFailed("sigma must have p-power order")
     if not is_class_preserving(g, sigma):
         raise PreconditionFailed("sigma must be class-preserving")
-    if not _is_inner(g, gamma):
+    if not old_is_inner(g, gamma):
         raise PreconditionFailed("gamma must be inner")
     comp = gamma.then(sigma)
     r = comp.map_order()
@@ -160,7 +176,7 @@ def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
         out = out.then(comp)
     if not is_p_power(out.map_order(), p) or not is_class_preserving(g, out):
         raise PreconditionFailed("normalized map lost its defining properties")
-    if _is_inner(g, out) != _is_inner(g, sigma):
+    if old_is_inner(g, out) != old_is_inner(g, sigma):
         raise PreconditionFailed("innerness was not preserved")
     return out
 
@@ -254,6 +270,12 @@ def dfs_search(source: Group, target: Group, gens, cands, inv_src, inv_tgt,
     else:
         out.append(np.zeros(1, dtype=np.int32))
     return out, nodes
+
+
+def class_candidates(g: Group) -> tuple:
+    """Generators of g, and for each the members of its conjugacy class."""
+    gens, cid, classes = g.generating_sequence(), g.class_ids(), g.conjugacy_classes()
+    return gens, [classes[cid[gen]].tolist() for gen in gens]
 
 
 def order_candidates(g: Group, h: Group) -> tuple:
@@ -617,18 +639,86 @@ def test_enumerate_aut_matches_node_by_node_search(g):
 @settings(max_examples=40)
 @given(groups(SEARCH_NAMES))
 def test_enumerate_autc_matches_node_by_node_search(g):
-    gens = g.generating_sequence()
+    gens, cands = class_candidates(g)
     cid = g.class_ids()
-    classes = g.conjugacy_classes()
-    cands = [classes[cid[gen]].tolist() for gen in gens]
-    want, nodes = dfs_search(g, g, gens, cands, cid.tolist(), cid.tolist())
+    want, _ = dfs_search(g, g, gens, cands, cid.tolist(), cid.tolist())
     maps, rep = enumerate_autc(g)
     assert [m.images.tolist() for m in maps] == [w.tolist() for w in want]
+    # only the stabilizer of the first generator is searched
+    stab_cands = [[gens[0]], *cands[1:]] if gens else []
+    _, nodes = dfs_search(g, g, gens, stab_cands, cid.tolist(), cid.tolist())
     assert rep.search_stats["nodes"] == nodes
     assert all(m.is_automorphism() for m in maps)
     assert all(np.array_equal(cid[m.images], cid) for m in maps)
     keys = {m._bytes for m in maps}
     assert all(m.then(a)._bytes in keys for m in maps for a in maps)
+
+
+def test_enumerate_autc_assembles_the_stabilizer_by_inner_cosets():
+    """On every catalog group and both witness groups: the maps of the full
+    search over every conjugate of every generator, |Aut_c| = |g0^G| |S|,
+    Out_c trivial exactly when |S| = |C_G(g0) : Z(G)|, and the witness the
+    first map of the full search that is not inner."""
+    bundle = extend_witness(build_witness(3))
+    tables = [e.build().table for e in CATALOG]
+    for table in [*tables, bundle.g_group.table, bundle.ga_group.table]:
+        g = Group(table)
+        gens, cands = class_candidates(g)
+        cid = g.class_ids()
+        want = _Search(g, g, gens, cands, cid, cid, 10**8).run()
+        maps, rep = enumerate_autc(g)
+        assert [m.images.tobytes() for m in maps] == [w.tobytes() for w in want]
+        stats = rep.search_stats
+        stab = stats["depths"][-1]["survivors"] if gens else 1
+        conjugates = len(cands[0]) if gens else 1
+        assert stats["first_generator_conjugates"] == conjugates
+        assert rep.autc_order == conjugates * stab
+        center = g.center().order
+        assert rep.inn_order == g.order // center
+        centralizer = g.centralizer(gens[:1]).order
+        assert rep.outc_trivial == (stab == centralizer // center)
+        inner = old_inner_generator_tuples(g)
+        outer = [w for w in want if tuple(w[gens].tolist()) not in inner]
+        assert rep.outc_trivial == (not outer)
+        if outer:
+            assert rep.witness.images.tobytes() == outer[0].tobytes()
+        else:
+            assert rep.witness is None
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_inner_mask_matches_inner_generator_tuples(data):
+    g = data.draw(groups(SEARCH_NAMES))
+    gens = g.generating_sequence()
+    maps, _ = enumerate_autc(g)
+    rows = [m.images for m in maps]
+    rows += [inner_automorphism(g, a).images for a in data.draw(elements(g, max_size=4))]
+    rows += [np.asarray(data.draw(elements(g, min_size=g.order, max_size=g.order)))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    inner = old_inner_generator_tuples(g)
+    want = [tuple(r[gens].tolist()) in inner for r in rows]
+    assert _inner_mask(g, np.asarray(rows)[:, gens]).tolist() == want
+    assert [_is_inner(g, m) for m in maps] == want[: len(maps)]
+
+
+def test_inner_mask_on_the_witness_sigma():
+    b = extend_witness(build_witness(3))
+    ga = b.ga_group
+    tampered = GroupMap(ga, ga, np.arange(ga.order))
+    twisted = [inner_automorphism(ga, a).then(b.sigma) for a in (1, 9, 100)]
+    for f in [b.sigma, tampered, *twisted, inner_automorphism(ga, 5)]:
+        assert _is_inner(ga, f) == old_is_inner(ga, f)
+    assert not _is_inner(ga, b.sigma) and _is_inner(ga, tampered)
+
+
+@settings(max_examples=60)
+@given(groups())
+def test_inverses_are_two_sided(g):
+    inv = g.inverses
+    x = np.arange(g.order)
+    assert inv.dtype == np.int32 and not inv.flags.writeable
+    assert (g.table[x, inv] == 0).all() and (g.table[inv, x] == 0).all()
 
 
 @settings(max_examples=40)
