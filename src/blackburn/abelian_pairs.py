@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ._arith import is_p_power, is_prime, p_power_rows, perm_power
-from .autos import enumerate_aut
+from .autos import _aut_images
 from .core import Group
 from .errors import CounterexampleFound
 
@@ -200,7 +200,7 @@ def _aut_block(group: Group, p: int) -> tuple:
     """Aut(G) as one int32 (|Aut| x n) block of images, the mask of its
     p-power-order rows, and the block of inverses."""
     n = group.order
-    auts = np.concatenate([m.images for m in enumerate_aut(group)]).reshape(-1, n)
+    auts = _aut_images(group)
     p_rows = p_power_rows(auts, p)
     inv = np.empty_like(auts)
     inv[np.arange(len(auts))[:, None], auts] = np.arange(n, dtype=auts.dtype)

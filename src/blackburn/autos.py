@@ -21,6 +21,11 @@ with one row per block and doubles, so it evaluates few rows past its hit.
 The node count and the budget count evaluated rows, so a first-hit search
 also counts the rows of its blocks that follow its hit.
 
+A search yields its maps as one int32 (maps x |G|) block of images.  Only
+the public entry points wrap rows in GroupMaps (enumerate_aut,
+enumerate_autc, find_isomorphism); _aut_images hands Aut(G) to the
+pointwise-power harness as the block itself.
+
 The class-preserving enumeration searches only the stabilizer S of the
 first generator g0: every class-preserving map sends g0 into its class,
 and conjugation reaches every member of that class, so Aut_c(G) is the
@@ -190,19 +195,18 @@ class _Search:
             })
         return {"nodes": int(self.nodes), "depths": depths}
 
-    def run(self, first_only: bool = False) -> list:
-        """Images of every map found, in depth-first order; only the first one
-        when first_only."""
-        if not self.gens:
-            if self.source.order == 1 and self.target.order >= 1:
-                return [np.zeros(1, dtype=np.int32)]
-            return []
+    def run(self, first_only: bool = False) -> np.ndarray:
+        """The images of every map found, one int32 row per map in depth-first
+        order; only the first one when first_only."""
+        n = self.source.order
+        if not self.gens:  # the trivial group: its one map
+            return np.zeros((int(n == 1), n), dtype=np.int32)
         self._reset()
         # a first-hit search starts with one row per block and doubles
         self._width = [1 if first_only else info.max_width for info in self.depths]
-        out: list = []
+        out = [np.empty((0, n), dtype=np.int32)]
         self._expand(0, np.zeros((1, 0), dtype=np.intp), self.cands[0], out, first_only)
-        return out
+        return np.concatenate(out)
 
     def _expand(self, depth: int, parents: np.ndarray, cands: np.ndarray, out: list,
                 first_only: bool) -> bool:
@@ -233,7 +237,7 @@ class _Search:
                 img = img[:1]
             full = np.empty((img.shape[0], self.source.order), dtype=np.int32)
             full[:, info.members] = img
-            out.extend(full)
+            out.append(full)
             if first_only and img.shape[0]:
                 return True
         return False
@@ -292,7 +296,7 @@ def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
     k = classes[cid[g0]].size
     cands = [[g0]] + [classes[cid[gen]] for gen in gens[1:]]
     search = _Search(g, g, gens, cands, cid, cid, budget)
-    block = np.stack(search.run())
+    block = search.run()
     # |Z(G)| is the number of classes of size 1
     inn_order = g.order // int(np.count_nonzero(np.bincount(cid) == 1))
     # Inn(G) <= Aut_c(G), so equal orders make every map inner
@@ -343,14 +347,16 @@ def enumerate_aut(g: Group, *, budget: int = DEFAULT_BUDGET) -> list:
     Candidates are merely order-matched, so this scales far worse than
     enumerate_autc; it is the brute-force oracle for small groups.
     """
+    return [GroupMap(g, g, img) for img in _aut_images(g, budget=budget)]
+
+
+def _aut_images(g: Group, *, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The images of every automorphism, one int32 row each, in the order of
+    enumerate_aut."""
     gens = g.generating_sequence()
     orders = np.asarray(g.element_orders(), dtype=np.int32)
-    by_order: dict = {}
-    for x in range(g.order):
-        by_order.setdefault(int(orders[x]), []).append(x)
-    cands = [by_order[int(orders[gen])] for gen in gens]
-    search = _Search(g, g, gens, cands, orders, orders, budget)
-    return [GroupMap(g, g, img) for img in search.run()]
+    cands = [np.flatnonzero(orders == orders[gen]) for gen in gens]
+    return _Search(g, g, gens, cands, orders, orders, budget).run()
 
 
 def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Optional[GroupMap]:
@@ -362,13 +368,10 @@ def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Opt
     if sorted(g_orders.tolist()) != sorted(h_orders.tolist()):
         return None
     gens = g.generating_sequence()
-    by_order: dict = {}
-    for x in range(h.order):
-        by_order.setdefault(int(h_orders[x]), []).append(x)
-    cands = [by_order.get(int(g_orders[gen]), []) for gen in gens]
+    cands = [np.flatnonzero(h_orders == g_orders[gen]) for gen in gens]
     search = _Search(g, h, gens, cands, g_orders, h_orders, budget)
     found = search.run(first_only=True)
-    return GroupMap(g, h, found[0]) if found else None
+    return GroupMap(g, h, found[0]) if len(found) else None
 
 
 def is_isomorphic(g: Group, h: Group) -> bool:
@@ -456,12 +459,10 @@ def find_min_stabilizer_point(action: Action) -> int:
         raise PreconditionFailed("the acted group must be a p-group")
     if n_primes and any(h.order % p == 0 for p in n_primes):
         raise PreconditionFailed("the actor order must be coprime to p")
-    kernel = frozenset(
-        hh for hh in range(h.order)
-        if np.array_equal(action.maps[hh], np.arange(n.order))
-    )
-    for x in range(n.order):
-        stab = frozenset(hh for hh in range(h.order) if action.maps[hh][x] == x)
-        if stab == kernel:
-            return x
-    raise NoWitness("no point has stabilizer equal to the kernel")
+    fixed = action.maps == np.arange(n.order)  # fixed[h, x]: h fixes x
+    kernel = fixed.all(axis=1)
+    # x's stabilizer is the kernel exactly when column x equals it
+    hits = np.flatnonzero((fixed == kernel[:, None]).all(axis=0))
+    if not hits.size:
+        raise NoWitness("no point has stabilizer equal to the kernel")
+    return int(hits[0])

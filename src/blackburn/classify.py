@@ -146,8 +146,7 @@ def q_group_witness(g: Group) -> Optional[QGroupWitness]:
     t, inv = g.table, g.inverses
     orders = g.element_orders()
     for a in index2_subgroups(g):
-        sub_t = t[np.ix_(a.members, a.members)]
-        if not np.array_equal(sub_t, sub_t.T):
+        if not _sub_abelian(g, a):
             continue
         if all(orders[x] <= 2 for x in a.members.tolist()):
             continue  # elementary abelian base is excluded

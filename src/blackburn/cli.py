@@ -21,7 +21,6 @@ from . import classify
 from ._arith import prime_divisors
 from .autos import enumerate_autc
 from .catalog import CATALOG, CATALOG_VERSION
-from .core import Group
 from .counterexample import SUPPORTED_WITNESS_PRIMES, verify_witness
 from .errors import ClaimFailed, GroupError, ParseError
 from .formats import resolve_source

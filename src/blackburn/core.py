@@ -607,21 +607,26 @@ class Action:
     def __init__(self, actor: Group, acted: Group, maps: Sequence[np.ndarray]):
         self.actor = actor
         self.acted = acted
-        self.maps = [np.ascontiguousarray(m, dtype=np.int32) for m in maps]
-        if len(self.maps) != actor.order:
-            raise BadParams("need one automorphism per actor element")
+        try:
+            block = np.array(maps, dtype=np.int32)  # row h: the images of act(h)
+        except ValueError:  # a ragged list of maps
+            block = None
+        if block is None or block.shape != (actor.order, acted.order):
+            raise BadParams("need one image list of the acted order per actor element")
+        block.flags.writeable = False
+        self.maps = block
         self.check()
 
     def check(self) -> None:
-        if not np.array_equal(self.maps[0], np.arange(self.acted.order)):
+        M = self.maps
+        if not np.array_equal(M[0], np.arange(self.acted.order)):
             raise BadParams("identity must act trivially")
-        for m in self.maps:
+        for m in M:
             gm = GroupMap(self.acted, self.acted, m)
             if not gm.is_automorphism():
                 raise BadParams("actor element does not act as an automorphism")
         # act(h1 h2) must equal act(h1) after act(h2):
         # (act(h1)∘act(h2))(x) = act(h1)(act(h2)(x)), for all (h1, h2, x) at once
-        M = np.stack(self.maps)
         rows = np.arange(self.actor.order)[:, None, None]
         bad = (M[self.actor.table] != M[rows, M[None, :, :]]).any(axis=2)
         if bad.any():
@@ -629,7 +634,7 @@ class Action:
             raise BadParams(f"action is not a homomorphism at ({h1},{h2})")
 
     def apply(self, h: int, n: int) -> int:
-        return int(self.maps[h][n])
+        return int(self.maps[h, n])
 
 
 def trivial_action(actor: Group, acted: Group) -> Action:

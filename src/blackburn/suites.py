@@ -25,7 +25,7 @@ from .autos import (
     outc_trivial,
 )
 from .catalog import CATALOG, builtin, cyclic, elementary_abelian
-from .core import Action, Group, GroupMap, Subgroup
+from .core import Action, Group, Subgroup
 from .counterexample import verify_witness
 from .errors import GroupError
 from .formats import dump_cayley, parse_cayley
@@ -82,10 +82,6 @@ def _catalog_groups(max_order: int) -> list:
     return [(e.name, e.build()) for e in CATALOG if e.order <= max_order]
 
 
-def _serialized(g: Group) -> str:
-    return dump_cayley(g)
-
-
 # -- core invariants -------------------------------------------------------------
 
 
@@ -97,7 +93,7 @@ def core_invariants(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
         classes = g.conjugacy_classes()
         sizes = [len(c) for c in classes]
         col.case(f"{name}: class equation", sum(sizes) == g.order
-                 and all(g.order % s == 0 for s in sizes), lambda: _serialized(g))
+                 and all(g.order % s == 0 for s in sizes), lambda: dump_cayley(g))
         subs = g.all_subgroups()
         ok_subs = True
         for s in subs:
@@ -109,7 +105,7 @@ def core_invariants(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
             if not np.array_equal(g.closure(s.members), s.members):
                 ok_subs = False
                 break
-        col.case(f"{name}: subgroup invariants", ok_subs, lambda: _serialized(g))
+        col.case(f"{name}: subgroup invariants", ok_subs, lambda: dump_cayley(g))
         col.case(f"{name}: subgroups unique", len({s.members.tobytes() for s in subs}) == len(subs))
         ok_syl = True
         for p in prime_divisors(g.order):
@@ -122,14 +118,14 @@ def core_invariants(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
             op = g.o_p(p)
             if syl.order != part or not op.is_normal() or not _contained(op, syl):
                 ok_syl = False
-        col.case(f"{name}: sylow and core facts", ok_syl, lambda: _serialized(g))
+        col.case(f"{name}: sylow and core facts", ok_syl, lambda: dump_cayley(g))
         ok_norm = all(_normal_via_cyclic(g, s) == s.is_normal() for s in subs)
-        col.case(f"{name}: normality via cyclic closure", ok_norm, lambda: _serialized(g))
+        col.case(f"{name}: normality via cyclic closure", ok_norm, lambda: dump_cayley(g))
         for s in subs:
             if s.is_normal():
                 q, proj = g.quotient(s)
                 if q.order * s.order != g.order or not proj.is_homomorphism():
-                    col.case(f"{name}: quotient order", False, lambda: _serialized(g))
+                    col.case(f"{name}: quotient order", False, lambda: dump_cayley(g))
                     break
         else:
             col.case(f"{name}: quotient order", True)
@@ -164,7 +160,7 @@ def r_oracle(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
         same = fast.tag == slow.tag and (
             fast.subgroup is None or np.array_equal(fast.subgroup.members, slow.subgroup.members)
         )
-        col.case(f"{name}: r_of equals lattice oracle", same, lambda: _serialized(g))
+        col.case(f"{name}: r_of equals lattice oracle", same, lambda: dump_cayley(g))
     q16 = builtin("q16")
     col.case("q16: R has order 2", classify.r_of(q16).order == 2)
     col.case("s3: R is trivial", classify.r_of(builtin("s3")).tag == classify.TRIVIAL)
@@ -176,11 +172,7 @@ def r_oracle(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
 
 
 def has_abelian_index2(g: Group) -> bool:
-    for s in classify.index2_subgroups(g):
-        sub_t = g.table[np.ix_(s.members, s.members)]
-        if np.array_equal(sub_t, sub_t.T):
-            return True
-    return False
+    return any(classify._sub_abelian(g, s) for s in classify.index2_subgroups(g))
 
 
 def is_abelian_by_cyclic(g: Group) -> bool:
@@ -188,10 +180,7 @@ def is_abelian_by_cyclic(g: Group) -> bool:
     if g.is_abelian():
         return True
     for s in g.all_subgroups():
-        if not s.is_normal():
-            continue
-        sub_t = g.table[np.ix_(s.members, s.members)]
-        if not np.array_equal(sub_t, sub_t.T):
+        if not s.is_normal() or not classify._sub_abelian(g, s):
             continue
         q, _ = g.quotient(s)
         if q.order in q.element_orders():
@@ -206,7 +195,7 @@ def abelian_index2_outc(max_order: int = QUICK_MAX_ORDER) -> SuiteResult:
         if not has_abelian_index2(g):
             continue
         rep = outc_trivial(g)
-        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: _serialized(g))
+        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: dump_cayley(g))
     return col.result()
 
 
@@ -217,7 +206,7 @@ def abelian_by_cyclic_outc(max_order: int = 100) -> SuiteResult:
         if not is_abelian_by_cyclic(g):
             continue
         rep = outc_trivial(g)
-        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: _serialized(g))
+        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: dump_cayley(g))
     return col.result()
 
 
@@ -237,7 +226,7 @@ def power_action_outc() -> SuiteResult:
         syl, _ = g.sylow(2).as_group()
         col.case(f"{e.name}: sylow-2 has abelian index-2", has_abelian_index2(syl))
         rep = outc_trivial(g)
-        col.case(f"{e.name}: outc trivial", rep.outc_trivial, lambda: _serialized(g))
+        col.case(f"{e.name}: outc trivial", rep.outc_trivial, lambda: dump_cayley(g))
     return col.result()
 
 
@@ -254,7 +243,7 @@ def blackburn_outc(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
     for name, g in blackburn_catalog(max_order):
         names.add(name)
         rep = outc_trivial(g)
-        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: _serialized(g))
+        col.case(f"{name}: outc trivial", rep.outc_trivial, lambda: dump_cayley(g))
     col.case("required members present", required <= names,
              lambda: f"missing {required - names}")
     return col.result()
@@ -294,7 +283,7 @@ def q_element_structure(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
         for q in qs:
             rep = classify.verify_q_element_structure(g, q)
             col.case(f"{name}: q={q}", rep.ok,
-                     lambda: f"{rep.violations} {_serialized(g)}")
+                     lambda: f"{rep.violations} {dump_cayley(g)}")
     return col.result()
 
 
@@ -318,9 +307,9 @@ def normal_subgroup_trichotomy(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
                 ok = False
                 msg = str(exc)
                 col.case(f"{name}: N of order {s.order}", False,
-                         lambda: f"{msg} {_serialized(g)}")
+                         lambda: f"{msg} {dump_cayley(g)}")
                 continue
-            col.case(f"{name}: N of order {s.order}", ok, lambda: _serialized(g))
+            col.case(f"{name}: N of order {s.order}", ok, lambda: dump_cayley(g))
     return col.result()
 
 
@@ -348,7 +337,6 @@ def pointwise_power(full: bool = True) -> SuiteResult:
 
 def _power_automorphism(n: int, order: int) -> np.ndarray:
     """The smallest power map of C_n with the given multiplicative order."""
-    g = cyclic(n)
     for u in range(2, n):
         if _mult_order(u, n) == order:
             return np.asarray([(x * u) % n for x in range(n)], dtype=np.int32)
@@ -498,9 +486,9 @@ def autc_oracle(max_order: int = QUICK_MAX_ORDER) -> SuiteResult:
         brute = {m._bytes for m in enumerate_aut(g) if is_class_preserving(g, m)}
         col.case(f"{name}: enumeration matches filter",
                  {m._bytes for m in maps} == brute and rep.autc_order == len(brute),
-                 lambda: _serialized(g))
+                 lambda: dump_cayley(g))
         ok_maps = all(m.is_automorphism() and is_class_preserving(g, m) for m in maps)
-        col.case(f"{name}: every map verified", ok_maps, lambda: _serialized(g))
+        col.case(f"{name}: every map verified", ok_maps, lambda: dump_cayley(g))
     return col.result()
 
 
@@ -510,7 +498,7 @@ def format_roundtrip(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
     for name, g in _catalog_groups(max_order):
         back = parse_cayley(dump_cayley(g))
         col.case(f"{name}: roundtrip", bool(np.array_equal(back.table, g.table))
-                 and back.names == g.names, lambda: _serialized(g))
+                 and back.names == g.names, lambda: dump_cayley(g))
     return col.result()
 
 

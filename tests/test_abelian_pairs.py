@@ -1,5 +1,7 @@
 """Pointwise-power harness: abelian scopes, Jordan shortcut, contrast case."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from blackburn.abelian_pairs import (
     pointwise_power_harness,
 )
 from blackburn.autos import enumerate_aut
+from blackburn.core import GroupMap
 from blackburn.errors import CounterexampleFound
 
 
@@ -115,6 +118,22 @@ def test_small_scopes_have_no_counterexample():
     assert rep.ok
     # every valid pair is counted at least once per cyclic <alpha>
     assert all(s.pairs >= 1 for s in rep.stats)
+
+
+def test_harness_builds_no_group_maps():
+    """Aut(G) reaches the harness as one block of images, never as maps."""
+    built = []
+    init = GroupMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(GroupMap, "__init__", counting_init):
+        assert pointwise_power_harness(3, 27).ok
+        assert not built
+        enumerate_aut(abelian_group([3])[0])  # the counter does see maps
+    assert len(built) == 2
 
 
 def _unreduced_alphas(group, p):

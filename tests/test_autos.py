@@ -31,7 +31,13 @@ from blackburn.catalog import (
 )
 from blackburn.core import Action, Group, GroupMap, identity_map
 from blackburn.counterexample import build_witness
-from blackburn.errors import NotAutomorphism, PreconditionFailed, SearchBudgetExceeded
+from blackburn.errors import (
+    BadParams,
+    NotAutomorphism,
+    PreconditionFailed,
+    SearchBudgetExceeded,
+)
+from blackburn.suites import coprime_action_instances
 
 
 def test_inner_automorphism_identity_and_center():
@@ -262,6 +268,58 @@ def test_p_part_normalize_rejects_bad_sigma():
     sigma = inner_automorphism(s3, three_cycle)  # order 3, not a 2-power
     with pytest.raises(PreconditionFailed):
         p_part_normalize(sigma, identity_map(s3), 2)
+
+
+def test_search_run_returns_one_int32_block():
+    d8 = builtin("d8")
+    gens = d8.generating_sequence()
+    orders = np.asarray(d8.element_orders())
+    cands = [np.flatnonzero(orders == orders[gen]) for gen in gens]
+    block = _Search(d8, d8, gens, cands, orders, orders, 10**6).run()
+    assert block.dtype == np.int32 and block.shape == (8, 8)  # |Aut(D8)| = 8
+    trivial = cyclic(1)
+    block = _Search(trivial, trivial, [], [], np.zeros(1), np.zeros(1), 10).run()
+    assert block.dtype == np.int32 and block.shape == (1, 1)
+    # the identity as the only image of the first generator fails the invariant
+    search = _Search(d8, d8, gens, [[0], *cands[1:]], orders, orders, 10**6)
+    block = search.run(first_only=True)
+    assert block.dtype == np.int32 and block.shape == (0, 8)
+    assert search.nodes == 1 and search.rejected[0, 0] == 1
+
+
+def old_find_min_stabilizer_point(action):
+    """The point-by-point search, kept as the oracle."""
+    h, n = action.actor, action.acted
+    kernel = frozenset(
+        hh for hh in range(h.order)
+        if np.array_equal(action.maps[hh], np.arange(n.order))
+    )
+    for x in range(n.order):
+        stab = frozenset(hh for hh in range(h.order) if action.maps[hh][x] == x)
+        if stab == kernel:
+            return x
+    return None
+
+
+def test_min_stabilizer_matches_the_point_by_point_search():
+    instances = coprime_action_instances()
+    assert len(instances) == 50
+    for _, _, _, action in instances:
+        assert find_min_stabilizer_point(action) == old_find_min_stabilizer_point(action)
+
+
+def test_action_maps_are_one_block_and_reject_the_wrong_shape():
+    c3, c4 = cyclic(3), cyclic(4)
+    ident = np.arange(4, dtype=np.int32)
+    act = Action(c3, c4, [ident, ident, ident])
+    assert act.maps.dtype == np.int32 and act.maps.shape == (3, 4)
+    assert not act.maps.flags.writeable
+    for maps in ([ident, ident, ident[:3]],               # ragged
+                 [ident[:3], ident[:3], ident[:3]],       # every map too short
+                 [ident, ident],                          # one map missing
+                 [ident.reshape(2, 2)] * 3):              # not image lists
+        with pytest.raises(BadParams):
+            Action(c3, c4, maps)
 
 
 def test_min_stabilizer_trivial_action():

@@ -31,6 +31,7 @@ from blackburn._arith import (
     prime_divisors,
 )
 from blackburn.autos import (
+    _aut_images,
     _inner_mask,
     _is_inner,
     _Search,
@@ -625,6 +626,9 @@ def test_enumerate_aut_matches_node_by_node_search(g):
     want, nodes = dfs_search(g, g, gens, cands, orders, orders)
     got = enumerate_aut(g)
     assert [m.images.tolist() for m in got] == [w.tolist() for w in want]
+    block = _aut_images(g)
+    assert block.dtype == np.int32 and block.shape == (len(got), g.order)
+    assert block.tobytes() == b"".join(m._bytes for m in got)
     search = _Search(g, g, gens, cands, np.asarray(orders), np.asarray(orders), 10**8)
     search.run()
     assert search.nodes == nodes
