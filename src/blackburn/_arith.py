@@ -61,31 +61,51 @@ def perm_order(perm: np.ndarray) -> int:
     return out
 
 
-def block_power(block: np.ndarray, times: int) -> np.ndarray:
-    """Every row of a permutation block composed with itself `times` times.
+def orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """The least member of each point's orbit under the group generated by
+    the rows of `perms`, permutations of 0..n-1.
 
-    The block form of perm_power: one gather per squaring step for all rows.
+    Labels start as the points themselves.  Each generator pulls the smaller
+    label back along its arrows (lab = min(lab, lab[perm])), and lab =
+    lab[lab] jumps to the label's own label, until nothing changes.  A label
+    stays a member of its point's orbit and never grows.  At the fixed point
+    lab[x] <= lab[perm[x]] for every x and generator, so the label is
+    constant on each cycle of each generator, hence on each orbit, and
+    there it is the least member m, since lab[m] <= m.
     """
-    out = np.broadcast_to(np.arange(block.shape[1], dtype=block.dtype), block.shape)
-    base = block
-    while times:
-        if times & 1:
-            out = np.take_along_axis(base, out, axis=1)
-        base = np.take_along_axis(base, base, axis=1)
-        times >>= 1
-    return np.array(out)  # a fresh array, also when times == 0
+    perms = np.asarray(perms, dtype=np.intp)
+    lab = np.arange(perms.shape[1])
+    while True:
+        new = lab
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
-def p_power_rows(block: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of the rows of a permutation block that have p-power order.
+def p_power_rows(block: np.ndarray, p: int, points) -> np.ndarray:
+    """Boolean mask of the rows of a permutation block that have p-power
+    order, for rows that are each determined by their images of `points`
+    (all points for arbitrary permutations; a basis for automorphisms of an
+    abelian group).
 
     A permutation of degree n has p-power order exactly when every cycle
     length is a power of p.  Each such length is at most n, so it divides
-    the largest power of p not above n, and the row's p-power order shows as
-    that power of the row being the identity.
+    the largest power p^e of p not above n, and the row's p-power order
+    shows as its p^e-th power being the identity, that is, fixing each of
+    the points.  The points are walked p^e steps along every row at once,
+    one (rows x |points|) gather per step.
     """
     n = block.shape[1]
     exponent = 1
     while exponent * p <= n:
         exponent *= p
-    return (block_power(block, exponent) == np.arange(n)).all(axis=1)
+    points = np.asarray(points, dtype=np.intp)
+    flat = block.ravel()
+    offsets = np.arange(0, block.size, n)[:, None]  # row i starts at i * n
+    cur = np.broadcast_to(points, (block.shape[0], points.size))
+    for _ in range(exponent):
+        cur = flat[cur + offsets]
+    return (cur == points).all(axis=1)

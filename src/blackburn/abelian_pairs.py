@@ -10,10 +10,11 @@ Enumeration strategy.  The hypotheses and the conclusion depend only on the
 cyclic group <alpha>, and conjugating a valid pair by any automorphism gives
 a valid pair again, so one generator per Aut-conjugacy class of cyclic
 p-power-order subgroups suffices.  Small automorphism groups are enumerated
-outright as one block of images; the p-power-order rows are found by one
-block power, and each class representative is conjugated by the whole block
-at once.  The per-group counts stay those of checking every cyclic subgroup
-<alpha> in turn: they are class-weighted totals (see PairStats).  For
+outright as one block of images; the p-power-order rows are found by
+walking the generators' images along every row at once, and each class
+representative is conjugated by the whole block at once.  The per-group
+counts stay those of checking every cyclic subgroup <alpha> in turn: they
+are class-weighted totals (see PairStats).  For
 elementary abelian groups whose GL is too large to enumerate, the
 p-power-order automorphisms are exactly the unipotent matrices, one
 conjugacy class per Jordan type; the harness checks the block-diagonal
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, p_power_rows, perm_power
+from ._arith import is_p_power, is_prime, orbit_labels, p_power_rows, perm_power
 from .autos import _aut_images
 from .core import Group
 from .errors import CounterexampleFound
@@ -100,21 +101,6 @@ def gl_order(p: int, r: int) -> int:
 # -- candidates for a fixed alpha ----------------------------------------------
 
 
-def _orbit_ids(perm: np.ndarray) -> np.ndarray:
-    n = perm.size
-    cid = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for i in range(n):
-        if cid[i] >= 0:
-            continue
-        j = i
-        while cid[j] < 0:
-            cid[j] = count
-            j = int(perm[j])
-        count += 1
-    return cid
-
-
 @dataclass
 class PairStats:
     """Counts for one abelian group.
@@ -141,7 +127,7 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
     """Check every beta valid for <alpha>; returns a counterexample or None."""
     n = group.order
     t = group.table.astype(np.int64)
-    orbit_id = _orbit_ids(alpha)
+    orbit = orbit_labels(alpha[None])  # the least member of each <alpha>-orbit
     powers = [np.arange(n, dtype=np.int64)]
     cur = alpha.astype(np.int64)
     while not np.array_equal(cur, powers[0]):
@@ -172,7 +158,7 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
             for _ in range(fi - 1):
                 pw.append(group.mul(pw[-1], int(img)))
             beta = t[beta, np.asarray(pw, dtype=np.int64)[d % fi]]
-        if not np.array_equal(orbit_id[beta], orbit_id):
+        if not np.array_equal(orbit[beta], orbit):
             continue  # not pointwise a power of alpha
         if not np.array_equal(beta[alpha], alpha[beta]):
             continue
@@ -198,10 +184,12 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
 
 def _aut_block(group: Group, p: int) -> tuple:
     """Aut(G) as one int32 (|Aut| x n) block of images, the mask of its
-    p-power-order rows, and the block of inverses."""
+    p-power-order rows, and the block of inverses.  An automorphism is
+    determined by its images of the generators, so only their columns decide
+    the mask."""
     n = group.order
     auts = _aut_images(group)
-    p_rows = p_power_rows(auts, p)
+    p_rows = p_power_rows(auts, p, group.generating_sequence())
     inv = np.empty_like(auts)
     inv[np.arange(len(auts))[:, None], auts] = np.arange(n, dtype=auts.dtype)
     return auts, p_rows, inv
@@ -260,7 +248,7 @@ def _exhaustive_classes(group: Group, basis, p: int):
             if g.tobytes() not in covered:  # else conjugate to an earlier generator
                 covered.update(_conjugates(auts, inv, g))
         per_subgroup = sum(g.tobytes() in first for g in gens)
-        orbit = _orbit_ids(u)
+        orbit = orbit_labels(u[None])
         orbit_size = np.bincount(orbit)[orbit]
         sigmas = np.fromiter(first.values(), dtype=np.intp, count=len(first))
         products = orbit_size[inv[sigmas[:, None], basis]].prod(axis=1)

@@ -359,6 +359,24 @@ def _aut_images(g: Group, *, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     return _Search(g, g, gens, cands, orders, orders, budget).run()
 
 
+# Elements per (rows x n x n) homomorphism check in _automorphism_rows.
+HOMOMORPHISM_ELEMENTS = 1 << 20
+
+
+def _automorphism_rows(g: Group, block: np.ndarray) -> np.ndarray:
+    """For each row of a (maps x n) block of images, whether it is an
+    automorphism of g: the block form of GroupMap.is_automorphism.  Rows
+    are bijective when sorting gives 0..n-1, and f(x y) == f(x) f(y) is
+    checked on all (x, y) for a chunk of rows at a time."""
+    t, n = g.table, g.order
+    ok = (np.sort(block, axis=1) == np.arange(n)).all(axis=1)
+    step = max(1, HOMOMORPHISM_ELEMENTS // (n * n))
+    for lo in range(0, len(block), step):
+        f = block[lo : lo + step]
+        ok[lo : lo + step] &= (f[:, t] == t[f[:, :, None], f[:, None, :]]).all(axis=(1, 2))
+    return ok
+
+
 def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Optional[GroupMap]:
     """An isomorphism g -> h found by order-matched image search, or None."""
     if g.order != h.order:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, perm_order, prime_divisors
+from ._arith import is_p_power, is_prime, orbit_labels, perm_order, prime_divisors
 from .errors import (
     BadParams,
     NoIdentity,
@@ -31,6 +31,9 @@ SUBGROUP_ENUM_CAP = 128
 # Largest order at which a table that fails the associativity check is
 # scanned in full, so that the error names its first failing (a, b, c).
 FULL_ASSOC_LIMIT = 512
+# Largest order whose conjugacy classes are read off the full conjugation
+# block (n^2 entries); above it, labels propagate over the generators.
+CLASS_BLOCK_LIMIT = 128
 
 
 class Group:
@@ -146,28 +149,40 @@ class Group:
         return bool(np.array_equal(self.table, self.table.T))
 
     def conjugacy_classes(self) -> list:
-        """Conjugation orbits as sorted index arrays, ordered by least member."""
+        """Conjugation orbits as sorted read-only int32 index arrays, ordered
+        by least member."""
         if self._classes is None:
-            T, inv, n = self.table, self.inverses, self.order
-            g = np.arange(n)
-            cid = np.full(n, -1, dtype=np.int32)
-            classes = []
-            for i in range(n):
-                if cid[i] >= 0:
-                    continue
-                members = np.unique(T[inv, T[i, g]])
-                cid[members] = len(classes)
-                classes.append(members)
-            cid.flags.writeable = False
-            size = np.asarray([c.size for c in classes], dtype=np.int64)
-            size.flags.writeable = False
-            self._classes = classes
-            self._class_id = cid
-            self._class_size = size
+            cid = self.class_ids()
+            # a stable sort keeps each class's members ascending
+            members = np.argsort(cid, kind="stable").astype(np.int32)
+            members.flags.writeable = False
+            ends = np.cumsum(self._class_size).tolist()
+            self._classes = [members[a:b] for a, b in zip([0, *ends], ends)]
         return self._classes
 
     def class_ids(self) -> np.ndarray:
-        self.conjugacy_classes()
+        """The number of each element's conjugacy class, counting classes in
+        order of their least member; also caches the class sizes.
+
+        Each element is first labelled with the least member of its class.
+        Up to CLASS_BLOCK_LIMIT that is the column minimum of the (n x n)
+        conjugation block; above it, `orbit_labels` propagates labels over
+        the conjugations by the generators, whose orbits are the classes.
+        A class's number is the rank of its label among the labels.
+        """
+        if self._class_id is None:
+            T, inv, n = self.table, self.inverses, self.order
+            if n <= CLASS_BLOCK_LIMIT:
+                lab = T[inv[:, None], T.T].min(axis=0)  # row g: x -> g^-1 x g
+            else:
+                gens = self.generating_sequence()
+                lab = orbit_labels(T[inv[gens][:, None], T[:, gens].T])
+            cid = (np.cumsum(lab == np.arange(n)) - 1)[lab].astype(np.int32)
+            cid.flags.writeable = False
+            size = np.bincount(cid)
+            size.flags.writeable = False
+            self._class_id = cid
+            self._class_size = size
         return self._class_id
 
     def centralizer(self, xs: Iterable[int]) -> "Subgroup":
@@ -368,10 +383,9 @@ class Group:
 
     def is_normal(self, sub: "Subgroup") -> bool:
         """True when the members form a union of conjugacy classes."""
-        if self._class_size is None:
-            self.conjugacy_classes()
+        cid = self.class_ids()
         hit = np.zeros(self._class_size.size, dtype=bool)
-        hit[self._class_id[sub.members]] = True
+        hit[cid[sub.members]] = True
         return int(self._class_size[hit].sum()) == sub.members.size
 
     def sylow(self, p: int) -> "Subgroup":

@@ -18,10 +18,11 @@ import numpy as np
 from . import abelian_pairs, classify
 from ._arith import prime_divisors
 from .autos import (
+    _aut_images,
+    _automorphism_rows,
     enumerate_aut,
     enumerate_autc,
     find_min_stabilizer_point,
-    is_class_preserving,
     outc_trivial,
 )
 from .catalog import CATALOG, builtin, cyclic, elementary_abelian
@@ -479,15 +480,21 @@ def coprime_action_witnesses() -> SuiteResult:
 
 def autc_oracle(max_order: int = QUICK_MAX_ORDER) -> SuiteResult:
     """Class-constrained enumeration equals brute-force Aut filtered by the
-    class-preserving predicate, on every catalog group within the cap."""
+    class-preserving predicate, on every catalog group within the cap.  Both
+    sets of maps are checked as whole blocks: every row an automorphism, and
+    class-preserving when its class ids equal the group's."""
     col = _Collector("autc-vs-aut-filter")
     for name, g in _catalog_groups(max_order):
         maps, rep = enumerate_autc(g)
-        brute = {m._bytes for m in enumerate_aut(g) if is_class_preserving(g, m)}
+        autc = np.stack([m.images for m in maps])
+        brute = _aut_images(g)
+        cid = g.class_ids()
+        kept = {row.tobytes() for row in brute[(cid[brute] == cid).all(axis=1)]}
         col.case(f"{name}: enumeration matches filter",
-                 {m._bytes for m in maps} == brute and rep.autc_order == len(brute),
+                 bool(_automorphism_rows(g, brute).all())
+                 and {row.tobytes() for row in autc} == kept and rep.autc_order == len(kept),
                  lambda: dump_cayley(g))
-        ok_maps = all(m.is_automorphism() and is_class_preserving(g, m) for m in maps)
+        ok_maps = bool((_automorphism_rows(g, autc) & (cid[autc] == cid).all(axis=1)).all())
         col.case(f"{name}: every map verified", ok_maps, lambda: dump_cayley(g))
     return col.result()
 

@@ -10,8 +10,10 @@ conjugating the subset with every element of G, O_p(G) by intersecting
 every conjugate of a Sylow subgroup, the generator-image search one node
 at a time and over every conjugate of the first generator, innerness by a
 set of generator-image tuples, the row-by-row parsers and table checks,
-cosets numbered by an element loop, and powers of a map by single
-compositions.
+cosets numbered by an element loop, powers of a map by single
+compositions, conjugacy classes by one np.unique per class, and orbits by
+walking cycles or by a breadth-first search.  sympy's permutation groups
+are an outside oracle for the class count and the center.
 """
 
 from unittest import mock
@@ -22,16 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blackburn._arith import (
-    block_power,
     is_p_power,
     is_prime,
+    orbit_labels,
     p_power_rows,
     perm_order,
     perm_power,
     prime_divisors,
 )
+from blackburn.abelian_pairs import abelian_group
+from blackburn import autos
 from blackburn.autos import (
     _aut_images,
+    _automorphism_rows,
     _inner_mask,
     _is_inner,
     _Search,
@@ -44,7 +49,15 @@ from blackburn.autos import (
 )
 from blackburn.catalog import CATALOG, builtin, cyclic
 from blackburn.classify import r_of
-from blackburn.core import FULL_ASSOC_LIMIT, Group, GroupMap, Subgroup, identity_map, validate_group
+from blackburn.core import (
+    CLASS_BLOCK_LIMIT,
+    FULL_ASSOC_LIMIT,
+    Group,
+    GroupMap,
+    Subgroup,
+    identity_map,
+    validate_group,
+)
 from blackburn.counterexample import build_witness, extend_witness
 from blackburn.errors import (
     GroupError,
@@ -67,16 +80,67 @@ LATTICE_NAMES = [e.name for e in CATALOG if e.order <= 128]
 SEARCH_NAMES = [e.name for e in CATALOG if e.order <= 32]
 # brute-force Aut of e16 and q8xc4 takes 9k-41k nodes, too many for the oracle
 AUT_NAMES = [n for n in SEARCH_NAMES if n not in ("e16", "q8xc4")]
+# the order-243 group of the p = 3 witness, beside the catalog names
+WITNESS_243 = "witness-243"
 _GROUPS: dict = {}
 
 
 def _group(name: str) -> Group:
     if name not in _GROUPS:
-        _GROUPS[name] = builtin(name)
+        _GROUPS[name] = build_witness(3).g_group if name == WITNESS_243 else builtin(name)
     return _GROUPS[name]
 
 
 # -- oracles ------------------------------------------------------------------
+
+
+def old_conjugacy_classes(g: Group) -> tuple:
+    """The classes, one np.unique of the conjugates of each element not yet
+    classed, in order of least member; and each element's class number."""
+    T, inv, n = g.table, g.inverses, g.order
+    cid = np.full(n, -1, dtype=np.int32)
+    classes = []
+    for i in range(n):
+        if cid[i] >= 0:
+            continue
+        members = np.unique(T[inv, T[i, np.arange(n)]])
+        cid[members] = len(classes)
+        classes.append(members)
+    return classes, cid
+
+
+def old_orbit_ids(perm: np.ndarray) -> np.ndarray:
+    """The orbits of one permutation numbered by least member, by walking
+    each cycle from its least member."""
+    n = perm.size
+    cid = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if cid[i] >= 0:
+            continue
+        j = i
+        while cid[j] < 0:
+            cid[j] = count
+            j = int(perm[j])
+        count += 1
+    return cid
+
+
+def old_orbit_minima(perms: list, n: int) -> np.ndarray:
+    """The least member of each point's orbit under a list of permutations,
+    by a breadth-first search from every point."""
+    out = np.empty(n, dtype=np.int64)
+    for x in range(n):
+        orbit = {x}
+        queue = [x]
+        for y in queue:
+            for perm in perms:
+                z = int(perm[y])
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        out[x] = min(orbit)
+    return out
 
 
 def old_closure(g: Group, seed) -> np.ndarray:
@@ -725,6 +789,145 @@ def test_inverses_are_two_sided(g):
     assert (g.table[x, inv] == 0).all() and (g.table[inv, x] == 0).all()
 
 
+def check_classes(g: Group) -> None:
+    """Class numbers, sizes and lists equal the element loop's: read-only
+    int32 arrays, each sorted, listed by least member."""
+    want, want_cid = old_conjugacy_classes(g)
+    cid = g.class_ids()
+    assert cid.dtype == np.int32 and not cid.flags.writeable
+    assert np.array_equal(cid, want_cid)
+    assert g._class_size.tolist() == [c.size for c in want]
+    classes = g.conjugacy_classes()
+    assert len(classes) == len(want)
+    for got, c in zip(classes, want):
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, c)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_conjugacy_classes_match_the_element_loop(data):
+    g = data.draw(groups([*LATTICE_NAMES, WITNESS_243]))
+    # normality needs the class numbers only, never the class list
+    fresh = Group(g.table)
+    mem = data.draw(subsets(g))
+    _, cid = old_conjugacy_classes(g)
+    union = np.isin(cid, cid[mem]).sum() == mem.size
+    assert fresh.is_normal(Subgroup._trusted(fresh, mem)) == union
+    assert fresh._classes is None
+    check_classes(fresh)
+    check_classes(g)
+
+
+def relabelled(g: Group, seed: int) -> Group:
+    """g with its non-identity elements permuted at random."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return Group(table)
+
+
+def test_conjugacy_classes_match_the_element_loop_above_the_block_limit():
+    """S6, Q256 and both witness groups, as built and relabelled: all above
+    CLASS_BLOCK_LIMIT, so their labels come from the generators."""
+    bundle = extend_witness(build_witness(3))
+    s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
+    large = [s6, builtin("generalized_quaternion(256)"), bundle.g_group, bundle.ga_group]
+    for g in large:
+        assert g.order > CLASS_BLOCK_LIMIT
+        for h in (Group(g.table), relabelled(g, g.order)):
+            check_classes(h)
+
+
+@settings(max_examples=60)
+@given(groups(LATTICE_NAMES))
+def test_orbit_labels_of_the_generators_are_the_class_minima(g):
+    """The route above CLASS_BLOCK_LIMIT, run where the conjugation block
+    gives the least member of every class directly."""
+    t, inv = g.table, g.inverses
+    gens = g.generating_sequence()
+    want = t[inv[:, None], t.T].min(axis=0)  # row a: x -> a^-1 x a
+    assert np.array_equal(orbit_labels(t[inv[gens][:, None], t[:, gens].T]), want)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 40), st.data())
+def test_orbit_labels_match_the_cycle_walk(k, data):
+    perms = [np.asarray(data.draw(st.permutations(range(k))), dtype=np.int32)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    # one permutation: the labels rank to the orbit numbers of the cycle walk
+    lab = orbit_labels(perms[0][None])
+    assert np.array_equal((np.cumsum(lab == np.arange(k)) - 1)[lab], old_orbit_ids(perms[0]))
+    assert np.array_equal(orbit_labels(np.asarray(perms)), old_orbit_minima(perms, k))
+
+
+def test_orbit_labels_of_one_long_cycle():
+    cycle = np.random.default_rng(2187).permutation(2187)
+    perm = np.empty(2187, dtype=np.int32)
+    perm[cycle] = np.roll(cycle, -1)
+    assert not orbit_labels(perm[None]).any()
+    assert not old_orbit_ids(perm).any()
+    perm[cycle[[2, -1]]] = cycle[[0, 3]]  # split off a 3-cycle
+    lab = orbit_labels(perm[None])
+    assert np.array_equal((np.cumsum(lab == np.arange(2187)) - 1)[lab], old_orbit_ids(perm))
+
+
+@pytest.mark.parametrize("factors", [[4, 2], [2, 2, 2], [8, 2], [4, 4], [4, 2, 2], [3, 3],
+                                     [9, 3], [5, 5]])
+def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
+    """On real Aut(A) blocks, the mask from the generators' columns (or the
+    basis columns) equals the order of each full row, for the group's prime
+    and for others."""
+    group, basis, _ = abelian_group(factors)
+    auts = _aut_images(group)
+    orders = [perm_order(row) for row in auts]
+    for p in (2, 3, 5):
+        want = [is_p_power(k, p) for k in orders]
+        assert p_power_rows(auts, p, group.generating_sequence()).tolist() == want
+        assert p_power_rows(auts, p, basis).tolist() == want
+
+
+def test_classes_match_sympy_on_the_catalog():
+    """sympy as an outside oracle: the right regular representation of each
+    catalog group has as many classes, and as large a center, as found here."""
+    combinatorics = pytest.importorskip(
+        "sympy.combinatorics", reason="sympy is the outside oracle for conjugacy classes")
+    for entry in CATALOG:
+        g = entry.build()
+        # x -> x * gen for each generator; the trivial group gets the identity
+        perms = [combinatorics.Permutation(g.table[:, gen].tolist())
+                 for gen in g.generating_sequence()] or [combinatorics.Permutation([0])]
+        pg = combinatorics.PermutationGroup(perms)
+        sizes = np.bincount(g.class_ids())
+        assert pg.order() == g.order
+        assert len(pg.conjugacy_classes()) == len(g.conjugacy_classes()) == sizes.size
+        assert pg.center().order() == np.count_nonzero(sizes == 1)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_automorphism_rows_match_the_one_map_predicates(data):
+    """The block checks of the autc oracle suite against GroupMap.is_automorphism
+    and is_class_preserving, on automorphisms, the trivial endomorphism,
+    arbitrary image lists and bijections, in chunks of any size."""
+    g = data.draw(groups(SEARCH_NAMES))
+    rows = [m.images for m in enumerate_autc(g)[0]] + [np.zeros(g.order, dtype=np.int32)]
+    rows += [np.asarray(data.draw(st.permutations(range(g.order))), dtype=np.int32)
+             for _ in range(data.draw(st.integers(0, 3)))]
+    rows += [np.asarray(data.draw(elements(g, min_size=g.order, max_size=g.order)), dtype=np.int32)
+             for _ in range(data.draw(st.integers(0, 2)))]
+    block = np.asarray(rows, dtype=np.int32)
+    maps = [GroupMap(g, g, row) for row in block]
+    want = [m.is_automorphism() for m in maps]
+    chunk = data.draw(st.sampled_from([1, g.order * g.order, autos.HOMOMORPHISM_ELEMENTS]))
+    with mock.patch.object(autos, "HOMOMORPHISM_ELEMENTS", chunk):
+        assert _automorphism_rows(g, block).tolist() == want
+    cid = g.class_ids()
+    preserving = (cid[block] == cid).all(axis=1)
+    assert [bool(c) for c, a in zip(preserving, want) if a] == [
+        is_class_preserving(g, m) for m, a in zip(maps, want) if a]
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_p_part_normalize_matches_single_compositions(data):
@@ -943,14 +1146,10 @@ def test_arith_helpers_match_their_definitions(n, p, data):
 
 @settings(max_examples=150)
 @given(st.integers(1, 12), st.sampled_from(PRIMES), st.data())
-def test_block_power_and_p_power_rows_match_row_by_row(k, p, data):
+def test_p_power_rows_match_row_by_row(k, p, data):
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
     rows = data.draw(st.lists(st.permutations(range(k)), max_size=10))
     block = np.asarray(rows, dtype=dtype).reshape(len(rows), k)
-    times = data.draw(st.integers(0, 300))
-    got = block_power(block, times)
-    assert got.dtype == dtype and got.shape == block.shape
-    for row, power in zip(block, got):
-        assert np.array_equal(power, perm_power(row, times))
-    mask = p_power_rows(block, p)
+    # an arbitrary permutation is determined by its images of all points
+    mask = p_power_rows(block, p, np.arange(k))
     assert mask.tolist() == [is_p_power(perm_order(row), p) for row in block]
