@@ -85,27 +85,24 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
         lab = new
 
 
-def p_power_rows(block: np.ndarray, p: int, points) -> np.ndarray:
-    """Boolean mask of the rows of a permutation block that have p-power
-    order, for rows that are each determined by their images of `points`
-    (all points for arbitrary permutations; a basis for automorphisms of an
-    abelian group).
+def cycle_lengths(block: np.ndarray, points) -> np.ndarray:
+    """The (rows x |points|) array of the lengths of the cycles through
+    `points` in each row of a block of permutations: the first step at which
+    each point returns to itself.
 
-    A permutation of degree n has p-power order exactly when every cycle
-    length is a power of p.  Each such length is at most n, so it divides
-    the largest power p^e of p not above n, and the row's p-power order
-    shows as its p^e-th power being the identity, that is, fixing each of
-    the points.  The points are walked p^e steps along every row at once,
-    one (rows x |points|) gather per step.
+    The points are walked along every row at once, one (rows x |points|)
+    gather per step, until every point has returned, so the walk takes as
+    many steps as the longest cycle met.  Rows must be permutations; any
+    other row may never bring a point back.
     """
     n = block.shape[1]
-    exponent = 1
-    while exponent * p <= n:
-        exponent *= p
-    points = np.asarray(points, dtype=np.intp)
     flat = block.ravel()
     offsets = np.arange(0, block.size, n)[:, None]  # row i starts at i * n
-    cur = np.broadcast_to(points, (block.shape[0], points.size))
-    for _ in range(exponent):
-        cur = flat[cur + offsets]
-    return (cur == points).all(axis=1)
+    start = np.asarray(points, dtype=np.intp) + offsets
+    lengths = np.zeros(start.shape, dtype=np.intp)
+    cur, away = start, np.ones(start.shape, dtype=bool)
+    while away.any():
+        lengths += away
+        cur = flat[cur] + offsets
+        away &= cur != start
+    return lengths

@@ -10,9 +10,12 @@ Enumeration strategy.  The hypotheses and the conclusion depend only on the
 cyclic group <alpha>, and conjugating a valid pair by any automorphism gives
 a valid pair again, so one generator per Aut-conjugacy class of cyclic
 p-power-order subgroups suffices.  Small automorphism groups are enumerated
-outright as one block of images; the p-power-order rows are found by
-walking the generators' images along every row at once, and each class
-representative is conjugated by the whole block at once.  The per-group
+outright as one block of images.  An automorphism is determined by its
+images of the basis, so the block is read there: the cycle lengths of every
+row at the basis give its order and its candidate count, and one int64 key
+per row (its basis images in radix n) names it.  The class of <u> is the set
+of rows whose keys are among the conjugates of the generators of <u>, which
+are gathered at the basis for the whole block at once.  The per-group
 counts stay those of checking every cyclic subgroup <alpha> in turn: they
 are class-weighted totals (see PairStats).  For
 elementary abelian groups whose GL is too large to enumerate, the
@@ -25,18 +28,21 @@ in the test suite.
 Given alpha, candidate betas are found without scanning Aut(G): beta must
 send each basis element into its <alpha>-orbit, and a choice of orbit images
 determines at most one endomorphism, automatically well defined because
-orbit members share the basis element's order.
+orbit members share the basis element's order.  All the candidates for one
+alpha are built as one block, and each hypothesis is checked on the whole
+block at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, orbit_labels, p_power_rows, perm_power
+from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, perm_power
 from .autos import _aut_images
 from .core import Group
 from .errors import CounterexampleFound
@@ -122,99 +128,90 @@ class PairStats:
     pairs: int = 0
 
 
+def _p_power_rows(lengths: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Mask of the rows of a cycle_lengths array whose lengths are all powers
+    of p.  A length is at most n, so it is a power of p exactly when it
+    divides the largest power of p not above n."""
+    top = p
+    while top * p <= n:
+        top *= p
+    return (top % lengths == 0).all(axis=1)
+
+
 def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
                      stats: PairStats) -> Optional[np.ndarray]:
-    """Check every beta valid for <alpha>; returns a counterexample or None."""
-    n = group.order
-    t = group.table.astype(np.int64)
+    """Check every beta valid for <alpha>; returns a counterexample or None.
+
+    The candidates are one (candidates x n) block.  Candidate c sends b_i to
+    alpha^e_i(b_i), for its exponents e_i along the <alpha>-orbit of b_i in
+    itertools.product order, and g = sum d_i(g) b_i to the sum of the
+    d_i(g)-th powers of those images.  Each check then keeps the rows that
+    pass it; the survivors are automorphisms, so their order and whether
+    they are powers of alpha show at the basis.
+    """
+    n, r = group.order, len(basis)
     orbit = orbit_labels(alpha[None])  # the least member of each <alpha>-orbit
-    powers = [np.arange(n, dtype=np.int64)]
-    cur = alpha.astype(np.int64)
-    while not np.array_equal(cur, powers[0]):
-        powers.append(cur)
-        cur = alpha[cur]
-    power_bytes = {pw.tobytes() for pw in powers}
-    basis_orbits = []
-    for b in basis:
-        orb = [int(b)]
-        x = int(alpha[b])
-        while x != orb[0]:
-            orb.append(x)
-            x = int(alpha[x])
-        basis_orbits.append(orb)
-    max_pstep = 1
-    while p**max_pstep < n:
-        max_pstep += 1
-    ident = powers[0]
+    lengths = np.bincount(orbit)[orbit[basis]]
+    walk = [np.asarray(basis)]  # row k holds alpha^k(b_i)
+    for _ in range(lengths.max() - 1):
+        walk.append(alpha[walk[-1]])
+    exps = np.array(list(itertools.product(*map(range, lengths))), dtype=np.intp)
+    images = np.stack(walk)[exps, np.arange(r)]
     stats.alphas += 1
-    for choice in itertools.product(*basis_orbits):
-        stats.candidates += 1
-        beta = np.zeros(n, dtype=np.int64)
-        for img, d in zip(choice, digits):
-            # beta(g) = sum over factors of digit_i(g) * beta(basis_i); well
-            # defined because orbit members keep the basis element's order
-            fi = group.order_of(int(img))
-            pw = [0]
-            for _ in range(fi - 1):
-                pw.append(group.mul(pw[-1], int(img)))
-            beta = t[beta, np.asarray(pw, dtype=np.int64)[d % fi]]
-        if not np.array_equal(orbit[beta], orbit):
-            continue  # not pointwise a power of alpha
-        if not np.array_equal(beta[alpha], alpha[beta]):
-            continue
-        if np.bincount(beta, minlength=n).max() != 1:
-            continue
-        bp = beta
-        p_order = False
-        for _ in range(max_pstep + 1):
-            if np.array_equal(bp, ident):
-                p_order = True
-                break
-            bp = perm_power(bp, p)
-        if not p_order:
-            continue
-        stats.pairs += 1
-        if beta.tobytes() not in power_bytes:
-            return beta
-    return None
+    stats.candidates += len(exps)
+    t = group.table
+    _, block = group._power_block()
+    powers = np.concatenate([np.zeros((1, n), dtype=t.dtype), block])  # row j holds x^j
+    betas = powers[digits[0], images[:, :1]]
+    for i in range(1, r):
+        betas = t[betas, powers[digits[i], images[:, i:i + 1]]]
+    checks = (
+        lambda b: (orbit[b] == orbit).all(axis=1),  # pointwise a power of alpha
+        lambda b: (b[:, alpha] == alpha[b]).all(axis=1),  # commutes with alpha
+        lambda b: (np.sort(b, axis=1) == np.arange(n)).all(axis=1),  # bijective
+        lambda b: _p_power_rows(cycle_lengths(b, basis), p, n),  # p-power order
+    )
+    for check in checks:
+        keep = check(betas)
+        betas, exps = betas[keep], exps[keep]
+    stats.pairs += len(betas)
+    # beta = alpha^k exactly when e_i = k mod |orbit of b_i| for every i
+    alpha_exps = np.arange(math.lcm(*lengths.tolist()))[:, None] % lengths
+    is_power = (exps[:, None, :] == alpha_exps).all(axis=2).any(axis=1)
+    bad = np.flatnonzero(~is_power)
+    return betas[bad[0]] if bad.size else None
 
 
 # -- alpha representatives -------------------------------------------------------
 
 
-def _aut_block(group: Group, p: int) -> tuple:
-    """Aut(G) as one int32 (|Aut| x n) block of images, the mask of its
-    p-power-order rows, and the block of inverses.  An automorphism is
-    determined by its images of the generators, so only their columns decide
-    the mask."""
-    n = group.order
-    auts = _aut_images(group)
-    p_rows = p_power_rows(auts, p, group.generating_sequence())
-    inv = np.empty_like(auts)
-    inv[np.arange(len(auts))[:, None], auts] = np.arange(n, dtype=auts.dtype)
-    return auts, p_rows, inv
+def _conjugacy(auts: np.ndarray, basis):
+    """For the block of all of Aut(G), the function taking a (k x n) block of
+    automorphisms xs to the mask of the rows of auts conjugate to a row of xs.
 
-
-# Elements per gather in _conjugates, which bounds its temporaries.
-CONJUGATE_ELEMENTS = 1 << 17
-
-
-def _conjugates(auts: np.ndarray, inv: np.ndarray, x: np.ndarray) -> dict:
-    """The distinct rows sigma x sigma^-1 = S[sigma, x[S^-1[sigma]]], as bytes,
-    each with the first sigma in block order that gives it."""
+    An automorphism is determined by its images of the basis, so each row is
+    keyed by one int64, sum img[b_i] n^i (exact while n^|basis| < 2^63, far
+    beyond any Aut(G) that can be enumerated).  The conjugates sigma x sigma^-1
+    send b to S[sigma, x[S^-1[sigma, b]]]: one (k x |Aut| x |basis|) gather,
+    whose keys are looked up among the sorted keys of the block.
+    """
     m, n = auts.shape
-    row = np.dtype((np.void, auts.itemsize * n))
-    step = max(1, CONJUGATE_ELEMENTS // n)
-    first: dict = {}
-    for lo in range(0, m, step):
-        flat_index = x[inv[lo:lo + step]]
-        flat_index += np.arange(lo * n, lo * n + flat_index.size, n,
-                                dtype=flat_index.dtype)[:, None]
-        keys = auts.ravel()[flat_index].view(row).ravel().tolist()
-        block = dict(zip(reversed(keys), range(lo + len(keys) - 1, lo - 1, -1)))
-        block.update(first)  # an earlier sigma wins
-        first = block
-    return first
+    weights = n ** np.arange(len(basis), dtype=np.int64)
+    keys = auts[:, basis] @ weights
+    rank = np.argsort(keys)
+    inv = np.empty_like(auts)
+    inv[np.arange(m)[:, None], auts] = np.arange(n, dtype=auts.dtype)
+    inv_basis = inv[:, basis]
+    offsets = np.arange(0, auts.size, n)[:, None]  # row sigma starts at sigma * n
+    flat = auts.ravel()
+
+    def conjugates(xs: np.ndarray) -> np.ndarray:
+        at_basis = flat[xs[:, inv_basis] + offsets]
+        mask = np.zeros(m, dtype=bool)
+        mask[rank[np.searchsorted(keys, at_basis @ weights, sorter=rank)]] = True
+        return mask
+
+    return conjugates
 
 
 def _exhaustive_classes(group: Group, basis, p: int):
@@ -225,35 +222,25 @@ def _exhaustive_classes(group: Group, basis, p: int):
     and candidates is the class total of the count that _pairs_for_alpha
     makes for one generator of each subgroup.
 
-    Each subgroup of the class holds the same number j of conjugates of u
-    (sigma carries those in <u> onto those in sigma<u>sigma^-1), so the class
-    has (distinct conjugates of u) / j subgroups.  The
-    <sigma u sigma^-1>-orbit of b is sigma applied to the <u>-orbit of
-    sigma^-1(b), so the candidate count of sigma<u>sigma^-1 is the product of
-    the <u>-orbit sizes at the points sigma^-1(b_i).
+    Aut(G) is one block of images, and the cycle lengths of its rows at the
+    basis give each row's p-power order and its candidate count (the
+    product of its basis orbit sizes).  The rows conjugate to the generators
+    u^k (k prime to p) of <u> are exactly the phi(|u|) generators of each
+    subgroup in the class, which share their orbits, so both totals are
+    sums over those rows divided by phi(|u|).
     """
-    auts, p_rows, inv = _aut_block(group, p)
-    ident = np.arange(group.order, dtype=auts.dtype)
-    covered: set = set()  # every generator of every subgroup already classed
-    for u in auts[p_rows]:
-        if u.tobytes() in covered:
-            continue
-        powers = [u]  # u^1 .. u^|u|
-        while not np.array_equal(powers[-1], ident):
-            powers.append(u[powers[-1]])
-        gens = [g for k, g in enumerate(powers, 1) if k % p]
-        first = _conjugates(auts, inv, u)
-        covered.update(first)
-        for g in gens[1:]:
-            if g.tobytes() not in covered:  # else conjugate to an earlier generator
-                covered.update(_conjugates(auts, inv, g))
-        per_subgroup = sum(g.tobytes() in first for g in gens)
-        orbit = orbit_labels(u[None])
-        orbit_size = np.bincount(orbit)[orbit]
-        sigmas = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        products = orbit_size[inv[sigmas[:, None], basis]].prod(axis=1)
-        yield (u.astype(np.int64), len(first) // per_subgroup,
-               int(products.sum()) // per_subgroup)
+    auts = _aut_images(group)
+    lengths = cycle_lengths(auts, basis)
+    products = lengths.prod(axis=1)
+    covered = ~_p_power_rows(lengths, p, group.order)  # only p-power rows are classed
+    conjugates = _conjugacy(auts, basis)
+    while not covered.all():
+        row = int(np.argmin(covered))  # the least row not yet classed
+        gens = [k for k in range(1, int(lengths[row].max()) + 1) if k % p]
+        members = conjugates(np.stack([perm_power(auts[row], k) for k in gens]))
+        covered |= members
+        yield (auts[row], int(members.sum()) // len(gens),
+               int(products[members].sum()) // len(gens))
 
 
 def is_elementary(factors: Sequence[int]) -> bool:
@@ -336,7 +323,9 @@ def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
                 report.counterexample = (tuple(factors), alpha.tolist(), bad.tolist())
                 report.stats.append(stats)
                 raise CounterexampleFound(
-                    f"pointwise-power pair on {factors} is not a global power")
+                    f"pointwise-power pair on {factors} is not a global power: alpha "
+                    f"sends the basis {basis} to {alpha[basis].tolist()}, beta to "
+                    f"{bad[basis].tolist()}")
         report.stats.append(stats)
     return report
 

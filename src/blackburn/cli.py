@@ -19,8 +19,9 @@ from typing import List, Optional
 
 from . import classify
 from ._arith import prime_divisors
-from .autos import enumerate_autc
+from .autos import DEFAULT_BUDGET, enumerate_autc
 from .catalog import CATALOG, CATALOG_VERSION
+from .core import DEFAULT_ORDER_CAP
 from .counterexample import SUPPORTED_WITNESS_PRIMES, verify_witness
 from .errors import ClaimFailed, GroupError, ParseError
 from .formats import resolve_source
@@ -183,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="structural report for a group")
     p_classify.add_argument("source", help="builtin name/spec or a cayley/permgen file")
     p_classify.add_argument("--porcelain", action="store_true")
-    p_classify.add_argument("--max-order", type=int, default=65536)
+    p_classify.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
 
     p_autc = sub.add_parser("autc", help="class-preserving automorphism report")
     p_autc.add_argument("source")
     p_autc.add_argument("--porcelain", action="store_true")
-    p_autc.add_argument("--budget", type=int, default=10**8)
+    p_autc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_autc.add_argument("--stats", metavar="FILE", help="write search statistics as JSON")
 
     p_example = sub.add_parser("example", help="verify the witness construction")

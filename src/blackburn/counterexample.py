@@ -182,8 +182,7 @@ class CoordWitness:
             self.f_pows.append(f[self.f_pows[-1]])
         self.x = 1  # coords (1, 0, ..., 0)
         self.z = self.space.scale(self.x, p)
-        self.alpha = self._alpha()
-        self.beta = self._beta()
+        self.alpha, self.beta = self._maps()
 
     def index(self, a, i: int, j: int):
         return (np.asarray(a, dtype=np.int64) * self.p + i) * self.p + j
@@ -197,35 +196,26 @@ class CoordWitness:
         twisted = np.choose((-i1) % self.p, [fp[a2] for fp in self.f_pows])
         return self.index(self.space.add(a1, twisted), (i1 + i2) % self.p, (j1 + j2) % self.p)
 
-    def _xk_sum(self, i: int) -> int:
-        """The A-part of (x*k)^i: x + f^-1(x) + ... + f^-(i-1)(x)."""
-        acc = 0
-        for t in range(i):
-            term = int(self.f_pows[(-t) % self.p][self.x])
-            acc = int(self.space.add(np.asarray([acc]), np.asarray([term]))[0])
-        return acc
+    def _xk_sums(self) -> np.ndarray:
+        """Row i, for i = 0..p, is the value vector of the A-part of (x*k)^i,
+        x + f^-1(x) + ... + f^-(i-1)(x), not yet reduced mod p^2."""
+        terms = self.space.values[[int(self.f_pows[(-t) % self.p][self.x]) for t in range(self.p)]]
+        return np.concatenate([np.zeros_like(terms[:1]), np.cumsum(terms, axis=0)])
 
-    def _alpha(self) -> np.ndarray:
-        out = np.empty(self.size, dtype=np.int64)
-        a = np.arange(self.na, dtype=np.int64)
-        for i in range(self.p):
-            xs = self._xk_sum(i)
-            for j in range(self.p):
-                jz = self.space.scale(self.z, j % self.p)
-                img_a = self.space.add(self.space.add(a, np.full(self.na, xs, dtype=np.int64)),
-                                       np.full(self.na, jz, dtype=np.int64))
-                out[self.index(a, i, j)] = self.index(img_a, i, j)
-        return out
-
-    def _beta(self) -> np.ndarray:
-        out = np.empty(self.size, dtype=np.int64)
-        a = np.arange(self.na, dtype=np.int64)
-        for i in range(self.p):
-            for j in range(self.p):
-                jz = self.space.scale(self.z, j % self.p)
-                img_a = self.space.add(a, np.full(self.na, jz, dtype=np.int64))
-                out[self.index(a, i, j)] = self.index(img_a, i, j)
-        return out
+    def _maps(self) -> tuple:
+        """alpha and beta on every (a, i, j), in index order, from one
+        encode_values: beta adds j*z to a, and alpha adds the A-part of
+        (x*k)^i as well.  beta does not depend on i, so its A-part is
+        encoded once per (a, j)."""
+        p, na, k = self.p, self.na, self.space.k
+        vals = self.space.values
+        beta = vals[:, None] + np.arange(p)[:, None] * vals[self.z]  # [a, j]
+        alpha = beta[:, None] + self._xk_sums()[:p, None]  # [a, i, j]
+        images = self.space.encode_values(np.concatenate([alpha.reshape(-1, k),
+                                                          beta.reshape(-1, k)]))
+        i, j = np.ogrid[:p, :p]
+        return (self.index(images[:self.size].reshape(na, p, p), i, j).ravel(),
+                self.index(images[self.size:].reshape(na, 1, p), i, j).ravel())
 
 
 @dataclass
@@ -397,7 +387,7 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
     order_p, annihilates = _action_properties(space, bundle.base.action, p)
     rep.record("matrix action on A has order p", order_p)
     rep.record("sum of the first p matrix powers annihilates A", annihilates)
-    rep.record("x*k has order p", co._xk_sum(p) == 0)
+    rep.record("x*k has order p", not (co._xk_sums()[p] % space.mod).any())
     fz = int(bundle.base.action[co.z])
     rep.record("z is central of order p in K",
                fz == co.z and space.scale(co.z, p) == 0 and co.z != 0)

@@ -5,13 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blackburn._arith import is_p_power
+from blackburn import abelian_pairs
+from blackburn._arith import cycle_lengths, is_p_power
 from blackburn.abelian_pairs import (
     EXHAUSTIVE_AUT_CAP,
     PairStats,
-    _aut_block,
-    _conjugates,
+    _conjugacy,
     _jordan_alphas,
+    _p_power_rows,
     _pairs_for_alpha,
     abelian_group,
     abelian_scope,
@@ -22,7 +23,7 @@ from blackburn.abelian_pairs import (
     nonabelian_contrast,
     pointwise_power_harness,
 )
-from blackburn.autos import enumerate_aut
+from blackburn.autos import _aut_images, enumerate_aut
 from blackburn.core import GroupMap
 from blackburn.errors import CounterexampleFound
 
@@ -84,22 +85,23 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     Returns (number of classes, p-power-order element count); raises
     CounterexampleFound on any gap.  Feasible only while GL(r, p) is small.
     """
-    group, _, _ = abelian_group([p] * r)
-    auts, p_rows, inv = _aut_block(group, p)
+    group, basis, _ = abelian_group([p] * r)
+    auts = _aut_images(group)
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
-    unipotent = {u.tobytes() for u in auts[p_rows]}
-    covered: set = set()
+    unipotent = _p_power_rows(cycle_lengths(auts, basis), p, group.order)
+    conjugates = _conjugacy(auts, basis)
+    covered = np.zeros(len(auts), dtype=bool)
     classes = 0
     for rep in _jordan_alphas(p, r):
-        rep = rep.astype(auts.dtype)
-        if rep.tobytes() in covered:
+        members = conjugates(rep[None])
+        if (members & covered).any():
             raise CounterexampleFound("two Jordan representatives are conjugate")
-        covered.update(_conjugates(auts, inv, rep))
+        covered |= members
         classes += 1
-    if covered != unipotent:
+    if not np.array_equal(covered, unipotent):
         raise CounterexampleFound("Jordan classes do not cover the unipotent elements")
-    return classes, len(unipotent)
+    return classes, int(unipotent.sum())
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -118,6 +120,19 @@ def test_small_scopes_have_no_counterexample():
     assert rep.ok
     # every valid pair is counted at least once per cyclic <alpha>
     assert all(s.pairs >= 1 for s in rep.stats)
+
+
+def test_counterexample_reaches_the_caller():
+    """A failing pair is named in the error: its group and the basis images
+    of alpha and beta."""
+    def invert(group, basis, digits, alpha, p, stats):
+        return group.inverses  # x -> -x, standing in for a beta outside <alpha>
+
+    with mock.patch.object(abelian_pairs, "_pairs_for_alpha", invert):
+        with pytest.raises(CounterexampleFound) as err:
+            pointwise_power_harness(3, 9)
+    assert str(err.value) == ("pointwise-power pair on [3] is not a global power: alpha "
+                              "sends the basis [1] to [1], beta to [2]")
 
 
 def test_harness_builds_no_group_maps():

@@ -11,11 +11,13 @@ every conjugate of a Sylow subgroup, the generator-image search one node
 at a time and over every conjugate of the first generator, innerness by a
 set of generator-image tuples, the row-by-row parsers and table checks,
 cosets numbered by an element loop, powers of a map by single
-compositions, conjugacy classes by one np.unique per class, and orbits by
-walking cycles or by a breadth-first search.  sympy's permutation groups
-are an outside oracle for the class count and the center.
+compositions, conjugacy classes by one np.unique per class, orbits and
+cycle lengths by walking cycles or by a breadth-first search, and the
+pointwise-power candidate check one beta at a time.  sympy's permutation
+groups are an outside oracle for the class count and the center.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -24,15 +26,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blackburn._arith import (
+    cycle_lengths,
     is_p_power,
     is_prime,
     orbit_labels,
-    p_power_rows,
     perm_order,
     perm_power,
     prime_divisors,
 )
-from blackburn.abelian_pairs import abelian_group
+from blackburn.abelian_pairs import (
+    PairStats,
+    _p_power_rows,
+    _pairs_for_alpha,
+    abelian_group,
+    abelian_scope,
+)
 from blackburn import autos
 from blackburn.autos import (
     _aut_images,
@@ -872,19 +880,109 @@ def test_orbit_labels_of_one_long_cycle():
     assert np.array_equal((np.cumsum(lab == np.arange(2187)) - 1)[lab], old_orbit_ids(perm))
 
 
+def walked_cycle_lengths(perm: np.ndarray, points) -> list:
+    """The length of the cycle through each point, from the cycle walk."""
+    ids = old_orbit_ids(perm)
+    return np.bincount(ids)[ids[points]].tolist()
+
+
 @pytest.mark.parametrize("factors", [[4, 2], [2, 2, 2], [8, 2], [4, 4], [4, 2, 2], [3, 3],
                                      [9, 3], [5, 5]])
 def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
-    """On real Aut(A) blocks, the mask from the generators' columns (or the
-    basis columns) equals the order of each full row, for the group's prime
-    and for others."""
+    """On real Aut(A) blocks, the cycle lengths at every point have the row's
+    order as their lcm, and the p-power rows read from the lengths at the
+    basis are those of p-power order, for the group's prime and for others."""
     group, basis, _ = abelian_group(factors)
     auts = _aut_images(group)
     orders = [perm_order(row) for row in auts]
+    assert np.lcm.reduce(cycle_lengths(auts, np.arange(group.order)), axis=1).tolist() == orders
+    at_basis = cycle_lengths(auts, basis)
+    assert at_basis.tolist() == [walked_cycle_lengths(row, basis) for row in auts]
     for p in (2, 3, 5):
         want = [is_p_power(k, p) for k in orders]
-        assert p_power_rows(auts, p, group.generating_sequence()).tolist() == want
-        assert p_power_rows(auts, p, basis).tolist() == want
+        assert _p_power_rows(at_basis, p, group.order).tolist() == want
+
+
+def old_pairs_for_alpha(group, basis, digits, alpha, p, stats):
+    """The candidate check one beta at a time: each beta built by a Group.mul
+    loop per basis image, its order tested by repeated p-th powers."""
+    n = group.order
+    t = group.table.astype(np.int64)
+    orbit = orbit_labels(alpha[None])
+    powers = [np.arange(n, dtype=np.int64)]
+    cur = alpha.astype(np.int64)
+    while not np.array_equal(cur, powers[0]):
+        powers.append(cur)
+        cur = alpha[cur]
+    power_bytes = {pw.tobytes() for pw in powers}
+    basis_orbits = []
+    for b in basis:
+        orb = [int(b)]
+        x = int(alpha[b])
+        while x != orb[0]:
+            orb.append(x)
+            x = int(alpha[x])
+        basis_orbits.append(orb)
+    max_pstep = 1
+    while p**max_pstep < n:
+        max_pstep += 1
+    ident = powers[0]
+    stats.alphas += 1
+    for choice in itertools.product(*basis_orbits):
+        stats.candidates += 1
+        beta = np.zeros(n, dtype=np.int64)
+        for img, d in zip(choice, digits):
+            fi = group.order_of(int(img))
+            pw = [0]
+            for _ in range(fi - 1):
+                pw.append(group.mul(pw[-1], int(img)))
+            beta = t[beta, np.asarray(pw, dtype=np.int64)[d % fi]]
+        if not np.array_equal(orbit[beta], orbit):
+            continue
+        if not np.array_equal(beta[alpha], alpha[beta]):
+            continue
+        if np.bincount(beta, minlength=n).max() != 1:
+            continue
+        bp = beta
+        p_order = False
+        for _ in range(max_pstep + 1):
+            if np.array_equal(bp, ident):
+                p_order = True
+                break
+            bp = perm_power(bp, p)
+        if not p_order:
+            continue
+        stats.pairs += 1
+        if beta.tobytes() not in power_bytes:
+            return beta
+    return None
+
+
+def cyclic_p_subgroup_generators(group, p):
+    """One generator of each cyclic p-power-order subgroup of Aut(G)."""
+    out, seen = [], set()
+    for row in _aut_images(group).astype(np.int64):
+        if row.tobytes() in seen or not is_p_power(perm_order(row), p):
+            continue
+        out.append(row)
+        cur = row
+        while cur.tobytes() not in seen:
+            seen.add(cur.tobytes())
+            cur = row[cur]
+    return out
+
+
+@pytest.mark.parametrize("p,max_order", [(2, 16), (3, 27), (5, 25)])
+def test_pairs_for_alpha_matches_the_candidate_loop(p, max_order):
+    """The block candidate check gives the loop's counts and verdict on every
+    cyclic <alpha> of every abelian p-group in scope."""
+    for factors in abelian_scope(p, max_order):
+        group, basis, digits = abelian_group(factors)
+        for alpha in cyclic_p_subgroup_generators(group, p):
+            got, want = PairStats(tuple(factors), "exhaustive"), PairStats(tuple(factors), "exhaustive")
+            bad = _pairs_for_alpha(group, basis, digits, alpha, p, got)
+            assert bad is None and old_pairs_for_alpha(group, basis, digits, alpha, p, want) is None
+            assert got == want
 
 
 def test_classes_match_sympy_on_the_catalog():
@@ -1147,9 +1245,14 @@ def test_arith_helpers_match_their_definitions(n, p, data):
 @settings(max_examples=150)
 @given(st.integers(1, 12), st.sampled_from(PRIMES), st.data())
 def test_p_power_rows_match_row_by_row(k, p, data):
+    """cycle_lengths against walks one point at a time, and the p-power rows
+    read from the lengths against perm_order, row by row."""
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
     rows = data.draw(st.lists(st.permutations(range(k)), max_size=10))
     block = np.asarray(rows, dtype=dtype).reshape(len(rows), k)
+    lengths = cycle_lengths(block, np.arange(k))
+    assert lengths.tolist() == [walked_cycle_lengths(row, np.arange(k)) for row in block]
+    assert [int(np.lcm.reduce(ln)) for ln in lengths] == [perm_order(row) for row in block]
     # an arbitrary permutation is determined by its images of all points
-    mask = p_power_rows(block, p, np.arange(k))
+    mask = _p_power_rows(lengths, p, k)
     assert mask.tolist() == [is_p_power(perm_order(row), p) for row in block]
