@@ -32,6 +32,11 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n >= 1; it lies below p**bit_length(n)."""
+    return gcd(n, p ** n.bit_length())
+
+
 def perm_power(perm: np.ndarray, times: int) -> np.ndarray:
     """perm composed with itself `times` times, by squaring; keeps perm's dtype."""
     out = np.arange(perm.size, dtype=perm.dtype)

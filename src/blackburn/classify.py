@@ -7,20 +7,21 @@ defined and nontrivial; for finite groups R(G) is then a cyclic p-group.
 Every subgroup is generated by cyclic subgroups and a join of normal
 subgroups is normal, so each non-normal subgroup contains a non-normal
 cyclic subgroup.  Hence R(G) equals the intersection of the non-normal
-cyclic subgroups, which is what `r_of` computes; the full-lattice variant
-is kept as a test oracle.
+cyclic subgroups, which is what `r_of` computes from
+`Group.normal_cyclics`; the full-lattice variant is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from ._arith import is_p_power, is_prime, prime_divisors
 from .catalog import cyclic, direct_product, elementary_abelian, generalized_quaternion
-from .core import Group, Subgroup, SUBGROUP_ENUM_CAP, _mask_members
+from .core import Group, Subgroup, _mask_members
 from .errors import (
     NoFormMatched,
     NotBlackburn2Group,
@@ -32,6 +33,8 @@ from .errors import (
 UNDEFINED = "undefined"
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
+# Largest order at which the shape of a Blackburn 2-group is matched.
+FORM_ORDER_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -48,28 +51,35 @@ class RStatus:
 
 def is_dedekind(g: Group) -> bool:
     """True when every subgroup is normal; cyclic subgroups suffice."""
-    return all(s.is_normal() for s in g.cyclic_subgroups())
+    return bool(g.normal_cyclics().all())
 
 
 def r_of(g: Group) -> RStatus:
-    """R(G) via non-normal cyclic subgroups."""
-    non_normal = [s for s in g.cyclic_subgroups() if not s.is_normal()]
-    return _intersect_status(g, non_normal)
+    """R(G) via non-normal cyclic subgroups: the elements lying in <x> for
+    every x whose <x> is not normal.  Repeating a subgroup does not change
+    an intersection, so each such x contributes its own <x>."""
+    orders, block = g._cyclic_block()
+    xs = np.flatnonzero(~g.normal_cyclics())
+    # column x of the block lists the members of <x> in its first |x| rows
+    inside = np.arange(1, block.shape[0] + 1)[:, None] <= orders[xs]
+    return _intersect_status(g, block[:, xs][inside], xs.size)
 
 
-def r_of_lattice(g: Group, cap: int = SUBGROUP_ENUM_CAP) -> RStatus:
+def r_of_lattice(g: Group) -> RStatus:
     """R(G) via the full subgroup lattice; oracle for r_of."""
-    non_normal = [s for s in g.all_subgroups(cap) if not s.is_normal()]
-    return _intersect_status(g, non_normal)
+    non_normal = [s.members for s in g.all_subgroups() if not s.is_normal()]
+    members = np.concatenate([np.zeros(0, dtype=np.int32), *non_normal])
+    return _intersect_status(g, members, len(non_normal))
 
 
-def _intersect_status(g: Group, non_normal: list) -> RStatus:
-    if not non_normal:
+def _intersect_status(g: Group, members: np.ndarray, count: int) -> RStatus:
+    """R(G) from the concatenated members of `count` non-normal subgroups."""
+    if not count:
         return RStatus(UNDEFINED, None)
     # members are distinct within a subgroup, so an element lies in every
     # non-normal subgroup exactly when it is counted once per subgroup
-    hits = np.bincount(np.concatenate([s.members for s in non_normal]), minlength=g.order)
-    sub = Subgroup._trusted(g, _mask_members(hits == len(non_normal)))
+    hits = np.bincount(members, minlength=g.order)
+    sub = Subgroup._trusted(g, _mask_members(hits == count))
     return RStatus(TRIVIAL if sub.order == 1 else NONTRIVIAL, sub)
 
 
@@ -115,29 +125,17 @@ def index2_subgroups(g: Group) -> list:
     if g.order // m.order == 1:
         return []
     q, proj = g.quotient(m)
-    # q is elementary abelian of order 2^r; its index-2 subgroups are the
-    # kernels of the nonzero functionals on the coordinate space
+    # q is elementary abelian; its index-2 subgroups are the kernels of the
+    # nonzero functionals c on the coordinates over the greedy basis b_i.
+    # Doubling the list over the basis puts the element sum c_i b_i at c.
     basis = q.generating_sequence()
-    r = len(basis)
-    coords = np.zeros(q.order, dtype=np.int64)
-    done = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, b in enumerate(basis):
-                y = q.mul(x, b)
-                if y not in done:
-                    coords[y] = coords[x] ^ (1 << i)
-                    done.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    out = []
-    for c in range(1, 1 << r):
-        inside = np.asarray([bin(int(coords[x]) & c).count("1") % 2 == 0 for x in range(q.order)])
-        members = np.nonzero(inside[proj.images])[0]
-        out.append(Subgroup(g, members))
-    return out
+    elems = np.zeros(1, dtype=np.intp)
+    for b in basis:
+        elems = np.concatenate([elems, q.table[elems, b]])
+    bits = ((np.arange(q.order)[:, None] >> np.arange(len(basis))) & 1).astype(np.uint8)
+    kernels = (bits[1:] @ bits.T) & 1 == 0  # row c - 1: the positions in ker c
+    at = np.argsort(elems)[proj.images]  # the position of each element's coset
+    return [Subgroup._trusted(g, _mask_members(k[at])) for k in kernels]
 
 
 def q_group_witness(g: Group) -> Optional[QGroupWitness]:
@@ -169,14 +167,14 @@ Q8_C4_E2 = "q8_c4_e2"
 Q8_Q8_E2 = "q8_q8_e2"
 
 
-def blackburn_2group_form(g: Group, cap: int = 256) -> str:
+def blackburn_2group_form(g: Group) -> str:
     """Which of the three shapes a Blackburn 2-group has.
 
     Every Blackburn 2-group is a Q-group, Q8 x C4 x E2, or Q8 x Q8 x E2
     (the elementary abelian factor may be trivial).
     """
-    if g.order > cap:
-        raise OrderCap(f"form matching capped at order {cap}")
+    if g.order > FORM_ORDER_CAP:
+        raise OrderCap(f"form matching capped at order {FORM_ORDER_CAP}")
     if prime_divisors(g.order) != [2]:
         raise NotBlackburn2Group("not a 2-group")
     if not is_blackburn(g):
@@ -228,12 +226,9 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     p = prime_divisors(status.order)[0]
     if q == p or not is_prime(q):
         raise PreconditionFailed(f"q must be a prime different from {p}")
-    orders = g.element_orders()
-    members = [x for x in range(g.order) if is_p_power(orders[x], q)]
+    in_tq = np.array([is_p_power(k, q) for k in g.element_orders()])
+    m = np.flatnonzero(in_tq)
     violations = []
-    m = np.asarray(members, dtype=np.intp)
-    in_tq = np.zeros(g.order, dtype=bool)
-    in_tq[m] = True
     closed = bool(in_tq[g.table[np.ix_(m, m)]].all())
     if not closed:
         violations.append("q-elements are not closed under products")
@@ -244,24 +239,17 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     normal = sub.is_normal() if closed else False
     if closed and not normal:
         violations.append("the q-subgroup is not normal")
-    all_normal = True
-    if closed:
-        sub_group, mem = sub.as_group()
-        for c in sub_group.cyclic_subgroups():
-            lifted = Subgroup(g, np.asarray([mem[i] for i in c.members.tolist()], dtype=np.int32))
-            if not lifted.is_normal():
-                all_normal = False
-                violations.append("a subgroup of the q-part is not normal in G")
-                break
+    all_normal = not closed or bool(g.normal_cyclics()[m].all())
+    if not all_normal:
+        violations.append("a subgroup of the q-part is not normal in G")
     abelian_odd = True
     if q != 2 and closed:
-        sub_group, _ = sub.as_group()
-        abelian_odd = sub_group.is_abelian()
+        abelian_odd = _sub_abelian(g, sub)
         if not abelian_odd:
             violations.append("odd q-part is not abelian")
     return QElementsReport(
         q=q,
-        members=tuple(members),
+        members=tuple(m.tolist()),
         is_subgroup=closed,
         is_q_group_order=bool(q_order),
         is_normal=bool(normal),
@@ -317,13 +305,10 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
     h_sub = n_grp.normal_p_complement(p)
     if h_sub is None:
         raise TrichotomyViolated("N has no normal p-complement")
-    h_grp, h_mem = h_sub.as_group()
-    h_lift = [mem[i] for i in h_mem]  # h_grp index -> index in G
-    dedekind = is_dedekind(h_grp)
-    complement_normal = all(
-        Subgroup(g, np.asarray([h_lift[i] for i in c.members.tolist()], dtype=np.int32)).is_normal()
-        for c in h_grp.cyclic_subgroups()
-    )
+    h_in_g = n_sub.members[h_sub.members]
+    dedekind = is_dedekind(h_sub.as_group()[0])
+    # every subgroup of H is normal in G when its cyclic subgroups are
+    complement_normal = bool(g.normal_cyclics()[h_in_g].all())
     if not dedekind or not complement_normal:
         raise TrichotomyViolated("p-complement is not Dedekind with all subgroups normal in G")
 
@@ -332,18 +317,17 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
         case = "a"
     else:
         s_sub = n_grp.sylow(p)
-        s_grp, s_mem = s_sub.as_group()
-        zs = [s_mem[i] for i in s_grp.center().members.tolist()]
         op = n_grp.o_p(p)
-        op_set = set(op.members.tolist())
-        if all(z in op_set for z in zs):
+        t = n_grp.table[np.ix_(s_sub.members, s_sub.members)]
+        zs = s_sub.members[(t == t.T).all(axis=1)]  # Z(S)
+        if np.isin(zs, op.members).all():
             case = "b"
         else:
             case = "c"
             case_c = _case_c_data(g, n_grp, mem, h_sub, s_sub, op, p)
     return TrichotomyVerdict(
         p=p,
-        p_complement=tuple(mem[i] for i in h_sub.members.tolist()),
+        p_complement=tuple(h_in_g.tolist()),
         dedekind_complement=dedekind,
         complement_normal_in_g=complement_normal,
         case=case,
@@ -392,8 +376,8 @@ def _check_case_c(g, n_grp, mem, h_members, s_mem, xi, x_cyc, t_set, op) -> Case
     tn = n_grp.table
     cx = [i for i in sorted(x_cyc)
           if np.array_equal(tn[s_mem[i], h_members], tn[h_members, s_mem[i]])]
-    op_grp, _ = op.as_group()
-    exponent_ok = len(cx) == op_grp.exponent()
+    n_orders = n_grp.element_orders()
+    exponent_ok = len(cx) == lcm(*(n_orders[i] for i in op.members.tolist()))
     cx_in_g = [mem[s_mem[i]] for i in cx]
     t_in_g = [mem[s_mem[i]] for i in sorted(t_set)]
     # every element centralizing C_<x>(H) must centralize T

@@ -43,7 +43,7 @@ def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
     status = classify.r_of(g)
     blackburn = status.tag == classify.NONTRIVIAL and classify.is_blackburn(g)
     form = None
-    if blackburn and prime_divisors(g.order) == [2] and g.order <= 256:
+    if blackburn and prime_divisors(g.order) == [2] and g.order <= classify.FORM_ORDER_CAP:
         form = classify.blackburn_2group_form(g)
     rows = [
         ("order", g.order),

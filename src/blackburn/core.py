@@ -9,12 +9,12 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, orbit_labels, perm_order, prime_divisors
+from ._arith import is_p_power, is_prime, orbit_labels, p_part, perm_order, prime_divisors
 from .errors import (
     BadParams,
     NoIdentity,
@@ -48,6 +48,7 @@ class Group:
         "_classes",
         "_class_id",
         "_class_size",
+        "_cyclic_id",
         "_gens",
         "_cyclics",
         "_subs",
@@ -69,6 +70,7 @@ class Group:
         self._classes = None
         self._class_id = None
         self._class_size = None
+        self._cyclic_id = None
         self._gens = None
         self._cyclics = None
         self._subs = None
@@ -119,6 +121,24 @@ class Group:
             self._power_block()
         return self._orders
 
+    def cyclic_ids(self) -> np.ndarray:
+        """The least generator of each element's cyclic subgroup, as a
+        read-only int32 array."""
+        if self._cyclic_id is None:
+            self._cyclic_block()
+        return self._cyclic_id
+
+    def _cyclic_block(self) -> tuple:
+        """`_power_block`, also caching the labels of `cyclic_ids`.  Column x
+        holds only powers of x, and the generators of <x> are those of order
+        |x|."""
+        orders, block = self._power_block()
+        if self._cyclic_id is None:
+            ids = np.where(orders[block] == orders, block, self.order).min(axis=0).astype(np.int32)
+            ids.flags.writeable = False
+            self._cyclic_id = ids
+        return orders, block
+
     def _power_block(self) -> tuple:
         """The element orders, and the array whose row j-1 holds x^j for
         every element x, for j = 1 at least up to the largest element order;
@@ -138,10 +158,7 @@ class Group:
         return orders, block
 
     def exponent(self) -> int:
-        e = 1
-        for k in self.element_orders():
-            e = e * k // gcd(e, k)
-        return e
+        return lcm(*self.element_orders())
 
     # -- global structure --------------------------------------------------
 
@@ -262,14 +279,10 @@ class Group:
         if self._cyclics is None:
             # member arrays only: a cached Subgroup refers back to this group,
             # and such a cycle is freed only by the cyclic garbage collector
-            orders, block = self._power_block()
+            orders, block = self._cyclic_block()
             n = self.order
-            j = np.arange(1, block.shape[0] + 1)[:, None]
-            inside = j <= orders
-            # the generators of <x> are the x^j with j coprime to |x|, so x is
-            # listed when it is the least generator of <x>
-            least = np.where(inside & (np.gcd(j, orders) == 1), block, n).min(axis=0)
-            reps = np.flatnonzero(least == block[0])  # row 0 holds x^1 = x
+            reps = np.flatnonzero(self.cyclic_ids() == np.arange(n))
+            inside = np.arange(1, block.shape[0] + 1)[:, None] <= orders
             # each row lists the members of one <x> in order, padded with n
             mem = np.sort(np.where(inside, block, n)[:, reps].T, axis=1)
             flat = mem[mem < n]
@@ -349,9 +362,7 @@ class Group:
         new.  A subgroup is kept with one generator list, so a join extends
         it by the cyclic subgroup's generator rather than closing from
         scratch."""
-        orders = self.element_orders()
-        cyc_gens = [next(x for x in c.members.tolist() if orders[x] == c.order)
-                    for c in self.cyclic_subgroups()]
+        cyc_gens = np.flatnonzero(self.cyclic_ids() == np.arange(self.order)).tolist()
         frontier = [sub for layer in layers for sub in layer]
         seen = {mask.tobytes() for mask, _, _ in frontier}
         while frontier:
@@ -388,15 +399,22 @@ class Group:
         hit[cid[sub.members]] = True
         return int(self._class_size[hit].sum()) == sub.members.size
 
+    def normal_cyclics(self) -> np.ndarray:
+        """For each element x, whether <x> is normal, as a bool array.
+
+        <x>^s = <x^s>, and the elements normalizing <x> form a subgroup, so
+        <x> is normal exactly when every generator s of G has
+        cyclic_ids[s^-1 x s] == cyclic_ids[x]: one (|gens| x n) gather.
+        """
+        T, inv, ids = self.table, self.inverses, self.cyclic_ids()
+        gens = self.generating_sequence()
+        return (ids[T[inv[gens][:, None], T[:, gens].T]] == ids).all(axis=0)
+
     def sylow(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy normalizer extension."""
         if not is_prime(p):
             raise BadParams(f"p must be prime, got {p}")
-        full = 1
-        n = self.order
-        while n % p == 0:
-            full *= p
-            n //= p
+        full = p_part(self.order, p)
         orders = self.element_orders()
         p_elems = [g for g in range(self.order) if is_p_power(orders[g], p)]
         if full == 1:
@@ -437,7 +455,11 @@ class Group:
         return Subgroup(self, self.closure(comms))
 
     def is_nilpotent(self) -> bool:
-        return all(self.is_normal(self.sylow(p)) for p in prime_divisors(self.order))
+        """Every Sylow subgroup is normal: for each p, the elements of p-power
+        order number |G|_p (two distinct Sylow p-subgroups hold more)."""
+        count = np.bincount(self.element_orders())
+        return all(sum(count[k] for k in range(1, count.size) if is_p_power(k, p))
+                   == p_part(self.order, p) for p in prime_divisors(self.order))
 
     def quotient(self, sub: "Subgroup") -> tuple:
         """Coset group G/N plus the canonical projection map."""

@@ -187,15 +187,6 @@ class CoordWitness:
     def index(self, a, i: int, j: int):
         return (np.asarray(a, dtype=np.int64) * self.p + i) * self.p + j
 
-    def split(self, e: np.ndarray):
-        return e // (self.p * self.p), (e // self.p) % self.p, e % self.p
-
-    def mul(self, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-        a1, i1, j1 = self.split(np.asarray(e1, dtype=np.int64))
-        a2, i2, j2 = self.split(np.asarray(e2, dtype=np.int64))
-        twisted = np.choose((-i1) % self.p, [fp[a2] for fp in self.f_pows])
-        return self.index(self.space.add(a1, twisted), (i1 + i2) % self.p, (j1 + j2) % self.p)
-
     def _xk_sums(self) -> np.ndarray:
         """Row i, for i = 0..p, is the value vector of the A-part of (x*k)^i,
         x + f^-1(x) + ... + f^-(i-1)(x), not yet reduced mod p^2."""

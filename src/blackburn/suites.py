@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import abelian_pairs, classify
-from ._arith import prime_divisors
+from ._arith import p_part, prime_divisors
 from .autos import (
     _aut_images,
     _automorphism_rows,
@@ -111,13 +111,8 @@ def core_invariants(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
         ok_syl = True
         for p in prime_divisors(g.order):
             syl = g.sylow(p)
-            part = 1
-            n = g.order
-            while n % p == 0:
-                part *= p
-                n //= p
             op = g.o_p(p)
-            if syl.order != part or not op.is_normal() or not _contained(op, syl):
+            if syl.order != p_part(g.order, p) or not op.is_normal() or not _contained(op, syl):
                 ok_syl = False
         col.case(f"{name}: sylow and core facts", ok_syl, lambda: dump_cayley(g))
         ok_norm = all(_normal_via_cyclic(g, s) == s.is_normal() for s in subs)

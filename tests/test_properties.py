@@ -12,9 +12,12 @@ at a time and over every conjugate of the first generator, innerness by a
 set of generator-image tuples, the row-by-row parsers and table checks,
 cosets numbered by an element loop, powers of a map by single
 compositions, conjugacy classes by one np.unique per class, orbits and
-cycle lengths by walking cycles or by a breadth-first search, and the
-pointwise-power candidate check one beta at a time.  sympy's permutation
-groups are an outside oracle for the class count and the center.
+cycle lengths by walking cycles or by a breadth-first search, the
+pointwise-power candidate check one beta at a time, the normality of each
+cyclic subgroup by one `is_normal` call, nilpotency by the normality of
+every Sylow subgroup, and the index-2 subgroups by a breadth-first walk of
+the coordinates.  sympy's permutation groups are an outside oracle for the
+class count, the center and nilpotency.
 """
 
 import itertools
@@ -30,6 +33,7 @@ from blackburn._arith import (
     is_p_power,
     is_prime,
     orbit_labels,
+    p_part,
     perm_order,
     perm_power,
     prime_divisors,
@@ -56,7 +60,7 @@ from blackburn.autos import (
     p_part_normalize,
 )
 from blackburn.catalog import CATALOG, builtin, cyclic
-from blackburn.classify import r_of
+from blackburn.classify import NONTRIVIAL, TRIVIAL, UNDEFINED, index2_subgroups, is_dedekind, r_of
 from blackburn.core import (
     CLASS_BLOCK_LIMIT,
     FULL_ASSOC_LIMIT,
@@ -1002,6 +1006,117 @@ def test_classes_match_sympy_on_the_catalog():
         assert pg.center().order() == np.count_nonzero(sizes == 1)
 
 
+def walked_cyclics(g: Group) -> list:
+    """The members of <x> for every element x, by multiplying up to the
+    identity, as sorted tuples."""
+    out = []
+    for x in range(g.order):
+        mem, y = [0], x
+        while y:
+            mem.append(y)
+            y = g.mul(y, x)
+        out.append(tuple(sorted(mem)))
+    return out
+
+
+def old_normal_cyclics(g: Group, cyclics: list) -> tuple:
+    """The least generator of each <x> and whether <x> is normal, by one
+    `is_normal` call per cyclic subgroup."""
+    least: dict = {}
+    normal: dict = {}
+    for x, mem in enumerate(cyclics):
+        if mem not in least:
+            least[mem] = x
+            normal[mem] = g.is_normal(Subgroup(g, np.asarray(mem)))
+    return [least[m] for m in cyclics], [normal[m] for m in cyclics]
+
+
+def old_r_of(cyclics: list, normal: list) -> tuple:
+    """The tag and members of R(G), intersecting the non-normal cyclic
+    subgroups as sets."""
+    non_normal = {m for m, ok in zip(cyclics, normal) if not ok}
+    if not non_normal:
+        return UNDEFINED, None
+    members = sorted(set.intersection(*map(set, non_normal)))
+    return TRIVIAL if len(members) == 1 else NONTRIVIAL, members
+
+
+def old_is_nilpotent(g: Group) -> bool:
+    """Every Sylow subgroup is normal."""
+    return all(old_is_normal(g, old_sylow(g, p)) for p in _primes(g.order))
+
+
+def old_index2_subgroups(g: Group) -> list:
+    """The index-2 subgroups, numbering the elements of G over squares and
+    commutators by a breadth-first walk over the basis, and testing each
+    functional one element at a time."""
+    m = g.subgroup(np.concatenate([np.diagonal(g.table), g.commutator_subgroup().members]))
+    if g.order // m.order == 1:
+        return []
+    q, proj = g.quotient(m)
+    basis = q.generating_sequence()
+    coords = np.zeros(q.order, dtype=np.int64)
+    done, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, b in enumerate(basis):
+                y = q.mul(x, b)
+                if y not in done:
+                    coords[y] = coords[x] ^ (1 << i)
+                    done.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    out = []
+    for c in range(1, 1 << len(basis)):
+        inside = np.asarray([bin(int(coords[x]) & c).count("1") % 2 == 0 for x in range(q.order)])
+        out.append(np.nonzero(inside[proj.images])[0].tolist())
+    return out
+
+
+def check_cyclic_normality(g: Group) -> None:
+    """cyclic_ids, normal_cyclics, is_dedekind, r_of, is_nilpotent and
+    index2_subgroups against the oracles above."""
+    cyclics = walked_cyclics(g)
+    least, normal = old_normal_cyclics(g, cyclics)
+    ids = g.cyclic_ids()
+    assert ids.dtype == np.int32 and not ids.flags.writeable
+    assert ids.tolist() == least
+    assert g.normal_cyclics().tolist() == normal
+    assert is_dedekind(g) == all(normal)
+    status = r_of(g)
+    got = None if status.subgroup is None else status.subgroup.members.tolist()
+    assert (status.tag, got) == old_r_of(cyclics, normal)
+    assert g.is_nilpotent() == old_is_nilpotent(g)
+    assert [s.members.tolist() for s in index2_subgroups(g)] == old_index2_subgroups(g)
+
+
+@settings(max_examples=60)
+@given(groups(LATTICE_NAMES))
+def test_cyclic_normality_matches_one_is_normal_call_per_cyclic_subgroup(g):
+    check_cyclic_normality(g)
+
+
+def test_cyclic_normality_above_the_lattice_cap():
+    """S6, Q256 and the order-243 witness group, as built and relabelled:
+    above CLASS_BLOCK_LIMIT and SUBGROUP_ENUM_CAP, where r_of_lattice
+    cannot check r_of."""
+    s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
+    for g in (s6, builtin("generalized_quaternion(256)"), _group(WITNESS_243)):
+        for h in (Group(g.table), relabelled(g, g.order)):
+            check_cyclic_normality(h)
+
+
+def test_nilpotency_matches_sympy_on_the_catalog():
+    combinatorics = pytest.importorskip(
+        "sympy.combinatorics", reason="sympy is the outside oracle for nilpotency")
+    for entry in CATALOG:
+        g = entry.build()
+        perms = [combinatorics.Permutation(g.table[:, gen].tolist())
+                 for gen in g.generating_sequence()] or [combinatorics.Permutation([0])]
+        assert combinatorics.PermutationGroup(perms).is_nilpotent == g.is_nilpotent()
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_automorphism_rows_match_the_one_map_predicates(data):
@@ -1226,6 +1341,7 @@ def test_arith_helpers_match_their_definitions(n, p, data):
     assert prime_divisors(n) == [d for d in divisors if all(d % e for e in range(2, d))]
     assert is_prime(n) == (divisors == [n])
     assert is_p_power(n, p) == (prime_divisors(n) in ([], [p]))
+    assert p_part(n, p) == max(p**e for e in range(n.bit_length()) if n % p**e == 0)
     k = data.draw(st.integers(1, 9))
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
     perm = np.asarray(data.draw(st.permutations(range(k))), dtype=dtype)
