@@ -65,14 +65,14 @@ def abelian_group(factors: Sequence[int]) -> tuple:
     for f in factors:
         w //= f
         weights.append(w)
-    idx = np.arange(n, dtype=np.int64)
-    table = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(n, dtype=np.int32)
+    table = np.zeros((n, n), dtype=np.int32)
     digits = []
     for f, w in zip(factors, weights):
         d = (idx // w) % f
         digits.append(d)
         table += ((d[:, None] + d[None, :]) % f) * w
-    return Group(table.astype(np.int32)), weights, digits
+    return Group(table), weights, digits
 
 
 def abelian_scope(p: int, max_order: int) -> list:

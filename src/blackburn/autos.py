@@ -365,9 +365,11 @@ HOMOMORPHISM_ELEMENTS = 1 << 20
 
 def _automorphism_rows(g: Group, block: np.ndarray) -> np.ndarray:
     """For each row of a (maps x n) block of images, whether it is an
-    automorphism of g: the block form of GroupMap.is_automorphism.  Rows
+    automorphism of g: GroupMap.is_automorphism from its definition.  Rows
     are bijective when sorting gives 0..n-1, and f(x y) == f(x) f(y) is
-    checked on all (x, y) for a chunk of rows at a time."""
+    checked on all (x, y) for a chunk of rows at a time, not on the
+    generator columns that GroupMap reads, so that this oracle does not
+    share its route."""
     t, n = g.table, g.order
     ok = (np.sort(block, axis=1) == np.arange(n)).all(axis=1)
     step = max(1, HOMOMORPHISM_ELEMENTS // (n * n))

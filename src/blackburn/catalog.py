@@ -113,12 +113,13 @@ def direct_product(g: Group, h: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     n, m = g.order, h.order
     if n * m > cap:
         raise OrderCap(f"direct product order {n * m} exceeds cap {cap}")
-    tg, th = g.table.astype(np.int64), h.table.astype(np.int64)
+    # int32 tables throughout: every index is below n * m <= cap
+    tg, th = g.table, h.table
     table = (tg[:, None, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m)
     names = None
     if g.names is not None and h.names is not None:
         names = [f"({a},{b})" for a in g.names for b in h.names]
-    return Group(table.astype(np.int32), names)
+    return Group(table, names)
 
 
 def semidirect_product(n_grp: Group, h_grp: Group, action: Action,
@@ -133,16 +134,14 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: Action,
     n, m = n_grp.order, h_grp.order
     if n * m > cap:
         raise OrderCap(f"semidirect product order {n * m} exceeds cap {cap}")
-    tn, th = n_grp.table.astype(np.int64), h_grp.table.astype(np.int64)
-    table = np.zeros((n * m, n * m), dtype=np.int64)
-    for h1 in range(m):
-        acted = tn[:, action.maps[h1]]                       # n1 * act(h1)(n2)
-        block = acted[:, :, None] * m + th[h1][None, None, :]
-        table[h1::m, :] = block.reshape(n, n * m)
+    tn, th = n_grp.table, h_grp.table
+    # entry [n1, h1, n2, h2] is n1 * act(h1)(n2) * m + h1 h2, in int32 as
+    # in direct_product
+    table = (tn[:, action.maps][:, :, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m)
     names = None
     if n_grp.names is not None and h_grp.names is not None:
         names = [f"({a},{b})" for a in n_grp.names for b in h_grp.names]
-    return Group(table.astype(np.int32), names)
+    return Group(table, names)
 
 
 def power_action(actor: Group, acted: Group, exps) -> Action:

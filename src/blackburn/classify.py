@@ -306,10 +306,10 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
     if h_sub is None:
         raise TrichotomyViolated("N has no normal p-complement")
     h_in_g = n_sub.members[h_sub.members]
-    dedekind = is_dedekind(h_sub.as_group()[0])
-    # every subgroup of H is normal in G when its cyclic subgroups are
+    # every subgroup of H is normal in G when its cyclic subgroups are, and
+    # then every subgroup of H is normal in H too: H is Dedekind
     complement_normal = bool(g.normal_cyclics()[h_in_g].all())
-    if not dedekind or not complement_normal:
+    if not complement_normal:
         raise TrichotomyViolated("p-complement is not Dedekind with all subgroups normal in G")
 
     case_c = None
@@ -328,7 +328,7 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
     return TrichotomyVerdict(
         p=p,
         p_complement=tuple(h_in_g.tolist()),
-        dedekind_complement=dedekind,
+        dedekind_complement=complement_normal,
         complement_normal_in_g=complement_normal,
         case=case,
         case_c=case_c,

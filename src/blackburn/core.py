@@ -585,7 +585,9 @@ class GroupMap:
         return GroupMap(self.source, other.target, other.images[self.images])
 
     def is_bijective(self) -> bool:
-        return bool(np.unique(self.images).size == self.source.order)
+        hit = np.zeros(self.target.order, dtype=bool)
+        hit[self.images] = True
+        return int(np.count_nonzero(hit)) == self.source.order
 
     def inverse(self) -> "GroupMap":
         if self.source.order != self.target.order or not self.is_bijective():
@@ -595,8 +597,21 @@ class GroupMap:
         return GroupMap(self.target, self.source, inv)
 
     def is_homomorphism(self) -> bool:
-        f, ts, tt = self.images, self.source.table, self.target.table
-        return bool(np.array_equal(f[ts], tt[np.ix_(f, f)]))
+        """Whether f(x y) = f(x) f(y) for all x, y, decided on the generator
+        columns: f(0) = 0, and f(x s) = f(x) f(s) for every x and each s of
+        `source.generating_sequence()`.  That is n * k entries, not n^2.
+
+        It is exact.  The closure of the generating sequence is the whole
+        source, and in a finite group s^-1 = s^(|s| - 1), so every y != 0 is
+        a positive word in the generators; induction on its length gives
+        f(x y) = f(x) f(y).  For y = 0 it needs f(0) = 0, which follows from
+        f(s) = f(0) f(s) when there is a generator s, but not for the
+        trivial source, which has none.
+        """
+        gens = self.source.generating_sequence()
+        f, tt = self.images, self.target.table
+        return bool(f[0] == 0 and np.array_equal(f[self.source.table[:, gens]],
+                                                 tt[f[:, None], f[gens]]))
 
     def is_automorphism(self) -> bool:
         """Computed on the first call and kept: the images and both tables

@@ -134,13 +134,10 @@ def _contained(small: Subgroup, big: Subgroup) -> bool:
 
 def _normal_via_cyclic(g: Group, s: Subgroup) -> bool:
     """U is normal iff the conjugates of its cyclic subgroups stay inside U."""
-    inside = set(s.members.tolist())
-    t, inv = g.table, g.inverses
-    for x in s.members.tolist():
-        for a in range(g.order):
-            if int(t[t[inv[a], x], a]) not in inside:
-                return False
-    return True
+    t, inv, mem = g.table, g.inverses, s.members
+    a = np.arange(g.order)[:, None]
+    conj = t[t[inv[a], mem], a]  # [a, x] = a^-1 x a, every member x and every a
+    return bool(np.isin(conj, mem).all())
 
 
 # -- R(G) oracle -------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Named constructors and products."""
 
 import itertools
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from blackburn import catalog, counterexample
+from blackburn.abelian_pairs import abelian_group, abelian_scope
 from blackburn.autos import find_isomorphism, is_isomorphic
 from blackburn.catalog import (
     CATALOG,
@@ -24,6 +28,7 @@ from blackburn.catalog import (
     symmetric,
 )
 from blackburn.core import Action, trivial_action
+from blackburn.counterexample import build_witness, extend_witness
 from blackburn.errors import BadParams, OrderCap
 
 
@@ -104,6 +109,62 @@ def test_semidirect_trivial_action_equals_direct():
     direct = direct_product(a, b)
     semi = semidirect_product(a, b, trivial_action(b, a))
     assert np.array_equal(direct.table, semi.table)
+
+
+def old_direct_table(g, h, cap=None) -> np.ndarray:
+    """The int64 product formula, cast to int32 at the end."""
+    n, m = g.order, h.order
+    tg, th = g.table.astype(np.int64), h.table.astype(np.int64)
+    return (tg[:, None, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m).astype(np.int32)
+
+
+def old_semidirect_table(n_grp, h_grp, action, cap=None) -> np.ndarray:
+    """The int64 product, one block of rows per element h1 of H."""
+    n, m = n_grp.order, h_grp.order
+    tn, th = n_grp.table.astype(np.int64), h_grp.table.astype(np.int64)
+    table = np.zeros((n * m, n * m), dtype=np.int64)
+    for h1 in range(m):
+        acted = tn[:, action.maps[h1]]
+        table[h1::m, :] = (acted[:, :, None] * m + th[h1][None, None, :]).reshape(n, n * m)
+    return table.astype(np.int32)
+
+
+def old_abelian_table(factors) -> np.ndarray:
+    n = int(np.prod(factors))
+    idx, table, w = np.arange(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), n
+    for f in factors:
+        w //= f
+        d = (idx // w) % f
+        table += ((d[:, None] + d[None, :]) % f) * w
+    return table.astype(np.int32)
+
+
+def test_product_tables_match_the_int64_formulas():
+    """Every direct and semidirect product built for the catalog and for GA
+    (p = 3), and the abelian groups of abelian_scope, byte for byte."""
+    built = Counter()
+
+    def checked(make, old):
+        def run(*args, **kw):
+            out = make(*args, **kw)
+            assert out.table.tobytes() == old(*args, **kw).tobytes()
+            built[old.__name__] += 1
+            return out
+        return run
+
+    direct = checked(direct_product, old_direct_table)
+    semi = checked(semidirect_product, old_semidirect_table)
+    with mock.patch.object(catalog, "direct_product", direct), \
+            mock.patch.object(catalog, "semidirect_product", semi), \
+            mock.patch.object(counterexample, "direct_product", direct), \
+            mock.patch.object(counterexample, "semidirect_product", semi):
+        for entry in CATALOG:
+            assert entry.build().order == entry.order
+        assert extend_witness(build_witness(3)).ga_group.order == 3**7
+    assert built == {"old_direct_table": 13, "old_semidirect_table": 17}
+    for p in (2, 3, 5):
+        for factors in abelian_scope(p, 128):
+            assert abelian_group(factors)[0].table.tobytes() == old_abelian_table(factors).tobytes()
 
 
 def test_semidirect_inversion_gives_s3():

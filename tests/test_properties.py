@@ -13,10 +13,11 @@ set of generator-image tuples, the row-by-row parsers and table checks,
 cosets numbered by an element loop, powers of a map by single
 compositions, conjugacy classes by one np.unique per class, orbits and
 cycle lengths by walking cycles or by a breadth-first search, the
-pointwise-power candidate check one beta at a time, the normality of each
-cyclic subgroup by one `is_normal` call, nilpotency by the normality of
-every Sylow subgroup, and the index-2 subgroups by a breadth-first walk of
-the coordinates.  sympy's permutation groups are an outside oracle for the
+pointwise-power candidate check one beta at a time, homomorphisms on all
+n^2 pairs and bijectivity by np.unique, the normality of each cyclic
+subgroup by one `is_normal` call, nilpotency by the normality of every
+Sylow subgroup, and the index-2 subgroups by a breadth-first walk of the
+coordinates.  sympy's permutation groups are an outside oracle for the
 class count, the center and nilpotency.
 """
 
@@ -233,6 +234,33 @@ def old_inner_generator_tuples(g: Group) -> set:
 def old_is_inner(g: Group, f: GroupMap) -> bool:
     gens = g.generating_sequence()
     return tuple(int(f.images[x]) for x in gens) in old_inner_generator_tuples(g)
+
+
+def old_is_homomorphism(f: GroupMap) -> bool:
+    """f(x y) == f(x) f(y) on all n^2 pairs (x, y)."""
+    img = f.images
+    return bool(np.array_equal(img[f.source.table], f.target.table[np.ix_(img, img)]))
+
+
+def old_is_bijective(f: GroupMap) -> bool:
+    return bool(np.unique(f.images).size == f.source.order)
+
+
+def check_map_predicates(f: GroupMap) -> bool:
+    """The three map predicates of a fresh GroupMap against the n^2 check and
+    np.unique; returns whether f is a homomorphism."""
+    hom, bij = old_is_homomorphism(f), old_is_bijective(f)
+    assert f.is_homomorphism() == hom
+    assert f.is_bijective() == bij
+    assert f.is_automorphism() == (f.source is f.target and bij and hom)
+    return hom
+
+
+def swapped(images: np.ndarray, a: int, b: int) -> np.ndarray:
+    """A copy of images with the images of a and b exchanged."""
+    out = images.copy()
+    out[[a, b]] = out[[b, a]]
+    return out
 
 
 def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
@@ -687,6 +715,12 @@ def test_quotient_by_a_normal_subgroup(data):
     assert np.array_equal(f[g.table], q.table[np.ix_(f, f)])
     assert np.array_equal(np.unique(f), np.arange(q.order))
     assert np.array_equal(np.flatnonzero(f == 0), normal.members)
+    # the map predicates on a map between two groups, and with one image changed
+    assert check_map_predicates(proj)
+    assert proj.is_bijective() == (normal.order == 1)
+    images = f.copy()
+    images[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, q.order - 1))
+    check_map_predicates(GroupMap(g, q, images))
 
 
 def test_subgroup_counts_pinned():
@@ -1121,10 +1155,17 @@ def test_nilpotency_matches_sympy_on_the_catalog():
 @given(st.data())
 def test_automorphism_rows_match_the_one_map_predicates(data):
     """The block checks of the autc oracle suite against GroupMap.is_automorphism
-    and is_class_preserving, on automorphisms, the trivial endomorphism,
-    arbitrary image lists and bijections, in chunks of any size."""
+    and is_class_preserving, on automorphisms, near-misses with two
+    non-identity images swapped, the trivial endomorphism, arbitrary image
+    lists and bijections, in chunks of any size."""
     g = data.draw(groups(SEARCH_NAMES))
-    rows = [m.images for m in enumerate_autc(g)[0]] + [np.zeros(g.order, dtype=np.int32)]
+    rows = [m.images for m in enumerate_autc(g)[0]]
+    if g.order >= 3:
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b = data.draw(st.lists(st.integers(1, g.order - 1), min_size=2, max_size=2,
+                                      unique=True))
+            rows.append(swapped(rows[data.draw(st.integers(0, len(rows) - 1))], a, b))
+    rows.append(np.zeros(g.order, dtype=np.int32))
     rows += [np.asarray(data.draw(st.permutations(range(g.order))), dtype=np.int32)
              for _ in range(data.draw(st.integers(0, 3)))]
     rows += [np.asarray(data.draw(elements(g, min_size=g.order, max_size=g.order)), dtype=np.int32)
@@ -1139,6 +1180,48 @@ def test_automorphism_rows_match_the_one_map_predicates(data):
     preserving = (cid[block] == cid).all(axis=1)
     assert [bool(c) for c, a in zip(preserving, want) if a] == [
         is_class_preserving(g, m) for m, a in zip(maps, want) if a]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_map_predicates_match_their_definitions(data):
+    """is_homomorphism, is_bijective and is_automorphism on automorphisms,
+    near-misses with two non-identity images swapped, the trivial
+    endomorphism, random image lists and random bijections fixing 0."""
+    g = data.draw(groups(AUT_NAMES))
+    n = g.order
+    auts = [m.images for m in enumerate_aut(g)]
+    aut = auts[data.draw(st.integers(0, len(auts) - 1))]
+    rows = [aut, np.zeros(n, dtype=np.int32)]
+    if n >= 3:
+        a, b = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        rows.append(swapped(aut, a, b))
+    rows.append(np.asarray(data.draw(elements(g, min_size=n, max_size=n)), dtype=np.int32))
+    rows.append(np.asarray([0, *data.draw(st.permutations(range(1, n)))], dtype=np.int32))
+    homs = [check_map_predicates(GroupMap(g, g, row)) for row in rows]
+    assert homs[:2] == [True, True]
+    # a map from another copy of g is never an automorphism of g
+    other = Group(g.table)
+    assert not GroupMap(other, g, aut).is_automorphism()
+    assert GroupMap(other, g, aut).is_homomorphism()
+
+
+def test_map_predicates_between_cyclic_groups():
+    """x -> k x from C_m to C_n is a homomorphism exactly when n divides k m
+    (or m = 1, where no sum x + y wraps), for every k, also those that give
+    none; and the trivial source, which has no generators."""
+    for m in range(1, 13):
+        for n in range(1, 13):
+            src, tgt = cyclic(m), cyclic(n)
+            for k in range(n):
+                f = GroupMap(src, tgt, (k * np.arange(m)) % n)
+                assert check_map_predicates(f) == (m == 1 or (k * m) % n == 0)
+    c1, c3 = cyclic(1), cyclic(3)
+    assert not GroupMap(c1, c3, [1]).is_homomorphism()
+    assert GroupMap(c1, c3, [0]).is_homomorphism()
+    for image in range(3):
+        check_map_predicates(GroupMap(c1, c3, [image]))
+    assert GroupMap(c1, c1, [0]).is_automorphism()
 
 
 @settings(max_examples=40)
