@@ -32,6 +32,16 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def p_power_mask(values, p: int, bound: int) -> np.ndarray:
+    """Whether each of `values`, positive integers at most `bound`, is a
+    power of p: exactly when it divides the largest power of p not above
+    bound (p itself when p > bound, which only 1 divides)."""
+    top = p
+    while top * p <= bound:
+        top *= p
+    return top % np.asarray(values) == 0
+
+
 def p_part(n: int, p: int) -> int:
     """The largest power of p dividing n >= 1; it lies below p**bit_length(n)."""
     return gcd(n, p ** n.bit_length())

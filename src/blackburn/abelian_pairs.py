@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, perm_power
+from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask, perm_power
 from .autos import _aut_images
 from .core import Group
 from .errors import CounterexampleFound
@@ -128,16 +128,6 @@ class PairStats:
     pairs: int = 0
 
 
-def _p_power_rows(lengths: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Mask of the rows of a cycle_lengths array whose lengths are all powers
-    of p.  A length is at most n, so it is a power of p exactly when it
-    divides the largest power of p not above n."""
-    top = p
-    while top * p <= n:
-        top *= p
-    return (top % lengths == 0).all(axis=1)
-
-
 def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
                      stats: PairStats) -> Optional[np.ndarray]:
     """Check every beta valid for <alpha>; returns a counterexample or None.
@@ -169,7 +159,7 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
         lambda b: (orbit[b] == orbit).all(axis=1),  # pointwise a power of alpha
         lambda b: (b[:, alpha] == alpha[b]).all(axis=1),  # commutes with alpha
         lambda b: (np.sort(b, axis=1) == np.arange(n)).all(axis=1),  # bijective
-        lambda b: _p_power_rows(cycle_lengths(b, basis), p, n),  # p-power order
+        lambda b: p_power_mask(cycle_lengths(b, basis), p, n).all(axis=1),  # p-power order
     )
     for check in checks:
         keep = check(betas)
@@ -232,7 +222,7 @@ def _exhaustive_classes(group: Group, basis, p: int):
     auts = _aut_images(group)
     lengths = cycle_lengths(auts, basis)
     products = lengths.prod(axis=1)
-    covered = ~_p_power_rows(lengths, p, group.order)  # only p-power rows are classed
+    covered = ~p_power_mask(lengths, p, group.order).all(axis=1)  # only p-power rows are classed
     conjugates = _conjugacy(auts, basis)
     while not covered.all():
         row = int(np.argmin(covered))  # the least row not yet classed

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, prime_divisors
+from ._arith import is_p_power, is_prime, p_power_mask, prime_divisors
 from .catalog import cyclic, direct_product, elementary_abelian, generalized_quaternion
-from .core import Group, Subgroup, _mask_members
+from .core import Group, Subgroup, _mask_members, _orders_nilpotent
 from .errors import (
     NoFormMatched,
     NotBlackburn2Group,
@@ -58,7 +58,7 @@ def r_of(g: Group) -> RStatus:
     """R(G) via non-normal cyclic subgroups: the elements lying in <x> for
     every x whose <x> is not normal.  Repeating a subgroup does not change
     an intersection, so each such x contributes its own <x>."""
-    orders, block = g._cyclic_block()
+    orders, block = g._power_block()
     xs = np.flatnonzero(~g.normal_cyclics())
     # column x of the block lists the members of <x> in its first |x| rows
     inside = np.arange(1, block.shape[0] + 1)[:, None] <= orders[xs]
@@ -226,7 +226,7 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
     p = prime_divisors(status.order)[0]
     if q == p or not is_prime(q):
         raise PreconditionFailed(f"q must be a prime different from {p}")
-    in_tq = np.array([is_p_power(k, q) for k in g.element_orders()])
+    in_tq = p_power_mask(g._power_block()[0], q, g.order)
     m = np.flatnonzero(in_tq)
     violations = []
     closed = bool(in_tq[g.table[np.ix_(m, m)]].all())
@@ -275,7 +275,6 @@ class TrichotomyVerdict:
     p: int
     p_complement: tuple
     dedekind_complement: bool
-    complement_normal_in_g: bool
     case: str
     case_c: Optional[CaseCData]
 
@@ -294,102 +293,105 @@ def verify_normal_subgroup_trichotomy(g: Group, n_sub: Subgroup) -> TrichotomyVe
 
 def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyVerdict:
     """verify_normal_subgroup_trichotomy with R(G) given (None when G is not
-    a Blackburn group), so a caller checking many N computes it once."""
+    a Blackburn group), so a caller checking many N computes it once.
+
+    N, H, S and O_p(N) are member arrays of G; N is never built as a group
+    of its own.  An element has the same order in N as in G, so H is the
+    set of p'-order members of N, and N is nilpotent when the counting test
+    of `Group.is_nilpotent` holds on their orders.  Two standard facts give
+    the rest from G:
+    - for a Sylow p-subgroup P of G, S = P ∩ N is a Sylow p-subgroup of N,
+      since N is normal in G;
+    - O_p(N) = O_p(G) ∩ N: O_p(N) is characteristic in N, so it is a normal
+      p-subgroup of G and lies in O_p(G), while O_p(G) ∩ N is a normal
+      p-subgroup of N.
+    """
     if r is None:
         raise PreconditionFailed("G is not a Blackburn group")
     if not n_sub.is_normal():
         raise PreconditionFailed("N is not normal in G")
     p = prime_divisors(r.order)[0]
-    n_grp, mem = n_sub.as_group()
-
-    h_sub = n_grp.normal_p_complement(p)
-    if h_sub is None:
+    t, n = g.table, n_sub.members
+    n_orders = g._power_block()[0][n]
+    h = n[n_orders % p != 0]
+    in_h = np.zeros(g.order, dtype=bool)
+    in_h[h] = True
+    if not in_h[t[np.ix_(h, h)]].all():
         raise TrichotomyViolated("N has no normal p-complement")
-    h_in_g = n_sub.members[h_sub.members]
     # every subgroup of H is normal in G when its cyclic subgroups are, and
     # then every subgroup of H is normal in H too: H is Dedekind
-    complement_normal = bool(g.normal_cyclics()[h_in_g].all())
-    if not complement_normal:
+    dedekind = bool(g.normal_cyclics()[h].all())
+    if not dedekind:
         raise TrichotomyViolated("p-complement is not Dedekind with all subgroups normal in G")
 
     case_c = None
-    if n_grp.is_nilpotent():
+    if _orders_nilpotent(n_orders):
         case = "a"
     else:
-        s_sub = n_grp.sylow(p)
-        op = n_grp.o_p(p)
-        t = n_grp.table[np.ix_(s_sub.members, s_sub.members)]
-        zs = s_sub.members[(t == t.T).all(axis=1)]  # Z(S)
-        if np.isin(zs, op.members).all():
+        s = np.intersect1d(g.sylow(p).members, n)
+        op = np.intersect1d(g.o_p(p).members, n)
+        ts = t[np.ix_(s, s)]
+        zs = s[(ts == ts.T).all(axis=1)]  # Z(S)
+        if np.isin(zs, op).all():
             case = "b"
         else:
             case = "c"
-            case_c = _case_c_data(g, n_grp, mem, h_sub, s_sub, op, p)
+            case_c = _case_c_data(g, h, s, zs, op)
     return TrichotomyVerdict(
         p=p,
-        p_complement=tuple(h_in_g.tolist()),
-        dedekind_complement=complement_normal,
-        complement_normal_in_g=complement_normal,
+        p_complement=tuple(h.tolist()),
+        dedekind_complement=dedekind,
         case=case,
         case_c=case_c,
     )
 
 
-def _case_c_data(g: Group, n_grp: Group, mem, h_sub, s_sub, op, p) -> CaseCData:
-    if not _sub_abelian(n_grp, s_sub):
+def _case_c_data(g: Group, h, s, zs, op) -> CaseCData:
+    """Case c for N with p-complement H, Sylow p-subgroup S, its center
+    Z(S) and O_p(N), all member arrays of G: the first x of S, by
+    descending order then index, with S = <x> x T for some T <= O_p(N),
+    and the checks on x and T.
+
+    T must lie in O_p(N), so O_p(N) is the one group built here, and T runs
+    over its subgroups: the same candidates, in the same order, as the
+    subgroups of S that lie in O_p(N).  S is abelian, so <x> ∩ T = 1 and
+    |<x>| |T| = |S| already give <x>T = S.
+    """
+    if zs.size != s.size:
         raise TrichotomyViolated("case c reached but the Sylow p-subgroup is not abelian")
-    s_grp, s_mem = s_sub.as_group()
-    h_members = h_sub.members.tolist()
-    op_set = set(op.members.tolist())
-    s_orders = s_grp.element_orders()
-    candidates = sorted(range(s_grp.order), key=lambda i: (-s_orders[i], i))
-    tn = n_grp.table
-    for xi in candidates:
-        x_in_n = s_mem[xi]
-        if np.array_equal(tn[x_in_n, h_members], tn[h_members, x_in_n]):
+    t = g.table
+    orders, block = g._power_block()
+    op_grp, _ = Subgroup(g, op).as_group()
+    for x in s[np.lexsort((s, -orders[s]))].tolist():
+        if np.array_equal(t[x, h], t[h, x]):
             # [x, H] must be nontrivial.  This skip only saves work: such an
             # x lies in C_S(H) = O_p(N), and no T <= O_p(N) completes it to S
             continue
-        x_cyc = set(s_grp.closure([xi]).tolist())
-        need = s_grp.order // len(x_cyc)
-        for t_cand in s_grp.all_subgroups():
-            if t_cand.order != need:
-                continue
-            t_set = set(t_cand.members.tolist())
-            if x_cyc & t_set != {0}:
-                continue
-            if len(s_grp.closure([*x_cyc, *t_set])) != s_grp.order:
-                continue
-            if not all(s_mem[i] in op_set for i in t_set):
-                continue
-            return _check_case_c(g, n_grp, mem, h_members, s_mem, xi, x_cyc, t_set, op)
-    raise TrichotomyViolated("case c reached but no direct decomposition found")
+        x_cyc = np.sort(block[: orders[x], x])  # column x lists <x>
+        t_mem = next((m for m in (op[c.members] for c in op_grp.all_subgroups())
+                      if m.size * x_cyc.size == s.size
+                      and np.intersect1d(m, x_cyc, assume_unique=True).size == 1), None)
+        if t_mem is not None:
+            break
+    else:
+        raise TrichotomyViolated("case c reached but no direct decomposition found")
+    # C_<x>(H): the part of <x> centralizing the p-complement
+    cx = x_cyc[(t[np.ix_(x_cyc, h)] == t[np.ix_(h, x_cyc)].T).all(axis=1)]
+    exponent_ok = cx.size == lcm(*orders[op].tolist())
+    # every element centralizing C_<x>(H) must centralize T
+    cent_cx = (t[:, cx] == t[cx, :].T).all(axis=1)
+    cent_t = (t[:, t_mem] == t[t_mem, :].T).all(axis=1)
+    centralizing_ok = not (cent_cx & ~cent_t).any()
+    if not (exponent_ok and centralizing_ok):
+        raise TrichotomyViolated("case c sub-assertions failed")
+    return CaseCData(
+        x=x,
+        t_members=tuple(t_mem.tolist()),
+        exponent_ok=exponent_ok,
+        centralizing_ok=centralizing_ok,
+    )
 
 
 def _sub_abelian(parent: Group, sub: Subgroup) -> bool:
     t = parent.table[np.ix_(sub.members, sub.members)]
     return bool(np.array_equal(t, t.T))
-
-
-def _check_case_c(g, n_grp, mem, h_members, s_mem, xi, x_cyc, t_set, op) -> CaseCData:
-    # C_<x>(H): the part of <x> centralizing the p-complement
-    tn = n_grp.table
-    cx = [i for i in sorted(x_cyc)
-          if np.array_equal(tn[s_mem[i], h_members], tn[h_members, s_mem[i]])]
-    n_orders = n_grp.element_orders()
-    exponent_ok = len(cx) == lcm(*(n_orders[i] for i in op.members.tolist()))
-    cx_in_g = [mem[s_mem[i]] for i in cx]
-    t_in_g = [mem[s_mem[i]] for i in sorted(t_set)]
-    # every element centralizing C_<x>(H) must centralize T
-    tg = g.table
-    cent_cx = (tg[:, cx_in_g] == tg[cx_in_g, :].T).all(axis=1)
-    cent_t = (tg[:, t_in_g] == tg[t_in_g, :].T).all(axis=1)
-    centralizing_ok = not (cent_cx & ~cent_t).any()
-    if not (exponent_ok and centralizing_ok):
-        raise TrichotomyViolated("case c sub-assertions failed")
-    return CaseCData(
-        x=mem[s_mem[xi]],
-        t_members=tuple(mem[s_mem[i]] for i in sorted(t_set)),
-        exponent_ok=exponent_ok,
-        centralizing_ok=centralizing_ok,
-    )

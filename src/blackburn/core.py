@@ -9,12 +9,12 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, is_prime, orbit_labels, p_part, perm_order, prime_divisors
+from ._arith import is_prime, orbit_labels, p_part, p_power_mask, perm_order, prime_divisors
 from .errors import (
     BadParams,
     NoIdentity,
@@ -44,11 +44,12 @@ class Group:
         "table",
         "names",
         "_inv",
-        "_orders",
+        "_powers",
         "_classes",
         "_class_id",
         "_class_size",
         "_cyclic_id",
+        "_normal_cyclic",
         "_gens",
         "_cyclics",
         "_subs",
@@ -66,11 +67,12 @@ class Group:
         if self.names is not None and len(self.names) != self.order:
             raise BadParams("names length does not match order")
         self._inv = None
-        self._orders = None
+        self._powers = None
         self._classes = None
         self._class_id = None
         self._class_size = None
         self._cyclic_id = None
+        self._normal_cyclic = None
         self._gens = None
         self._cyclics = None
         self._subs = None
@@ -117,45 +119,38 @@ class Group:
         return n
 
     def element_orders(self) -> list:
-        if self._orders is None:
-            self._power_block()
-        return self._orders
+        return self._power_block()[0].tolist()
 
     def cyclic_ids(self) -> np.ndarray:
         """The least generator of each element's cyclic subgroup, as a
-        read-only int32 array."""
+        read-only int32 array.  Column x of the power block holds only
+        powers of x, and the generators of <x> are those of order |x|."""
         if self._cyclic_id is None:
-            self._cyclic_block()
-        return self._cyclic_id
-
-    def _cyclic_block(self) -> tuple:
-        """`_power_block`, also caching the labels of `cyclic_ids`.  Column x
-        holds only powers of x, and the generators of <x> are those of order
-        |x|."""
-        orders, block = self._power_block()
-        if self._cyclic_id is None:
+            orders, block = self._power_block()
             ids = np.where(orders[block] == orders, block, self.order).min(axis=0).astype(np.int32)
             ids.flags.writeable = False
             self._cyclic_id = ids
-        return orders, block
+        return self._cyclic_id
 
     def _power_block(self) -> tuple:
         """The element orders, and the array whose row j-1 holds x^j for
         every element x, for j = 1 at least up to the largest element order;
-        caches the orders as `element_orders`.
+        both read-only, computed on the first call and kept.
 
         The block doubles at each step (rows k+1 .. 2k are the one gather
         T[rows 1 .. k, row k]) until every column has reached the identity.
         Column x then lists the members of <x> in its first |x| rows.
         """
-        T = self.table
-        block = np.arange(self.order, dtype=T.dtype)[None, :]
-        while block.min(axis=0).any():
-            block = np.concatenate([block, T[block, block[-1]]])
-        orders = np.argmax(block == 0, axis=0) + 1
-        if self._orders is None:
-            self._orders = orders.tolist()
-        return orders, block
+        if self._powers is None:
+            T = self.table
+            block = np.arange(self.order, dtype=T.dtype)[None, :]
+            while block.min(axis=0).any():
+                block = np.concatenate([block, T[block, block[-1]]])
+            orders = np.argmax(block == 0, axis=0) + 1
+            orders.flags.writeable = False
+            block.flags.writeable = False
+            self._powers = (orders, block)
+        return self._powers
 
     def exponent(self) -> int:
         return lcm(*self.element_orders())
@@ -279,7 +274,7 @@ class Group:
         if self._cyclics is None:
             # member arrays only: a cached Subgroup refers back to this group,
             # and such a cycle is freed only by the cyclic garbage collector
-            orders, block = self._cyclic_block()
+            orders, block = self._power_block()
             n = self.order
             reps = np.flatnonzero(self.cyclic_ids() == np.arange(n))
             inside = np.arange(1, block.shape[0] + 1)[:, None] <= orders
@@ -400,33 +395,38 @@ class Group:
         return int(self._class_size[hit].sum()) == sub.members.size
 
     def normal_cyclics(self) -> np.ndarray:
-        """For each element x, whether <x> is normal, as a bool array.
+        """For each element x, whether <x> is normal, as a read-only bool
+        array, computed on the first call and kept.
 
         <x>^s = <x^s>, and the elements normalizing <x> form a subgroup, so
         <x> is normal exactly when every generator s of G has
         cyclic_ids[s^-1 x s] == cyclic_ids[x]: one (|gens| x n) gather.
         """
-        T, inv, ids = self.table, self.inverses, self.cyclic_ids()
-        gens = self.generating_sequence()
-        return (ids[T[inv[gens][:, None], T[:, gens].T]] == ids).all(axis=0)
+        if self._normal_cyclic is None:
+            T, inv, ids = self.table, self.inverses, self.cyclic_ids()
+            gens = self.generating_sequence()
+            normal = (ids[T[inv[gens][:, None], T[:, gens].T]] == ids).all(axis=0)
+            normal.flags.writeable = False
+            self._normal_cyclic = normal
+        return self._normal_cyclic
 
     def sylow(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy normalizer extension."""
         if not is_prime(p):
             raise BadParams(f"p must be prime, got {p}")
         full = p_part(self.order, p)
-        orders = self.element_orders()
-        p_elems = [g for g in range(self.order) if is_p_power(orders[g], p)]
         if full == 1:
             return Subgroup(self, np.array([0], dtype=np.int32))
-        start = max(p_elems, key=lambda g: (orders[g], -g))
-        gens = [start]
+        orders = self._power_block()[0]
+        p_elem = p_power_mask(orders, p, self.order)
+        # the p-element of largest order, the least one among those
+        gens = [int(np.argmax(np.where(p_elem, orders, 0)))]
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         mem = self._extend(np.zeros(1, dtype=np.int32), mask, gens)
         while mem.size < full:
             norm = self.normalizer(Subgroup(self, mem)).members
-            gens.append(next(g for g in norm.tolist() if not mask[g] and is_p_power(orders[g], p)))
+            gens.append(int(norm[p_elem[norm] & ~mask[norm]][0]))
             mem = self._extend(mem, mask, gens)
         return Subgroup(self, mem)
 
@@ -438,28 +438,13 @@ class Group:
         hits = np.bincount(block.ravel(), minlength=self.order)
         return Subgroup._trusted(self, _mask_members(hits == self.order))
 
-    def normal_p_complement(self, p: int) -> Optional["Subgroup"]:
-        """The set of p'-elements, when it happens to form a subgroup."""
-        orders = self.element_orders()
-        mem = np.asarray([g for g in range(self.order) if gcd(orders[g], p) == 1], dtype=np.int32)
-        prods = self.table[np.ix_(mem, mem)]
-        ok = np.zeros(self.order, dtype=bool)
-        ok[mem] = True
-        if not ok[prods].all():
-            return None
-        return Subgroup(self, mem)
-
     def commutator_subgroup(self) -> "Subgroup":
         T, inv = self.table, self.inverses
         comms = np.unique(T[T[np.ix_(inv, inv)], T])
         return Subgroup(self, self.closure(comms))
 
     def is_nilpotent(self) -> bool:
-        """Every Sylow subgroup is normal: for each p, the elements of p-power
-        order number |G|_p (two distinct Sylow p-subgroups hold more)."""
-        count = np.bincount(self.element_orders())
-        return all(sum(count[k] for k in range(1, count.size) if is_p_power(k, p))
-                   == p_part(self.order, p) for p in prime_divisors(self.order))
+        return _orders_nilpotent(self._power_block()[0])
 
     def quotient(self, sub: "Subgroup") -> tuple:
         """Coset group G/N plus the canonical projection map."""
@@ -477,6 +462,15 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+def _orders_nilpotent(orders: np.ndarray) -> bool:
+    """Whether the group whose element orders are `orders` is nilpotent,
+    that is, every Sylow subgroup is normal: for each p, the elements of
+    p-power order number |G|_p (two distinct Sylow p-subgroups hold more)."""
+    n = orders.size
+    return all(np.count_nonzero(p_power_mask(orders, p, n)) == p_part(n, p)
+               for p in prime_divisors(n))
 
 
 def _mask_members(mask: np.ndarray) -> np.ndarray:
@@ -570,6 +564,9 @@ class GroupMap:
         img = np.ascontiguousarray(images, dtype=np.int32)
         if img.shape != (source.order,):
             raise BadParams("image list length does not match source order")
+        # read as unsigned, a negative image is larger than any order
+        if int(img.view(np.uint32).max()) >= target.order:
+            raise BadParams(f"images must lie in 0..{target.order - 1}")
         img.flags.writeable = False
         self.images = img
         self._bytes = img.tobytes()

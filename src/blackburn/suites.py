@@ -9,6 +9,7 @@ catalog and the order-3^7 witness construction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -16,7 +17,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import abelian_pairs, classify
-from ._arith import p_part, prime_divisors
+from ._arith import p_part, perm_order, prime_divisors
 from .autos import (
     _aut_images,
     _automorphism_rows,
@@ -329,23 +330,12 @@ def pointwise_power(full: bool = True) -> SuiteResult:
 
 
 def _power_automorphism(n: int, order: int) -> np.ndarray:
-    """The smallest power map of C_n with the given multiplicative order."""
+    """The power map x -> ux of C_n with the given order, for the least unit u."""
     for u in range(2, n):
-        if _mult_order(u, n) == order:
-            return np.asarray([(x * u) % n for x in range(n)], dtype=np.int32)
+        perm = np.arange(n, dtype=np.int32) * u % n
+        if math.gcd(u, n) == 1 and perm_order(perm) == order:
+            return perm
     raise GroupError(f"no unit of order {order} mod {n}")
-
-
-def _mult_order(u: int, n: int) -> int:
-    from math import gcd
-
-    if gcd(u, n) != 1:
-        return 0
-    k, x = 1, u % n
-    while x != 1:
-        x = x * u % n
-        k += 1
-    return k
 
 
 def _matrix_automorphism(p: int, k: int, mat) -> np.ndarray:

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from blackburn import abelian_pairs
-from blackburn._arith import cycle_lengths, is_p_power
+from blackburn._arith import cycle_lengths, is_p_power, p_power_mask
 from blackburn.abelian_pairs import (
     EXHAUSTIVE_AUT_CAP,
     PairStats,
     _conjugacy,
     _jordan_alphas,
-    _p_power_rows,
     _pairs_for_alpha,
     abelian_group,
     abelian_scope,
@@ -89,7 +88,7 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     auts = _aut_images(group)
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
-    unipotent = _p_power_rows(cycle_lengths(auts, basis), p, group.order)
+    unipotent = p_power_mask(cycle_lengths(auts, basis), p, group.order).all(axis=1)
     conjugates = _conjugacy(auts, basis)
     covered = np.zeros(len(auts), dtype=bool)
     classes = 0

@@ -161,13 +161,36 @@ def test_trichotomy_cases():
     assert any(c7c9.mul(x, h) != c7c9.mul(h, x) for h in v.p_complement)
 
 
-def test_case_c_builds_the_lattice_of_s_once():
+def test_case_c_builds_the_lattice_of_o_p_once():
     g = builtin("c7_c9")
     with mock.patch.object(Group, "_cyclic_extension", autospec=True,
                            side_effect=Group._cyclic_extension) as extension:
         v = verify_normal_subgroup_trichotomy(g, Subgroup(g, np.arange(g.order)))
     assert v.case == "c"
     assert extension.call_count == 1
+    # the one lattice is that of O_p(N), here C_3 inside the Sylow C_9
+    (op_grp,), _ = extension.call_args
+    assert op_grp.order == g.o_p(v.p).order == 3
+
+
+def test_r_of_then_trichotomy_build_the_power_block_and_normality_once():
+    g = builtin("c7_c9")
+    built = {"_powers": 0, "_normal_cyclic": 0}
+
+    def counting(method, slot):
+        def wrapper(self):
+            if self is g and getattr(self, slot) is None:
+                built[slot] += 1
+            return method(self)
+        return wrapper
+
+    with mock.patch.object(Group, "_power_block", counting(Group._power_block, "_powers")), \
+            mock.patch.object(Group, "normal_cyclics",
+                              counting(Group.normal_cyclics, "_normal_cyclic")):
+        classify.r_of(g)
+        v = verify_normal_subgroup_trichotomy(g, Subgroup(g, np.arange(g.order)))
+    assert v.case == "c"
+    assert built == {"_powers": 1, "_normal_cyclic": 1}
 
 
 def test_case_c_elements_centralising_h_lie_in_o_p():

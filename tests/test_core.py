@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from blackburn.catalog import cyclic, dihedral, direct_product, generalized_quaternion, symmetric
-from blackburn.core import Group, Subgroup, validate_group
+from blackburn.core import Group, GroupMap, Subgroup, validate_group
 from blackburn.errors import (
+    BadParams,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -213,13 +214,6 @@ def test_sylow_and_o_p():
         assert set(op.members.tolist()) <= set(syl.members.tolist())
 
 
-def test_normal_p_complement():
-    s3 = symmetric(3)
-    npc = s3.normal_p_complement(2)
-    assert npc is not None and npc.order == 3
-    assert symmetric(4).normal_p_complement(3) is None
-
-
 def test_commutator_subgroup():
     s3 = symmetric(3)
     assert s3.commutator_subgroup().order == 3
@@ -291,3 +285,23 @@ def test_group_is_immutable():
     g = cyclic(4)
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
+
+
+def test_power_block_and_normal_cyclics_are_computed_once_per_group():
+    g = generalized_quaternion(16)
+    orders, block = g._power_block()
+    assert g._power_block() is g._power_block()
+    assert g.normal_cyclics() is g.normal_cyclics()
+    for arr in (orders, block, g.normal_cyclics()):
+        assert not arr.flags.writeable
+    # element_orders hands out a fresh list each call
+    got = g.element_orders()
+    assert got == orders.tolist() and got is not g.element_orders()
+
+
+def test_group_map_rejects_images_out_of_range():
+    c2 = cyclic(2)
+    for images in ([1, -1], [0, 5], [0, 2]):
+        with pytest.raises(BadParams):
+            GroupMap(c2, c2, images)
+    assert GroupMap(c2, c2, [0, 1]).is_bijective()

@@ -22,6 +22,7 @@ class count, the center and nilpotency.
 """
 
 import itertools
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -35,13 +36,13 @@ from blackburn._arith import (
     is_prime,
     orbit_labels,
     p_part,
+    p_power_mask,
     perm_order,
     perm_power,
     prime_divisors,
 )
 from blackburn.abelian_pairs import (
     PairStats,
-    _p_power_rows,
     _pairs_for_alpha,
     abelian_group,
     abelian_scope,
@@ -60,8 +61,17 @@ from blackburn.autos import (
     is_class_preserving,
     p_part_normalize,
 )
-from blackburn.catalog import CATALOG, builtin, cyclic
-from blackburn.classify import NONTRIVIAL, TRIVIAL, UNDEFINED, index2_subgroups, is_dedekind, r_of
+from blackburn.catalog import CATALOG, builtin, cyclic, direct_product
+from blackburn.classify import (
+    NONTRIVIAL,
+    TRIVIAL,
+    UNDEFINED,
+    _blackburn_r,
+    _trichotomy,
+    index2_subgroups,
+    is_dedekind,
+    r_of,
+)
 from blackburn.core import (
     CLASS_BLOCK_LIMIT,
     FULL_ASSOC_LIMIT,
@@ -85,7 +95,7 @@ from blackburn.errors import (
     PreconditionFailed,
 )
 from blackburn.formats import PERMGEN_CLOSURE_CAP, _content_lines, parse_cayley, parse_permgen
-from blackburn.suites import _normal_via_cyclic
+from blackburn.suites import FULL_MAX_ORDER, _normal_via_cyclic, blackburn_catalog
 from test_core import NONASSOC_LOOP
 
 NAMES = [e.name for e in CATALOG if e.order <= 64]
@@ -95,12 +105,22 @@ SEARCH_NAMES = [e.name for e in CATALOG if e.order <= 32]
 AUT_NAMES = [n for n in SEARCH_NAMES if n not in ("e16", "q8xc4")]
 # the order-243 group of the p = 3 witness, beside the catalog names
 WITNESS_243 = "witness-243"
+# the Blackburn groups of the catalog up to order 64
+BLACKBURN_NAMES = [name for name, _ in blackburn_catalog(64)]
+# Blackburn groups (p = 2) beside the catalog whose case c has a T of order
+# 2, which must avoid the square of x; every catalog case c has T = 1
+CASE_C_PRODUCTS = {"q12xc2": "q12", "c3_c8xc2": "c3_c8"}
 _GROUPS: dict = {}
 
 
 def _group(name: str) -> Group:
     if name not in _GROUPS:
-        _GROUPS[name] = build_witness(3).g_group if name == WITNESS_243 else builtin(name)
+        if name == WITNESS_243:
+            _GROUPS[name] = build_witness(3).g_group
+        elif name in CASE_C_PRODUCTS:
+            _GROUPS[name] = direct_product(builtin(CASE_C_PRODUCTS[name]), cyclic(2))
+        else:
+            _GROUPS[name] = builtin(name)
     return _GROUPS[name]
 
 
@@ -938,7 +958,7 @@ def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
     assert at_basis.tolist() == [walked_cycle_lengths(row, basis) for row in auts]
     for p in (2, 3, 5):
         want = [is_p_power(k, p) for k in orders]
-        assert _p_power_rows(at_basis, p, group.order).tolist() == want
+        assert p_power_mask(at_basis, p, group.order).all(axis=1).tolist() == want
 
 
 def old_pairs_for_alpha(group, basis, digits, alpha, p, stats):
@@ -1149,6 +1169,94 @@ def test_nilpotency_matches_sympy_on_the_catalog():
         perms = [combinatorics.Permutation(g.table[:, gen].tolist())
                  for gen in g.generating_sequence()] or [combinatorics.Permutation([0])]
         assert combinatorics.PermutationGroup(perms).is_nilpotent == g.is_nilpotent()
+
+
+def old_trichotomy(g: Group, n_sub: Subgroup) -> tuple:
+    """The trichotomy verdict by the per-N route: N, and in case c its Sylow
+    p-subgroup S, built as groups of their own, with indices mapped back
+    through the member lists.  H is the p'-elements of N tested for closure
+    in N, S and O_p(N) come from N's own Sylow search, and T runs over the
+    lattice of S under all three direct-product tests, <x> T = S included.
+    Returns (p, H, dedekind, case, case-c data or None)."""
+    p = prime_divisors(_blackburn_r(g).order)[0]
+    n_grp, mem = n_sub.as_group()
+    orders = n_grp.element_orders()
+    h_n = [x for x in range(n_grp.order) if orders[x] % p]
+    assert set(n_grp.table[np.ix_(h_n, h_n)].ravel().tolist()) <= set(h_n)
+    h = [mem[x] for x in h_n]
+    head = (p, tuple(h), bool(g.normal_cyclics()[h].all()))
+    if n_grp.is_nilpotent():
+        return (*head, "a", None)
+    s_sub, op = n_grp.sylow(p), n_grp.o_p(p).members.tolist()
+    t = n_grp.table[np.ix_(s_sub.members, s_sub.members)]
+    if set(s_sub.members[(t == t.T).all(axis=1)].tolist()) <= set(op):  # Z(S)
+        return (*head, "b", None)
+    s_grp, s_mem = s_sub.as_group()
+    s_orders, tn = s_grp.element_orders(), n_grp.table
+    for xi in sorted(range(s_grp.order), key=lambda i: (-s_orders[i], i)):
+        if np.array_equal(tn[s_mem[xi], h_n], tn[h_n, s_mem[xi]]):
+            continue
+        x_cyc = set(s_grp.closure([xi]).tolist())
+        for t_cand in s_grp.all_subgroups():
+            t_set = set(t_cand.members.tolist())
+            if (len(t_set) * len(x_cyc) != s_grp.order or x_cyc & t_set != {0}
+                    or len(s_grp.closure([*x_cyc, *t_set])) != s_grp.order
+                    or not {s_mem[i] for i in t_set} <= set(op)):
+                continue
+            cx = [mem[s_mem[i]] for i in sorted(x_cyc)
+                  if np.array_equal(tn[s_mem[i], h_n], tn[h_n, s_mem[i]])]
+            t_in_g = [mem[s_mem[i]] for i in sorted(t_set)]
+            tg = g.table
+            cent_cx = (tg[:, cx] == tg[cx, :].T).all(axis=1)
+            cent_t = (tg[:, t_in_g] == tg[t_in_g, :].T).all(axis=1)
+            return (*head, "c", (mem[s_mem[xi]], tuple(t_in_g),
+                                 len(cx) == lcm(*(orders[i] for i in op)),
+                                 not (cent_cx & ~cent_t).any()))
+    raise AssertionError("case c reached but no direct decomposition found")
+
+
+def verdict_fields(v) -> tuple:
+    c = v.case_c
+    cc = None if c is None else (c.x, c.t_members, c.exponent_ok, c.centralizing_ok)
+    return (v.p, v.p_complement, v.dedekind_complement, v.case, cc)
+
+
+def test_trichotomy_matches_the_per_n_route_on_the_blackburn_catalog():
+    """Field for field on every normal subgroup of every Blackburn catalog
+    group as built (840 verdicts, 11 of them in case c, all with T = 1),
+    and of the two groups of CASE_C_PRODUCTS."""
+    built = [g for _, g in blackburn_catalog(FULL_MAX_ORDER)]
+    verdicts = []
+    for g in built + [_group(name) for name in CASE_C_PRODUCTS]:
+        r = _blackburn_r(g)
+        for s in g.all_subgroups():
+            if s.is_normal():
+                got = verdict_fields(_trichotomy(g, r, s))
+                assert got == old_trichotomy(g, s)
+                verdicts.append(got)
+    catalog = verdicts[:840]
+    assert [v[3] for v in catalog].count("c") == 11
+    assert all(len(v[4][1]) == 1 for v in catalog if v[4])
+    assert any(len(v[4][1]) == 2 for v in verdicts[840:] if v[4])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_trichotomy_on_relabelled_blackburn_groups(data):
+    """On a relabelled group the two routes may pick different Sylow
+    subgroups of N, hence a different x and T in case c; a conjugation by N
+    carries one choice to the other, so the order of x, the size of T and
+    every other field agree, and T meets <x> trivially."""
+    g = data.draw(groups(BLACKBURN_NAMES + list(CASE_C_PRODUCTS)))
+    r = _blackburn_r(g)
+    for s in g.all_subgroups():
+        if s.is_normal():
+            got, want = verdict_fields(_trichotomy(g, r, s)), old_trichotomy(g, s)
+            assert got[:4] == want[:4]
+            if got[4] is not None:
+                (x, t, *oks), (y, u, *want_oks) = got[4], want[4]
+                assert (g.order_of(x), len(t), oks) == (g.order_of(y), len(u), want_oks)
+                assert set(g.closure([x]).tolist()) & set(t) == {0}
 
 
 @settings(max_examples=40)
@@ -1424,6 +1532,9 @@ def test_arith_helpers_match_their_definitions(n, p, data):
     assert prime_divisors(n) == [d for d in divisors if all(d % e for e in range(2, d))]
     assert is_prime(n) == (divisors == [n])
     assert is_p_power(n, p) == (prime_divisors(n) in ([], [p]))
+    bound = data.draw(st.integers(n, 3 * n))
+    values = np.arange(1, n + 1)
+    assert p_power_mask(values, p, bound).tolist() == [is_p_power(v, p) for v in values.tolist()]
     assert p_part(n, p) == max(p**e for e in range(n.bit_length()) if n % p**e == 0)
     k = data.draw(st.integers(1, 9))
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
@@ -1453,5 +1564,5 @@ def test_p_power_rows_match_row_by_row(k, p, data):
     assert lengths.tolist() == [walked_cycle_lengths(row, np.arange(k)) for row in block]
     assert [int(np.lcm.reduce(ln)) for ln in lengths] == [perm_order(row) for row in block]
     # an arbitrary permutation is determined by its images of all points
-    mask = _p_power_rows(lengths, p, k)
+    mask = p_power_mask(lengths, p, k).all(axis=1)
     assert mask.tolist() == [is_p_power(perm_order(row), p) for row in block]

@@ -21,14 +21,23 @@ from blackburn.suites import (
 )
 
 
+# (run, passed) of each quick suite; a refactor that drops cases fails here
+QUICK_COUNTS = {
+    "core-invariants": 294, "r-oracle": 52, "abelian-index2-outc": 34,
+    "abelian-by-cyclic-outc": 47, "power-action-outc": 10, "blackburn-outc": 14,
+    "blackburn-2group-forms": 12, "q-element-structure": 20,
+    "normal-subgroup-trichotomy": 335, "pointwise-power": 3,
+    "coprime-action-witnesses": 51, "autc-vs-aut-filter": 98, "format-roundtrip": 49,
+}
+
+
 def test_run_suites_quick_all_pass():
     results = run_suites("quick")
     for r in results:
         assert r.ok, f"{r.suite}: {r.first_failure}"
-    names = {r.suite for r in results}
-    assert "core-invariants" in names
-    assert "pointwise-power" in names
-    assert "witness-construction" not in names  # full level only
+    # witness-construction runs at the full level only
+    assert {r.suite: (r.run, r.passed) for r in results} == {
+        name: (count, count) for name, count in QUICK_COUNTS.items()}
 
 
 def test_trichotomy_suite_computes_r_once_per_group(monkeypatch):
