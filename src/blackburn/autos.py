@@ -22,9 +22,12 @@ The node count and the budget count evaluated rows, so a first-hit search
 also counts the rows of its blocks that follow its hit.
 
 A search yields its maps as one int32 (maps x |G|) block of images.  Only
-the public entry points wrap rows in GroupMaps (enumerate_aut,
-enumerate_autc, find_isomorphism); _aut_images hands Aut(G) to the
-pointwise-power harness as the block itself.
+the public entry points wrap rows in GroupMaps; _aut_images hands Aut(G) to
+the pointwise-power harness as the block itself.  enumerate_aut and
+enumerate_autc wrap the rows of their block with GroupMap._rows: the maps
+share one verdict, which the first is_automorphism() of any of them
+decides for the whole block, so maps nobody asks about cost no check.
+find_isomorphism wraps its one hit as a GroupMap of its own.
 
 The class-preserving enumeration searches only the stabilizer S of the
 first generator g0: every class-preserving map sends g0 into its class,
@@ -41,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._arith import is_p_power, perm_power, prime_divisors
-from .core import Action, Group, GroupMap, identity_map
+from .core import BLOCK_ELEMENTS, Action, Group, GroupMap, identity_map
 from .errors import (
     NoWitness,
     NotAutomorphism,
@@ -82,9 +85,6 @@ class AutcReport:
 
 # -- generic image search -----------------------------------------------------
 
-# Elements per block array (rows x |H_d|).  The multiplicativity check holds
-# d + 1 arrays of this size at depth d.
-BLOCK_ELEMENTS = 1 << 16
 REJECT_REASONS = ("invariant", "multiplicativity")
 
 
@@ -311,7 +311,7 @@ def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
         block = np.take(conj, block, axis=1).reshape(-1, g.order)
         order = np.lexsort(block[:, gens[::-1]].T)
         block, inner = block[order], inner[order % m]
-    maps = [GroupMap(g, g, img) for img in block]
+    maps = GroupMap._rows(g, block)
     outer = np.flatnonzero(~inner)
     stats = search.stats()
     stats["first_generator_conjugates"] = k
@@ -347,7 +347,7 @@ def enumerate_aut(g: Group, *, budget: int = DEFAULT_BUDGET) -> list:
     Candidates are merely order-matched, so this scales far worse than
     enumerate_autc; it is the brute-force oracle for small groups.
     """
-    return [GroupMap(g, g, img) for img in _aut_images(g, budget=budget)]
+    return GroupMap._rows(g, _aut_images(g, budget=budget))
 
 
 def _aut_images(g: Group, *, budget: int = DEFAULT_BUDGET) -> np.ndarray:

@@ -266,8 +266,6 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
 class CaseCData:
     x: int
     t_members: tuple
-    exponent_ok: bool
-    centralizing_ok: bool
 
 
 @dataclass(frozen=True)
@@ -349,8 +347,8 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
 def _case_c_data(g: Group, h, s, zs, op) -> CaseCData:
     """Case c for N with p-complement H, Sylow p-subgroup S, its center
     Z(S) and O_p(N), all member arrays of G: the first x of S, by
-    descending order then index, with S = <x> x T for some T <= O_p(N),
-    and the checks on x and T.
+    descending order then index, with S = <x> x T for some T <= O_p(N).
+    The checks on x and T raise TrichotomyViolated when they fail.
 
     T must lie in O_p(N), so O_p(N) is the one group built here, and T runs
     over its subgroups: the same candidates, in the same order, as the
@@ -377,19 +375,13 @@ def _case_c_data(g: Group, h, s, zs, op) -> CaseCData:
         raise TrichotomyViolated("case c reached but no direct decomposition found")
     # C_<x>(H): the part of <x> centralizing the p-complement
     cx = x_cyc[(t[np.ix_(x_cyc, h)] == t[np.ix_(h, x_cyc)].T).all(axis=1)]
-    exponent_ok = cx.size == lcm(*orders[op].tolist())
-    # every element centralizing C_<x>(H) must centralize T
+    # |C_<x>(H)| must be the exponent of O_p(N), and every element
+    # centralizing C_<x>(H) must centralize T
     cent_cx = (t[:, cx] == t[cx, :].T).all(axis=1)
     cent_t = (t[:, t_mem] == t[t_mem, :].T).all(axis=1)
-    centralizing_ok = not (cent_cx & ~cent_t).any()
-    if not (exponent_ok and centralizing_ok):
+    if cx.size != lcm(*orders[op].tolist()) or (cent_cx & ~cent_t).any():
         raise TrichotomyViolated("case c sub-assertions failed")
-    return CaseCData(
-        x=x,
-        t_members=tuple(t_mem.tolist()),
-        exponent_ok=exponent_ok,
-        centralizing_ok=centralizing_ok,
-    )
+    return CaseCData(x=x, t_members=tuple(t_mem.tolist()))
 
 
 def _sub_abelian(parent: Group, sub: Subgroup) -> bool:

@@ -34,6 +34,10 @@ FULL_ASSOC_LIMIT = 512
 # Largest order whose conjugacy classes are read off the full conjugation
 # block (n^2 entries); above it, labels propagate over the generators.
 CLASS_BLOCK_LIMIT = 128
+# Elements per block array: the (rows x |H_d|) blocks of the image search in
+# autos, whose multiplicativity check holds d + 1 arrays of this size at
+# depth d, and the (maps x n x k) generator-column check of a block of maps.
+BLOCK_ELEMENTS = 1 << 16
 
 
 class Group:
@@ -556,21 +560,35 @@ class Subgroup:
 class GroupMap:
     """A map between groups given by an image list, one entry per source element."""
 
-    __slots__ = ("source", "target", "images", "_bytes", "_automorphism")
+    __slots__ = ("source", "target", "images", "_bytes", "_automorphism", "_block", "_row")
 
     def __init__(self, source: Group, target: Group, images):
         self.source = source
         self.target = target
-        img = np.ascontiguousarray(images, dtype=np.int32)
-        if img.shape != (source.order,):
-            raise BadParams("image list length does not match source order")
-        # read as unsigned, a negative image is larger than any order
-        if int(img.view(np.uint32).max()) >= target.order:
-            raise BadParams(f"images must lie in 0..{target.order - 1}")
-        img.flags.writeable = False
-        self.images = img
-        self._bytes = img.tobytes()
+        self.images = _checked_images(images, 1, source, target)
+        self._bytes = self.images.tobytes()
         self._automorphism = None  # is_automorphism(), once computed
+        self._block = None  # the _BlockVerdict of the block this map is row _row of
+
+    @classmethod
+    def _rows(cls, g: Group, block) -> list:
+        """One map g -> g per row of a (maps x |g|) block of images: the
+        block is made int32 and read-only and its range checked once, and
+        each map's images are a view of its row.  The maps share one
+        verdict: the first is_automorphism() of any of them decides every
+        row in one pass over the block."""
+        block = _checked_images(block, 2, g, g)
+        verdict = _BlockVerdict(g, block)
+        maps = []
+        for i, img in enumerate(block):
+            f = cls.__new__(cls)
+            f.source = f.target = g
+            f.images = img
+            f._bytes = img.tobytes()
+            f._automorphism = None
+            f._block, f._row = verdict, i
+            maps.append(f)
+        return maps
 
     def apply(self, a: int) -> int:
         return int(self.images[a])
@@ -612,10 +630,14 @@ class GroupMap:
 
     def is_automorphism(self) -> bool:
         """Computed on the first call and kept: the images and both tables
-        are read-only, so the answer cannot change."""
+        are read-only, so the answer cannot change.  A row of a block reads
+        its entry of the block's verdict."""
         if self._automorphism is None:
-            self._automorphism = (self.source is self.target and self.is_bijective()
-                                  and self.is_homomorphism())
+            if self._block is not None:
+                self._automorphism = self._block.row(self._row)
+            else:
+                self._automorphism = (self.source is self.target and self.is_bijective()
+                                      and self.is_homomorphism())
         return self._automorphism
 
     def is_identity(self) -> bool:
@@ -641,6 +663,55 @@ class GroupMap:
 
     def __repr__(self):
         return f"GroupMap({self.source.order}->{self.target.order})"
+
+
+def _checked_images(images, ndim: int, source: Group, target: Group) -> np.ndarray:
+    """images as a read-only int32 C-contiguous array of ndim axes, the last
+    running over the source, every entry an element of the target."""
+    img = np.ascontiguousarray(images, dtype=np.int32)
+    if img.ndim != ndim or img.shape[-1] != source.order:
+        raise BadParams("image list length does not match source order")
+    # read as unsigned, a negative image is larger than any order
+    if img.size and int(img.view(np.uint32).max()) >= target.order:
+        raise BadParams(f"images must lie in 0..{target.order - 1}")
+    img.flags.writeable = False
+    return img
+
+
+class _BlockVerdict:
+    """GroupMap.is_automorphism of every row of a read-only (maps x n) block
+    of images of g into g, decided for the whole block on the first ask."""
+
+    __slots__ = ("group", "block", "_mask")
+
+    def __init__(self, group: Group, block: np.ndarray):
+        self.group = group
+        self.block = block
+        self._mask = None
+
+    def row(self, i: int) -> bool:
+        if self._mask is None:
+            self._mask = _automorphism_mask(self.group, self.block)
+        return bool(self._mask[i])
+
+
+def _automorphism_mask(g: Group, block: np.ndarray) -> np.ndarray:
+    """For each row f of a (maps x n) block of images in 0..n-1, the predicate
+    of GroupMap.is_automorphism: f is bijective, f(0) = 0, and
+    f(x s) = f(x) f(s) for every x and each s of g.generating_sequence().
+    The (rows x n x k) check runs BLOCK_ELEMENTS at a time."""
+    t, n = g.table, g.order
+    gens = np.asarray(g.generating_sequence(), dtype=np.intp)
+    cols = t[:, gens]  # cols[x, j] = x * gens[j]
+    ok = np.empty(len(block), dtype=bool)
+    step = max(1, BLOCK_ELEMENTS // (n * max(1, gens.size)))
+    for lo in range(0, len(block), step):
+        f = block[lo : lo + step]
+        hit = np.zeros(f.shape, dtype=bool)
+        hit[np.arange(len(f))[:, None], f] = True
+        ok[lo : lo + step] = (hit.all(axis=1) & (f[:, 0] == 0)
+                              & (f[:, cols] == t[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2)))
+    return ok
 
 
 def identity_map(g: Group) -> GroupMap:

@@ -135,15 +135,22 @@ def test_counterexample_reaches_the_caller():
 
 
 def test_harness_builds_no_group_maps():
-    """Aut(G) reaches the harness as one block of images, never as maps."""
+    """Aut(G) reaches the harness as one block of images, never as maps,
+    whether built one at a time or as the rows of a block."""
     built = []
-    init = GroupMap.__init__
+    init, rows = GroupMap.__init__, GroupMap._rows.__func__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    with mock.patch.object(GroupMap, "__init__", counting_init):
+    def counting_rows(cls, *args, **kwargs):
+        maps = rows(cls, *args, **kwargs)
+        built.extend([1] * len(maps))
+        return maps
+
+    with mock.patch.object(GroupMap, "__init__", counting_init), \
+            mock.patch.object(GroupMap, "_rows", classmethod(counting_rows)):
         assert pointwise_power_harness(3, 27).ok
         assert not built
         enumerate_aut(abelian_group([3])[0])  # the counter does see maps

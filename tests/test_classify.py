@@ -1,5 +1,6 @@
 """Structural classifiers against the lattice oracle and pinned examples."""
 
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -156,9 +157,13 @@ def test_trichotomy_cases():
     assert v.case == "c"
     assert v.case_c is not None
     assert v.case_c.t_members == (0,)  # T is trivial here
-    assert v.case_c.exponent_ok and v.case_c.centralizing_ok
     x = v.case_c.x  # [x, H] is nontrivial
     assert any(c7c9.mul(x, h) != c7c9.mul(h, x) for h in v.p_complement)
+    # |C_<x>(H)| is the exponent of O_p(N); with T = 1 the centralizing check is void
+    cx = [y for y in c7c9.closure([x]).tolist()
+          if all(c7c9.mul(y, h) == c7c9.mul(h, y) for h in v.p_complement)]
+    op = c7c9.o_p(v.p).members.tolist()
+    assert len(cx) == lcm(*(c7c9.order_of(y) for y in op)) == 3
 
 
 def test_case_c_builds_the_lattice_of_o_p_once():

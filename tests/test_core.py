@@ -305,3 +305,9 @@ def test_group_map_rejects_images_out_of_range():
         with pytest.raises(BadParams):
             GroupMap(c2, c2, images)
     assert GroupMap(c2, c2, [0, 1]).is_bijective()
+    for block in ([[0, 1], [1, -1]], [[0, 1], [0, 2]], [[0, 1, 0]], [0, 1]):
+        with pytest.raises(BadParams):
+            GroupMap._rows(c2, block)
+    rows = GroupMap._rows(c2, [[0, 1], [1, 0]])
+    assert [f.is_automorphism() for f in rows] == [True, False]
+    assert not rows[0].images.flags.writeable

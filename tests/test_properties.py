@@ -21,7 +21,6 @@ coordinates.  sympy's permutation groups are an outside oracle for the
 class count, the center and nilpotency.
 """
 
-import itertools
 from math import lcm
 from unittest import mock
 
@@ -47,7 +46,7 @@ from blackburn.abelian_pairs import (
     abelian_group,
     abelian_scope,
 )
-from blackburn import autos
+from blackburn import autos, core
 from blackburn.autos import (
     _aut_images,
     _automorphism_rows,
@@ -87,6 +86,7 @@ from blackburn.errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
+    NotAutomorphism,
     NotLatinSquare,
     NotNormal,
     NotPermutation,
@@ -962,57 +962,80 @@ def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
 
 
 def old_pairs_for_alpha(group, basis, digits, alpha, p, stats):
-    """The candidate check one beta at a time: each beta built by a Group.mul
-    loop per basis image, its order tested by repeated p-th powers."""
-    n = group.order
-    t = group.table.astype(np.int64)
-    orbit = orbit_labels(alpha[None])
-    powers = [np.arange(n, dtype=np.int64)]
-    cur = alpha.astype(np.int64)
-    while not np.array_equal(cur, powers[0]):
-        powers.append(cur)
-        cur = alpha[cur]
-    power_bytes = {pw.tobytes() for pw in powers}
+    """The candidate check one beta at a time, on Python lists: each beta is
+    the table product, element by element, of the digit-th powers of its
+    basis images (powers by repeated products), orbits come from walking
+    the cycles of alpha, and beta's order is tested by repeated p-th
+    powers.  Candidates sharing a prefix of basis images share its partial
+    product, in the itertools.product order of the images."""
+    n, r = group.order, len(basis)
+    t = group.table.tolist()
+    a = alpha.tolist()
+    ident = list(range(n))
+    orbit = [-1] * n  # the least member of each <alpha>-orbit
+    for x in range(n):
+        y = x
+        while orbit[y] < 0:
+            orbit[y] = x
+            y = a[y]
+    power_set, cur = {tuple(ident)}, a
+    while cur != ident:
+        power_set.add(tuple(cur))
+        cur = [a[y] for y in cur]
     basis_orbits = []
     for b in basis:
         orb = [int(b)]
-        x = int(alpha[b])
-        while x != orb[0]:
-            orb.append(x)
-            x = int(alpha[x])
+        while a[orb[-1]] != orb[0]:
+            orb.append(a[orb[-1]])
         basis_orbits.append(orb)
+
+    def powers(x):  # [x^0, x^1, ...] up to the order of x
+        pw = [0, x]
+        while pw[-1] != 0:
+            pw.append(t[pw[-1]][x])
+        return pw[:-1]
+
+    # column i of a candidate: x -> img_i^(d_i(x)), for each image img_i
+    cols = []
+    for orb, d in zip(basis_orbits, digits):
+        col = {}
+        for img in orb:
+            pw = powers(img)
+            col[img] = [pw[dx % len(pw)] for dx in d.tolist()]
+        cols.append([col[img] for img in orb])
+
+    def candidates(i, partial):
+        if i == r:
+            yield partial
+            return
+        for col in cols[i]:
+            yield from candidates(i + 1, [t[u][v] for u, v in zip(partial, col)])
+
     max_pstep = 1
     while p**max_pstep < n:
         max_pstep += 1
-    ident = powers[0]
     stats.alphas += 1
-    for choice in itertools.product(*basis_orbits):
+    for beta in candidates(0, [0] * n):
         stats.candidates += 1
-        beta = np.zeros(n, dtype=np.int64)
-        for img, d in zip(choice, digits):
-            fi = group.order_of(int(img))
-            pw = [0]
-            for _ in range(fi - 1):
-                pw.append(group.mul(pw[-1], int(img)))
-            beta = t[beta, np.asarray(pw, dtype=np.int64)[d % fi]]
-        if not np.array_equal(orbit[beta], orbit):
+        if [orbit[y] for y in beta] != orbit:
             continue
-        if not np.array_equal(beta[alpha], alpha[beta]):
+        if [beta[y] for y in a] != [a[y] for y in beta]:
             continue
-        if np.bincount(beta, minlength=n).max() != 1:
+        if len(set(beta)) != n:
             continue
         bp = beta
-        p_order = False
         for _ in range(max_pstep + 1):
-            if np.array_equal(bp, ident):
-                p_order = True
+            if bp == ident:
                 break
-            bp = perm_power(bp, p)
-        if not p_order:
+            q = bp
+            for _ in range(p - 1):
+                q = [bp[y] for y in q]
+            bp = q
+        else:
             continue
         stats.pairs += 1
-        if beta.tobytes() not in power_bytes:
-            return beta
+        if tuple(beta) not in power_set:
+            return np.asarray(beta)
     return None
 
 
@@ -1177,7 +1200,8 @@ def old_trichotomy(g: Group, n_sub: Subgroup) -> tuple:
     through the member lists.  H is the p'-elements of N tested for closure
     in N, S and O_p(N) come from N's own Sylow search, and T runs over the
     lattice of S under all three direct-product tests, <x> T = S included.
-    Returns (p, H, dedekind, case, case-c data or None)."""
+    Returns (p, H, dedekind, case, (x, T) in case c or None), and asserts
+    the two case-c checks on x and T."""
     p = prime_divisors(_blackburn_r(g).order)[0]
     n_grp, mem = n_sub.as_group()
     orders = n_grp.element_orders()
@@ -1209,15 +1233,16 @@ def old_trichotomy(g: Group, n_sub: Subgroup) -> tuple:
             tg = g.table
             cent_cx = (tg[:, cx] == tg[cx, :].T).all(axis=1)
             cent_t = (tg[:, t_in_g] == tg[t_in_g, :].T).all(axis=1)
-            return (*head, "c", (mem[s_mem[xi]], tuple(t_in_g),
-                                 len(cx) == lcm(*(orders[i] for i in op)),
-                                 not (cent_cx & ~cent_t).any()))
+            # the case c checks hold, or _case_c_data would have raised
+            assert len(cx) == lcm(*(orders[i] for i in op))
+            assert not (cent_cx & ~cent_t).any()
+            return (*head, "c", (mem[s_mem[xi]], tuple(t_in_g)))
     raise AssertionError("case c reached but no direct decomposition found")
 
 
 def verdict_fields(v) -> tuple:
     c = v.case_c
-    cc = None if c is None else (c.x, c.t_members, c.exponent_ok, c.centralizing_ok)
+    cc = None if c is None else (c.x, c.t_members)
     return (v.p, v.p_complement, v.dedekind_complement, v.case, cc)
 
 
@@ -1254,8 +1279,8 @@ def test_trichotomy_on_relabelled_blackburn_groups(data):
             got, want = verdict_fields(_trichotomy(g, r, s)), old_trichotomy(g, s)
             assert got[:4] == want[:4]
             if got[4] is not None:
-                (x, t, *oks), (y, u, *want_oks) = got[4], want[4]
-                assert (g.order_of(x), len(t), oks) == (g.order_of(y), len(u), want_oks)
+                (x, t), (y, u) = got[4], want[4]
+                assert (g.order_of(x), len(t)) == (g.order_of(y), len(u))
                 assert set(g.closure([x]).tolist()) & set(t) == {0}
 
 
@@ -1288,6 +1313,72 @@ def test_automorphism_rows_match_the_one_map_predicates(data):
     preserving = (cid[block] == cid).all(axis=1)
     assert [bool(c) for c, a in zip(preserving, want) if a] == [
         is_class_preserving(g, m) for m, a in zip(maps, want) if a]
+
+
+# brute-force Aut(G) of these has 12288-20160 rows: seconds per example for
+# the per-map and n^2 oracles
+BLOCK_NAMES = [n for n in NAMES if n not in ("e16", "q8xc4xc2", "q8xq8")]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_block_verdict_matches_the_one_map_predicates(data):
+    """An enumerate_aut block with corrupted rows appended (two entries
+    swapped, a bijection fixing 0, f(0) != 0 by a swap with 0, and the
+    trivial endomorphism), wrapped as one block of maps and asked in any
+    order, in chunks of any size: every row reads GroupMap.is_automorphism
+    and _automorphism_rows of its images, the block is decided once and
+    only when asked, the rows equal and hash as GroupMaps of their images,
+    and is_class_preserving rejects every row that is not an automorphism."""
+    g = data.draw(groups(BLOCK_NAMES))
+    n = g.order
+    auts = [m.images for m in enumerate_aut(g)]
+    pick = st.integers(0, len(auts) - 1)
+    rows = list(auts)
+    if n >= 3:
+        a, b = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        rows.append(swapped(auts[data.draw(pick)], a, b))
+        rows.append(np.asarray([0, *data.draw(st.permutations(range(1, n)))], dtype=np.int32))
+    if n >= 2:
+        rows.append(swapped(auts[data.draw(pick)], 0, data.draw(st.integers(1, n - 1))))
+        rows.append(np.zeros(n, dtype=np.int32))
+    block = np.asarray(rows, dtype=np.int32)
+    want = [GroupMap(g, g, row).is_automorphism() for row in block]
+    assert want[: len(auts)] == [True] * len(auts)
+    assert _automorphism_rows(g, block).tolist() == want
+    k = max(1, len(g.generating_sequence()))
+    chunk = data.draw(st.sampled_from([1, n * k, core.BLOCK_ELEMENTS]))
+    with mock.patch.object(core, "BLOCK_ELEMENTS", chunk), \
+            mock.patch.object(core, "_automorphism_mask", wraps=core._automorphism_mask) as decide:
+        maps = GroupMap._rows(g, block)
+        assert decide.call_count == 0
+        got = [None] * len(maps)
+        for i in data.draw(st.permutations(range(len(maps)))):
+            got[i] = maps[i].is_automorphism()
+        assert [m.is_automorphism() for m in maps] == got == want
+        assert decide.call_count == 1
+    for m, row in zip(maps, block):
+        f = GroupMap(g, g, row)
+        assert m == f and hash(m) == hash(f) and m.images.tobytes() == f.images.tobytes()
+        assert not m.images.flags.writeable
+    for m, ok in zip(maps, want):
+        if not ok:
+            with pytest.raises(NotAutomorphism):
+                is_class_preserving(g, m)
+
+
+def test_search_maps_share_one_lazy_verdict():
+    """enumerate_aut decides its whole block on the first ask, and
+    enumerate_autc, whose maps nobody asks about here, decides none."""
+    g = _group("q8xc2")
+    with mock.patch.object(core, "_automorphism_mask", wraps=core._automorphism_mask) as decide:
+        autc, _ = enumerate_autc(g)
+        maps = enumerate_aut(g)
+        assert decide.call_count == 0
+        kept = [m for m in maps if is_class_preserving(g, m)]
+        assert decide.call_count == 1 and set(kept) == set(autc)
+        assert all(m.is_automorphism() for m in autc)
+        assert decide.call_count == 2
 
 
 @settings(max_examples=60)
