@@ -277,7 +277,8 @@ def _jordan_alphas(p: int, r: int) -> list:
 class PairHarnessReport:
     prime: int
     stats: List[PairStats] = field(default_factory=list)
-    counterexample: Optional[tuple] = None
+    # the violating pair, by its group and the basis images of alpha and beta
+    counterexample: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -289,10 +290,10 @@ class PairHarnessReport:
 
 
 def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
-    """Assert pointwise-power implies power over all abelian p-groups <= cap.
+    """Check that pointwise-power implies power on every abelian p-group <= cap.
 
-    Raises CounterexampleFound on any violating pair (none exist).
-    """
+    The scan stops at the first violating pair (none exist): the report
+    names it in `counterexample`, and its `ok` is False."""
     report = PairHarnessReport(prime=p)
     for factors in abelian_scope(p, max_order):
         group, basis, digits = abelian_group(factors)
@@ -310,12 +311,12 @@ def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
             stats.candidates += rep.candidates if candidates is None else candidates
             stats.pairs += size * rep.pairs
             if bad is not None:
-                report.counterexample = (tuple(factors), alpha.tolist(), bad.tolist())
-                report.stats.append(stats)
-                raise CounterexampleFound(
+                report.counterexample = (
                     f"pointwise-power pair on {factors} is not a global power: alpha "
                     f"sends the basis {basis} to {alpha[basis].tolist()}, beta to "
                     f"{bad[basis].tolist()}")
+                report.stats.append(stats)
+                return report
         report.stats.append(stats)
     return report
 

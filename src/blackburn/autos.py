@@ -25,9 +25,10 @@ A search yields its maps as one int32 (maps x |G|) block of images.  Only
 the public entry points wrap rows in GroupMaps; _aut_images hands Aut(G) to
 the pointwise-power harness as the block itself.  enumerate_aut and
 enumerate_autc wrap the rows of their block with GroupMap._rows: the maps
-share one verdict, which the first is_automorphism() of any of them
-decides for the whole block, so maps nobody asks about cost no check.
-find_isomorphism wraps its one hit as a GroupMap of its own.
+share one verdict, which the first predicate asked of any of them decides
+for the whole block, so maps nobody asks about cost no check.
+find_isomorphism wraps its one hit as a GroupMap, which, like every map
+built by hand, is a block of one row.
 
 The class-preserving enumeration searches only the stabilizer S of the
 first generator g0: every class-preserving map sends g0 into its class,
@@ -59,8 +60,7 @@ DEFAULT_BUDGET = 10**8
 
 def inner_automorphism(g: Group, a: int) -> GroupMap:
     """Conjugation by a: the map x -> a^-1 x a."""
-    t, inv = g.table, g.inverses
-    return GroupMap(g, g, t[inv[a], t[:, a]])
+    return GroupMap(g, g, g.conjugates(by=[a])[0])
 
 
 def is_class_preserving(g: Group, f: GroupMap) -> bool:
@@ -303,10 +303,10 @@ def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
     trivial = k * len(block) == inn_order
     inner = np.ones(len(block), dtype=bool) if trivial else _inner_mask(g, block[:, gens])
     if k > 1:
-        t, inv, m = g.table, g.inverses, len(block)
+        m = len(block)
         # each conjugate of g0 is x^-1 g0 x for n/k elements x: one x for each
-        xs = np.argsort(t[inv, t[g0]])[:: g.order // k]
-        conj = t[inv[xs][:, None], t[:, xs].T]  # row i: y -> xs[i]^-1 y xs[i]
+        xs = np.argsort(g.conjugates(of=[g0])[:, 0])[:: g.order // k]
+        conj = g.conjugates(by=xs)  # row i: y -> xs[i]^-1 y xs[i]
         # row i*m + j: conj[i] after block[j]
         block = np.take(conj, block, axis=1).reshape(-1, g.order)
         order = np.lexsort(block[:, gens[::-1]].T)
@@ -330,8 +330,7 @@ def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
 def _inner_mask(g: Group, gen_imgs: np.ndarray) -> np.ndarray:
     """For each row of images of g.generating_sequence(), whether some
     conjugation x -> a^-1 x a sends every generator to its image in that row."""
-    t, inv = g.table, g.inverses
-    conj = t[inv[:, None], t[g.generating_sequence()].T]  # conj[a, i] = a^-1 gens[i] a
+    conj = g.conjugates(of=g.generating_sequence())  # conj[a, i] = a^-1 gens[i] a
     return (conj == gen_imgs[:, None, :]).all(axis=2).any(axis=1)
 
 

@@ -141,20 +141,18 @@ def index2_subgroups(g: Group) -> list:
 def q_group_witness(g: Group) -> Optional[QGroupWitness]:
     """A pair (A, b): abelian non-elementary-abelian index-2 subgroup A and an
     order-4 element b inverting A pointwise, if one exists."""
-    t, inv = g.table, g.inverses
-    orders = g.element_orders()
+    orders = np.asarray(g.element_orders())
     for a in index2_subgroups(g):
         if not _sub_abelian(g, a):
             continue
-        if all(orders[x] <= 2 for x in a.members.tolist()):
+        if (orders[a.members] <= 2).all():
             continue  # elementary abelian base is excluded
         outside = np.setdiff1d(np.arange(g.order), a.members)
-        for b in outside.tolist():
-            if orders[b] != 4:
-                continue
-            conj = t[inv[b], t[a.members, b]]
-            if np.array_equal(conj, inv[a.members]):
-                return QGroupWitness(a, int(b))
+        bs = outside[orders[outside] == 4]
+        # row i: whether bs[i] inverts every member of A
+        hits = (g.conjugates(by=bs, of=a.members) == g.inverses[a.members]).all(axis=1)
+        if hits.any():
+            return QGroupWitness(a, int(bs[np.argmax(hits)]))
     return None
 
 

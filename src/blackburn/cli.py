@@ -36,6 +36,12 @@ def _emit(lines: List[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _emit_rows(rows: List[tuple], porcelain: bool) -> None:
+    """(key, value) rows as key=value lines, or as key: value lines."""
+    sep = "=" if porcelain else ": "
+    _emit([f"{k}{sep}{v}" for k, v in rows])
+
+
 def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
     g = resolve_source(source).load(cap=max_order)
     if g.order > max_order:
@@ -56,10 +62,7 @@ def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
     ]
     if form is not None:
         rows.append(("form", form))
-    if porcelain:
-        _emit([f"{k}={v}" for k, v in rows])
-    else:
-        _emit([f"{k}: {v}" for k, v in rows])
+    _emit_rows(rows, porcelain)
     return EXIT_OK
 
 
@@ -84,10 +87,7 @@ def cmd_autc(source: str, porcelain: bool, budget: int, stats: Optional[str] = N
     if rep.witness is not None:
         imgs = " ".join(str(int(rep.witness.images[x])) for x in rep.generating_set)
         rows.append(("witness_generator_images", imgs))
-    if porcelain:
-        _emit([f"{k}={v}" for k, v in rows])
-    else:
-        _emit([f"{k}: {v}" for k, v in rows])
+    _emit_rows(rows, porcelain)
     return EXIT_OK
 
 

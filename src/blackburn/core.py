@@ -104,6 +104,15 @@ class Group:
         T = self.table
         return T.item(T.item(self.inv(g), a), g)
 
+    def conjugates(self, by=slice(None), of=slice(None)) -> np.ndarray:
+        """The (|by| x |of|) array whose entry [i, j] is by[i]^-1 * of[j] * by[i]:
+        row i is conjugation by by[i], read on the elements `of`.  Each of
+        `by` and `of` is an index array or a slice, by default every element.
+        The inner gather copies only the columns `by` of the table.
+        """
+        T = self.table
+        return T[self.inverses[by][:, None], T[:, by][of].T]
+
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -187,12 +196,11 @@ class Group:
         A class's number is the rank of its label among the labels.
         """
         if self._class_id is None:
-            T, inv, n = self.table, self.inverses, self.order
+            n = self.order
             if n <= CLASS_BLOCK_LIMIT:
-                lab = T[inv[:, None], T.T].min(axis=0)  # row g: x -> g^-1 x g
+                lab = self.conjugates().min(axis=0)
             else:
-                gens = self.generating_sequence()
-                lab = orbit_labels(T[inv[gens][:, None], T[:, gens].T])
+                lab = orbit_labels(self.conjugates(by=self.generating_sequence()))
             cid = (np.cumsum(lab == np.arange(n)) - 1)[lab].astype(np.int32)
             cid.flags.writeable = False
             size = np.bincount(cid)
@@ -335,7 +343,7 @@ class Group:
             layers.append(layer)
             fresh = []
             for kmask, kmem, kgens in layer:
-                norm = kmask[self._conjugation_block(kmem)].all(axis=1)
+                norm = kmask[self.conjugates(of=kmem)].all(axis=1)
                 index = int(np.count_nonzero(norm)) // kmem.size
                 norm &= ~kmask
                 for p in prime_divisors(index):
@@ -380,15 +388,10 @@ class Group:
             layers.append(fresh)
             frontier = fresh
 
-    def _conjugation_block(self, mem: np.ndarray) -> np.ndarray:
-        """The (n x |mem|) array whose row g holds g^-1 * h * g for h in mem."""
-        T = self.table
-        return T[self.inverses[:, None], T[mem, :].T]
-
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
         mask = np.zeros(self.order, dtype=bool)
         mask[sub.members] = True
-        keep = mask[self._conjugation_block(sub.members)].all(axis=1)
+        keep = mask[self.conjugates(of=sub.members)].all(axis=1)
         return Subgroup._trusted(self, _mask_members(keep))
 
     def is_normal(self, sub: "Subgroup") -> bool:
@@ -407,9 +410,8 @@ class Group:
         cyclic_ids[s^-1 x s] == cyclic_ids[x]: one (|gens| x n) gather.
         """
         if self._normal_cyclic is None:
-            T, inv, ids = self.table, self.inverses, self.cyclic_ids()
-            gens = self.generating_sequence()
-            normal = (ids[T[inv[gens][:, None], T[:, gens].T]] == ids).all(axis=0)
+            ids = self.cyclic_ids()
+            normal = (ids[self.conjugates(by=self.generating_sequence())] == ids).all(axis=0)
             normal.flags.writeable = False
             self._normal_cyclic = normal
         return self._normal_cyclic
@@ -436,7 +438,7 @@ class Group:
 
     def o_p(self, p: int) -> "Subgroup":
         """Largest normal p-subgroup: intersection of all Sylow p-conjugates."""
-        block = self._conjugation_block(self.sylow(p).members)
+        block = self.conjugates(of=self.sylow(p).members)
         # each row lists one conjugate of P without repeats, so an element
         # lies in every conjugate exactly when it appears in all n rows
         hits = np.bincount(block.ravel(), minlength=self.order)
@@ -558,34 +560,34 @@ class Subgroup:
 
 
 class GroupMap:
-    """A map between groups given by an image list, one entry per source element."""
+    """A map between groups given by an image list, one entry per source element.
+    Its predicates read its row of a `_BlockVerdict`, of one row if built by hand."""
 
-    __slots__ = ("source", "target", "images", "_bytes", "_automorphism", "_block", "_row")
+    __slots__ = ("source", "target", "images", "_bytes", "_block", "_row")
 
     def __init__(self, source: Group, target: Group, images):
         self.source = source
         self.target = target
         self.images = _checked_images(images, 1, source, target)
         self._bytes = self.images.tobytes()
-        self._automorphism = None  # is_automorphism(), once computed
-        self._block = None  # the _BlockVerdict of the block this map is row _row of
+        self._block = _BlockVerdict(source, target, self.images[None, :])
+        self._row = 0
 
     @classmethod
     def _rows(cls, g: Group, block) -> list:
         """One map g -> g per row of a (maps x |g|) block of images: the
         block is made int32 and read-only and its range checked once, and
         each map's images are a view of its row.  The maps share one
-        verdict: the first is_automorphism() of any of them decides every
+        verdict: the first predicate asked of any of them decides every
         row in one pass over the block."""
         block = _checked_images(block, 2, g, g)
-        verdict = _BlockVerdict(g, block)
+        verdict = _BlockVerdict(g, g, block)
         maps = []
         for i, img in enumerate(block):
             f = cls.__new__(cls)
             f.source = f.target = g
             f.images = img
             f._bytes = img.tobytes()
-            f._automorphism = None
             f._block, f._row = verdict, i
             maps.append(f)
         return maps
@@ -600,45 +602,20 @@ class GroupMap:
         return GroupMap(self.source, other.target, other.images[self.images])
 
     def is_bijective(self) -> bool:
-        hit = np.zeros(self.target.order, dtype=bool)
-        hit[self.images] = True
-        return int(np.count_nonzero(hit)) == self.source.order
+        return self._block.masks()[0][self._row]
+
+    def is_homomorphism(self) -> bool:
+        return self._block.masks()[1][self._row]
+
+    def is_automorphism(self) -> bool:
+        return self._block.masks()[2][self._row]
 
     def inverse(self) -> "GroupMap":
-        if self.source.order != self.target.order or not self.is_bijective():
+        if not self.is_bijective():
             raise NotPermutation("map is not invertible")
         inv = np.empty(self.source.order, dtype=np.int32)
         inv[self.images] = np.arange(self.source.order, dtype=np.int32)
         return GroupMap(self.target, self.source, inv)
-
-    def is_homomorphism(self) -> bool:
-        """Whether f(x y) = f(x) f(y) for all x, y, decided on the generator
-        columns: f(0) = 0, and f(x s) = f(x) f(s) for every x and each s of
-        `source.generating_sequence()`.  That is n * k entries, not n^2.
-
-        It is exact.  The closure of the generating sequence is the whole
-        source, and in a finite group s^-1 = s^(|s| - 1), so every y != 0 is
-        a positive word in the generators; induction on its length gives
-        f(x y) = f(x) f(y).  For y = 0 it needs f(0) = 0, which follows from
-        f(s) = f(0) f(s) when there is a generator s, but not for the
-        trivial source, which has none.
-        """
-        gens = self.source.generating_sequence()
-        f, tt = self.images, self.target.table
-        return bool(f[0] == 0 and np.array_equal(f[self.source.table[:, gens]],
-                                                 tt[f[:, None], f[gens]]))
-
-    def is_automorphism(self) -> bool:
-        """Computed on the first call and kept: the images and both tables
-        are read-only, so the answer cannot change.  A row of a block reads
-        its entry of the block's verdict."""
-        if self._automorphism is None:
-            if self._block is not None:
-                self._automorphism = self._block.row(self._row)
-            else:
-                self._automorphism = (self.source is self.target and self.is_bijective()
-                                      and self.is_homomorphism())
-        return self._automorphism
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.source.order)))
@@ -679,39 +656,59 @@ def _checked_images(images, ndim: int, source: Group, target: Group) -> np.ndarr
 
 
 class _BlockVerdict:
-    """GroupMap.is_automorphism of every row of a read-only (maps x n) block
-    of images of g into g, decided for the whole block on the first ask."""
+    """The `_map_masks` of a read-only (maps x |source|) block of images,
+    decided for the whole block on the first ask and kept: the images and
+    both tables are read-only, so the answer cannot change."""
 
-    __slots__ = ("group", "block", "_mask")
+    __slots__ = ("source", "target", "block", "_masks")
 
-    def __init__(self, group: Group, block: np.ndarray):
-        self.group = group
+    def __init__(self, source: Group, target: Group, block: np.ndarray):
+        self.source = source
+        self.target = target
         self.block = block
-        self._mask = None
+        self._masks = None
 
-    def row(self, i: int) -> bool:
-        if self._mask is None:
-            self._mask = _automorphism_mask(self.group, self.block)
-        return bool(self._mask[i])
+    def masks(self) -> tuple:
+        if self._masks is None:
+            self._masks = _map_masks(self.source, self.target, self.block)
+        return self._masks
 
 
-def _automorphism_mask(g: Group, block: np.ndarray) -> np.ndarray:
-    """For each row f of a (maps x n) block of images in 0..n-1, the predicate
-    of GroupMap.is_automorphism: f is bijective, f(0) = 0, and
-    f(x s) = f(x) f(s) for every x and each s of g.generating_sequence().
-    The (rows x n x k) check runs BLOCK_ELEMENTS at a time."""
-    t, n = g.table, g.order
-    gens = np.asarray(g.generating_sequence(), dtype=np.intp)
-    cols = t[:, gens]  # cols[x, j] = x * gens[j]
-    ok = np.empty(len(block), dtype=bool)
+def _map_masks(source: Group, target: Group, block: np.ndarray) -> tuple:
+    """For each row f of a (maps x |source|) block of images in the target,
+    whether f is bijective, a homomorphism and an automorphism, as three
+    lists of bools.
+
+    f is bijective when source and target have one order and the images
+    hit every element: one scatter.  f is a homomorphism when f(0) = 0 and
+    f(x s) = f(x) f(s) for every x and each s of `source.generating_sequence()`:
+    n * k entries, not n^2.  That is exact.  The closure of the generating
+    sequence is the whole source, and in a finite group s^-1 = s^(|s| - 1),
+    so every y != 0 is a positive word in the generators; induction on its
+    length gives f(x y) = f(x) f(y).  For y = 0 it needs f(0) = 0, which
+    follows from f(s) = f(0) f(s) when there is a generator s, but not for
+    the trivial source, which has none.  f is an automorphism when the
+    source is the target and f is both.
+
+    Both checks run on BLOCK_ELEMENTS entries of the (maps x n x k) check
+    at a time, so neither holds an array over the whole block.
+    """
+    n, rows = source.order, len(block)
+    gens = np.asarray(source.generating_sequence(), dtype=np.intp)
+    cols = source.table[:, gens]  # cols[x, j] = x * gens[j]
+    tt = target.table
+    bij = np.zeros(rows, dtype=bool)
+    hom = np.empty(rows, dtype=bool)
     step = max(1, BLOCK_ELEMENTS // (n * max(1, gens.size)))
-    for lo in range(0, len(block), step):
+    for lo in range(0, rows, step):
         f = block[lo : lo + step]
-        hit = np.zeros(f.shape, dtype=bool)
-        hit[np.arange(len(f))[:, None], f] = True
-        ok[lo : lo + step] = (hit.all(axis=1) & (f[:, 0] == 0)
-                              & (f[:, cols] == t[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2)))
-    return ok
+        if n == target.order:
+            hit = np.zeros(f.shape, dtype=bool)
+            hit[np.arange(len(f))[:, None], f] = True
+            bij[lo : lo + step] = hit.all(axis=1)
+        hom[lo : lo + step] = ((f[:, 0] == 0)
+                               & (f[:, cols] == tt[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2)))
+    return bij.tolist(), hom.tolist(), (bij & hom & (source is target)).tolist()
 
 
 def identity_map(g: Group) -> GroupMap:
@@ -740,10 +737,8 @@ class Action:
         M = self.maps
         if not np.array_equal(M[0], np.arange(self.acted.order)):
             raise BadParams("identity must act trivially")
-        for m in M:
-            gm = GroupMap(self.acted, self.acted, m)
-            if not gm.is_automorphism():
-                raise BadParams("actor element does not act as an automorphism")
+        if not all(_map_masks(self.acted, self.acted, M)[2]):
+            raise BadParams("actor element does not act as an automorphism")
         # act(h1 h2) must equal act(h1) after act(h2):
         # (act(h1)∘act(h2))(x) = act(h1)(act(h2)(x)), for all (h1, h2, x) at once
         rows = np.arange(self.actor.order)[:, None, None]

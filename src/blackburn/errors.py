@@ -66,7 +66,7 @@ class NoFormMatched(GroupError):
 
 
 class CounterexampleFound(GroupError):
-    """An exhaustive harness found a pair violating the checked property."""
+    """A counterexample check met a violating case, or an input it cannot run on."""
 
 
 class ClaimFailed(GroupError):

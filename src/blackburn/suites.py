@@ -318,7 +318,8 @@ def pointwise_power(full: bool = True) -> SuiteResult:
     for p, cap in scopes:
         try:
             rep = abelian_pairs.pointwise_power_harness(p, cap)
-            col.case(f"abelian {p}-groups <= {cap}", rep.ok and rep.total_pairs > 0)
+            col.case(f"abelian {p}-groups <= {cap}", rep.ok and rep.total_pairs > 0,
+                     lambda: rep.counterexample or "")
         except GroupError as exc:
             col.case(f"abelian {p}-groups <= {cap}", False, lambda: str(exc))
     contrast = abelian_pairs.nonabelian_contrast(3)

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blackburn import abelian_pairs
+from blackburn import abelian_pairs, suites
 from blackburn._arith import cycle_lengths, is_p_power, p_power_mask
 from blackburn.abelian_pairs import (
     EXHAUSTIVE_AUT_CAP,
@@ -122,16 +122,23 @@ def test_small_scopes_have_no_counterexample():
 
 
 def test_counterexample_reaches_the_caller():
-    """A failing pair is named in the error: its group and the basis images
+    """A failing pair is named in the returned report, which is then not
+    ok, and in the suite's first failure: its group and the basis images
     of alpha and beta."""
     def invert(group, basis, digits, alpha, p, stats):
         return group.inverses  # x -> -x, standing in for a beta outside <alpha>
 
     with mock.patch.object(abelian_pairs, "_pairs_for_alpha", invert):
-        with pytest.raises(CounterexampleFound) as err:
-            pointwise_power_harness(3, 9)
-    assert str(err.value) == ("pointwise-power pair on [3] is not a global power: alpha "
-                              "sends the basis [1] to [1], beta to [2]")
+        rep = pointwise_power_harness(3, 9)
+        suite = suites.pointwise_power(full=False)
+    assert not rep.ok
+    assert rep.counterexample == ("pointwise-power pair on [3] is not a global power: alpha "
+                                  "sends the basis [1] to [1], beta to [2]")
+    # the scan stops at the pair: C3 is the first group of the scope
+    assert [s.factors for s in rep.stats] == [(3,)]
+    assert not suite.ok and suite.first_failure == (
+        "abelian 2-groups <= 8: pointwise-power pair on [2] is not a global power: alpha "
+        "sends the basis [1] to [1], beta to [1]")
 
 
 def test_harness_builds_no_group_maps():

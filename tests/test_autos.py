@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from blackburn import core
 from blackburn.autos import (
     _Search,
     enumerate_aut,
@@ -76,19 +77,18 @@ def test_class_preserving_predicate():
 
 
 def test_is_automorphism_is_computed_once():
+    """A map built by hand is a one-row block: its verdict is decided on
+    the first ask, once, and every predicate reads it."""
     s3 = symmetric(3)
-    maps = [inner_automorphism(s3, 1), GroupMap(s3, s3, [0, 2, 1, 3, 4, 5])]
-    calls = []
-    original = GroupMap.is_homomorphism
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    with mock.patch.object(GroupMap, "is_homomorphism", counted):
+    with mock.patch.object(core, "_map_masks", wraps=core._map_masks) as decide:
+        maps = [inner_automorphism(s3, 1), GroupMap(s3, s3, [0, 2, 1, 3, 4, 5])]
+        assert decide.call_count == 0
         assert [m.is_automorphism() for m in maps] == [True, False]
         assert [m.is_automorphism() for m in maps] == [True, False]
-    assert calls == maps
+        assert [(m.is_bijective(), m.is_homomorphism()) for m in maps] == [(True, True),
+                                                                          (True, False)]
+    assert [c.args[2].tolist() for c in decide.call_args_list] == [
+        [m.images.tolist()] for m in maps]
 
 
 def test_autc_abelian_is_identity_only():
@@ -306,6 +306,31 @@ def test_min_stabilizer_matches_the_point_by_point_search():
     assert len(instances) == 50
     for _, _, _, action in instances:
         assert find_min_stabilizer_point(action) == old_find_min_stabilizer_point(action)
+
+
+def test_action_check_rejects_one_bad_row_of_its_block():
+    """Action.check decides every actor's map in one _map_masks call on its
+    maps block, builds no GroupMap, and rejects a block with one map that
+    is a bijection but not a homomorphism."""
+    c2, c5 = cyclic(2), cyclic(5)
+    ident = np.arange(5, dtype=np.int32)
+    negate = (-ident) % 5
+    swap = np.asarray([0, 2, 1, 3, 4], dtype=np.int32)  # an involution, not additive
+    init = GroupMap.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(core, "_map_masks", wraps=core._map_masks) as decide, \
+            mock.patch.object(GroupMap, "__init__", counting_init):
+        act = Action(c2, c5, [ident, negate])
+        assert decide.call_count == 1 and decide.call_args.args[2] is act.maps
+        with pytest.raises(BadParams, match="does not act as an automorphism"):
+            Action(c2, c5, [ident, swap])
+        assert decide.call_count == 2
+    assert not built
 
 
 def test_action_maps_are_one_block_and_reject_the_wrong_shape():

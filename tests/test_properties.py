@@ -21,7 +21,7 @@ coordinates.  sympy's permutation groups are an outside oracle for the
 class count, the center and nilpotency.
 """
 
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import numpy as np
@@ -263,7 +263,8 @@ def old_is_homomorphism(f: GroupMap) -> bool:
 
 
 def old_is_bijective(f: GroupMap) -> bool:
-    return bool(np.unique(f.images).size == f.source.order)
+    """Injective, and onto because source and target have one order."""
+    return f.source.order == f.target.order and bool(np.unique(f.images).size == f.source.order)
 
 
 def check_map_predicates(f: GroupMap) -> bool:
@@ -709,6 +710,30 @@ def test_scalar_arithmetic_matches_the_table(data):
         least_gen.setdefault(tuple(np.unique(pows[: orders[x], x]).tolist()), x)
     want = sorted(least_gen, key=least_gen.get)
     assert [tuple(c.members.tolist()) for c in g.cyclic_subgroups()] == want
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_conjugates_match_the_scalar_conjugation(data):
+    """Group.conjugates(by, of)[i, j] is g.conj(of[j], by[i]): with both
+    defaults, a single by row, by and of subsets as lists or arrays, and
+    either one left at its default."""
+    g = data.draw(groups())
+    n = g.order
+    by = data.draw(elements(g, max_size=6))
+    of = data.draw(elements(g, max_size=6))
+
+    def want(bs, xs):
+        return [[g.conj(x, b) for x in xs] for b in bs]
+
+    full = g.conjugates()
+    assert full.shape == (n, n) and full.tolist() == want(range(n), range(n))
+    a = data.draw(st.integers(0, n - 1))
+    assert g.conjugates(by=[a]).tolist() == want([a], range(n))
+    assert g.conjugates(by=[a], of=of).tolist() == want([a], of)
+    assert g.conjugates(by=np.asarray(by, dtype=np.int32), of=of).tolist() == want(by, of)
+    assert g.conjugates(by=by).tolist() == want(by, range(n))
+    assert g.conjugates(of=np.asarray(of, dtype=np.intp)).tolist() == want(range(n), of)
 
 
 @settings(max_examples=60)
@@ -1349,7 +1374,7 @@ def test_block_verdict_matches_the_one_map_predicates(data):
     k = max(1, len(g.generating_sequence()))
     chunk = data.draw(st.sampled_from([1, n * k, core.BLOCK_ELEMENTS]))
     with mock.patch.object(core, "BLOCK_ELEMENTS", chunk), \
-            mock.patch.object(core, "_automorphism_mask", wraps=core._automorphism_mask) as decide:
+            mock.patch.object(core, "_map_masks", wraps=core._map_masks) as decide:
         maps = GroupMap._rows(g, block)
         assert decide.call_count == 0
         got = [None] * len(maps)
@@ -1371,7 +1396,7 @@ def test_search_maps_share_one_lazy_verdict():
     """enumerate_aut decides its whole block on the first ask, and
     enumerate_autc, whose maps nobody asks about here, decides none."""
     g = _group("q8xc2")
-    with mock.patch.object(core, "_automorphism_mask", wraps=core._automorphism_mask) as decide:
+    with mock.patch.object(core, "_map_masks", wraps=core._map_masks) as decide:
         autc, _ = enumerate_autc(g)
         maps = enumerate_aut(g)
         assert decide.call_count == 0
@@ -1408,13 +1433,18 @@ def test_map_predicates_match_their_definitions(data):
 def test_map_predicates_between_cyclic_groups():
     """x -> k x from C_m to C_n is a homomorphism exactly when n divides k m
     (or m = 1, where no sum x + y wraps), for every k, also those that give
-    none; and the trivial source, which has no generators."""
+    none; it is bijective, and only then invertible, when m = n and k is a
+    unit; and the trivial source, which has no generators."""
     for m in range(1, 13):
         for n in range(1, 13):
             src, tgt = cyclic(m), cyclic(n)
             for k in range(n):
                 f = GroupMap(src, tgt, (k * np.arange(m)) % n)
                 assert check_map_predicates(f) == (m == 1 or (k * m) % n == 0)
+                assert f.is_bijective() == (m == n and gcd(k, n) == 1)
+                if not f.is_bijective():
+                    with pytest.raises(NotPermutation):
+                        f.inverse()
     c1, c3 = cyclic(1), cyclic(3)
     assert not GroupMap(c1, c3, [1]).is_homomorphism()
     assert GroupMap(c1, c3, [0]).is_homomorphism()
