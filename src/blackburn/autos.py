@@ -3,7 +3,11 @@
 The enumeration backtracks over images of a canonical generating sequence.
 At depth d the subgroup H_d generated by the first d+1 generators is fixed,
 so its element list, a product tree of logarithmic depth, and the (element,
-generator) product positions are precomputed once.  A partial assignment
+generator) product positions are precomputed.  They read only the table
+and the generating sequence, so they form one skeleton per group, built by
+the first search from it and kept on the group: enumerate_aut,
+enumerate_autc and find_isomorphism from one group share it.  The invariant
+is each search's own, read on the members of every H_d.  A partial assignment
 of generator images determines the images of all of H_d along the tree; it
 survives only if it is class-compatible (or order-compatible) and
 multiplicative on every (element, generator) pair.  Multiplicativity on
@@ -26,9 +30,10 @@ the public entry points wrap rows in GroupMaps; _aut_images hands Aut(G) to
 the pointwise-power harness as the block itself.  enumerate_aut and
 enumerate_autc wrap the rows of their block with GroupMap._rows: the maps
 share one verdict, which the first predicate asked of any of them decides
-for the whole block, so maps nobody asks about cost no check.
-find_isomorphism wraps its one hit as a GroupMap, which, like every map
-built by hand, is a block of one row.
+for the whole block, so maps nobody asks about cost no check.  The class
+test of is_class_preserving is such a verdict too, decided for the whole
+block on its first ask.  find_isomorphism wraps its one hit as a GroupMap,
+which, like every map built by hand, is a block of one row.
 
 The class-preserving enumeration searches only the stabilizer S of the
 first generator g0: every class-preserving map sends g0 into its class,
@@ -39,13 +44,14 @@ node count and budget count only the rows of the stabilizer search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._arith import is_p_power, perm_power, prime_divisors
-from .core import BLOCK_ELEMENTS, Action, Group, GroupMap, identity_map
+from .core import BLOCK_ELEMENTS, Action, Group, GroupMap
 from .errors import (
     NoWitness,
     NotAutomorphism,
@@ -64,11 +70,11 @@ def inner_automorphism(g: Group, a: int) -> GroupMap:
 
 
 def is_class_preserving(g: Group, f: GroupMap) -> bool:
-    """True when f maps every element into its own conjugacy class."""
+    """True when f maps every element into its own conjugacy class: one
+    entry of the class verdict of f's block."""
     if f.source is not g or not f.is_automorphism():
         raise NotAutomorphism("map is not an automorphism of the group")
-    cid = g.class_ids()
-    return bool(np.array_equal(cid[f.images], cid))
+    return f._block.classes()[f._row]
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ REJECT_REASONS = ("invariant", "multiplicativity")
 
 
 class _DepthInfo:
-    """H_d = <gens[:d+1]> with a product tree of logarithmic depth.
+    """H_d = <gens[:d+1]> with a product tree of logarithmic depth, all of
+    its arrays read-only.
 
     A breadth-first search over the generators gives every member x a
     shortest word, of length L.  For L >= 2 the word's prefix of length P,
@@ -102,11 +109,9 @@ class _DepthInfo:
     layer.  prod_pos[j, i] is the position of members[i] * gens[j].
     """
 
-    __slots__ = ("members", "size", "layers", "prod_pos", "inv_src", "max_width")
+    __slots__ = ("members", "size", "layers", "prod_pos", "max_width")
 
-    def __init__(self, g: Group, gens: Sequence[int], cols: list, depth: int,
-                 invariant: np.ndarray):
-        # cols[j] lists the products x * gens[j] for every x
+    def __init__(self, g: Group, gens: Sequence[int], cols: list, depth: int):
         sub_cols = cols[: depth + 1]
         seen = bytearray(g.order)
         seen[0] = 1
@@ -129,21 +134,40 @@ class _DepthInfo:
         pos[self.members] = np.arange(self.size)
         u_pos = np.asarray(u_of, dtype=np.intp)
         v_pos = pos[t[g.inverses[self.members[u_pos]], self.members]]
-        # layer k >= 2 holds the word lengths in (2^(k-2), 2^(k-1)]
-        edges = 1 + (1 << np.arange(max(1, length[-1].bit_length()) + 1))
-        bounds = np.searchsorted(length, edges).tolist()
-        self.layers = [(lo, hi, u_pos[lo:hi], v_pos[lo:hi])
-                       for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         self.prod_pos = pos[t[self.members[:, None], list(gens[: depth + 1])]].T
-        self.inv_src = invariant[self.members]
+        for a in (self.members, u_pos, v_pos, self.prod_pos):
+            a.flags.writeable = False
+        # layer k >= 2 holds the word lengths in (2^(k-2), 2^(k-1)]
+        bounds = [bisect_left(length, 1 + (1 << k))
+                  for k in range(max(1, length[-1].bit_length()) + 1)]
+        self.layers = tuple((lo, hi, u_pos[lo:hi], v_pos[lo:hi])
+                            for lo, hi in zip(bounds, bounds[1:]) if lo < hi)
         self.max_width = max(1, BLOCK_ELEMENTS // self.size)
 
 
+def _skeleton(g: Group) -> tuple:
+    """The _DepthInfo of each depth of a search from g, built on the first
+    call and kept on g: it reads only g.table and g.generating_sequence(),
+    so every search from g shares it."""
+    if g._skeleton is None:
+        g._skeleton = _build_skeleton(g)
+    return g._skeleton
+
+
+def _build_skeleton(g: Group) -> tuple:
+    gens = g.generating_sequence()
+    cols = g.table[:, gens].T.tolist()  # cols[j] lists the products x * gens[j]
+    return tuple(_DepthInfo(g, gens, cols, d) for d in range(len(gens)))
+
+
 class _Search:
-    """Backtracking over generator images, evaluated a block of rows at a time.
+    """Backtracking over images of gens = source.generating_sequence(),
+    evaluated a block of rows at a time.
 
     A row at depth d is one partial assignment: its parent's images of
-    gens[:d] plus one candidate image of gens[d].  Rows run in lexicographic
+    gens[:d] plus one candidate image of gens[d].  The product trees come
+    from the source's shared _skeleton; the invariant is this search's own,
+    read per depth on the members of H_d.  Rows run in lexicographic
     (parent, candidate) order, which is the visiting order of a depth-first
     search, and the survivors of each block are expanded before the next
     block at the same depth is evaluated.
@@ -157,7 +181,6 @@ class _Search:
         self,
         source: Group,
         target: Group,
-        gens: Sequence[int],
         candidates: Sequence[Sequence[int]],
         invariant_src: np.ndarray,
         invariant_tgt: np.ndarray,
@@ -165,13 +188,12 @@ class _Search:
     ):
         self.source, self.target = source, target
         self._flat = target.table.ravel()
-        self.gens = list(gens)
+        self.gens = source.generating_sequence()
         self.cands = [np.asarray(c, dtype=np.intp) for c in candidates]
         self.inv_tgt = np.asarray(invariant_tgt)
         inv_src = np.asarray(invariant_src)
-        cols = source.table[:, self.gens].T.tolist()
-        self.depths = [_DepthInfo(source, self.gens, cols, d, inv_src)
-                       for d in range(len(gens))]
+        self.depths = _skeleton(source)
+        self.inv_src = [inv_src[info.members] for info in self.depths]
         self.budget = budget
         self._reset()
 
@@ -254,7 +276,7 @@ class _Search:
         for lo, hi, u, v in info.layers:
             img[:, lo:hi] = t[img[:, u] * n + img[:, v]]
         self.evaluated[depth] += img.shape[0]
-        ok = (self.inv_tgt[img] == info.inv_src).all(axis=1)
+        ok = (self.inv_tgt[img] == self.inv_src[depth]).all(axis=1)
         img, gen_imgs = self._keep(depth, 0, ok, img, gen_imgs)
         prod = t[img[:, None, :] * n + gen_imgs[:, :, None]]
         ok = (img[:, info.prod_pos] == prod).all(axis=(1, 2))
@@ -295,7 +317,7 @@ def enumerate_autc(g: Group, *, budget: int = DEFAULT_BUDGET) -> tuple:
     g0 = gens[0] if gens else 0  # the trivial group has no generators
     k = classes[cid[g0]].size
     cands = [[g0]] + [classes[cid[gen]] for gen in gens[1:]]
-    search = _Search(g, g, gens, cands, cid, cid, budget)
+    search = _Search(g, g, cands, cid, cid, budget)
     block = search.run()
     # |Z(G)| is the number of classes of size 1
     inn_order = g.order // int(np.count_nonzero(np.bincount(cid) == 1))
@@ -355,7 +377,7 @@ def _aut_images(g: Group, *, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     gens = g.generating_sequence()
     orders = np.asarray(g.element_orders(), dtype=np.int32)
     cands = [np.flatnonzero(orders == orders[gen]) for gen in gens]
-    return _Search(g, g, gens, cands, orders, orders, budget).run()
+    return _Search(g, g, cands, orders, orders, budget).run()
 
 
 # Elements per (rows x n x n) homomorphism check in _automorphism_rows.
@@ -388,7 +410,7 @@ def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Opt
         return None
     gens = g.generating_sequence()
     cands = [np.flatnonzero(h_orders == g_orders[gen]) for gen in gens]
-    search = _Search(g, h, gens, cands, g_orders, h_orders, budget)
+    search = _Search(g, h, cands, g_orders, h_orders, budget)
     found = search.run(first_only=True)
     return GroupMap(g, h, found[0]) if len(found) else None
 
@@ -406,11 +428,13 @@ def power_of(alpha: GroupMap, beta: GroupMap) -> Optional[int]:
     _require_automorphism(beta)
     if alpha.source is not beta.source:
         raise NotAutomorphism("maps live on different groups")
-    cur = identity_map(alpha.source)
+    # cur holds the images of alpha^n
+    want = beta.images.tobytes()
+    cur = np.arange(alpha.source.order, dtype=np.int32)
     for n in range(alpha.map_order()):
-        if cur == beta:
+        if cur.tobytes() == want:
             return n
-        cur = cur.then(alpha)
+        cur = alpha.images[cur]
     return None
 
 

@@ -49,6 +49,7 @@ class Group:
         "names",
         "_inv",
         "_powers",
+        "_skeleton",
         "_classes",
         "_class_id",
         "_class_size",
@@ -72,6 +73,7 @@ class Group:
             raise BadParams("names length does not match order")
         self._inv = None
         self._powers = None
+        self._skeleton = None  # autos._skeleton: the image search's per-depth product trees
         self._classes = None
         self._class_id = None
         self._class_size = None
@@ -656,22 +658,35 @@ def _checked_images(images, ndim: int, source: Group, target: Group) -> np.ndarr
 
 
 class _BlockVerdict:
-    """The `_map_masks` of a read-only (maps x |source|) block of images,
-    decided for the whole block on the first ask and kept: the images and
-    both tables are read-only, so the answer cannot change."""
+    """Two verdicts on a read-only (maps x |source|) block of images, each
+    decided for the whole block on its first ask and kept: the images and
+    both tables are read-only, so no answer can change.
 
-    __slots__ = ("source", "target", "block", "_masks")
+    `masks()` is the `_map_masks` of the block.  `classes()` says, for each
+    row, whether it sends every element into its own conjugacy class; it
+    reads the source's class ids, so it means something only for maps of
+    a group to itself.
+    """
+
+    __slots__ = ("source", "target", "block", "_masks", "_classes")
 
     def __init__(self, source: Group, target: Group, block: np.ndarray):
         self.source = source
         self.target = target
         self.block = block
         self._masks = None
+        self._classes = None
 
     def masks(self) -> tuple:
         if self._masks is None:
             self._masks = _map_masks(self.source, self.target, self.block)
         return self._masks
+
+    def classes(self) -> list:
+        if self._classes is None:
+            cid = self.source.class_ids()
+            self._classes = (cid[self.block] == cid).all(axis=1).tolist()
+        return self._classes
 
 
 def _map_masks(source: Group, target: Group, block: np.ndarray) -> tuple:

@@ -176,7 +176,7 @@ def test_search_stats_count_every_rejection_reason():
         g = builtin(name)
         gens = g.generating_sequence()
         ident = (np.arange(g.order) == 0).astype(np.int32)
-        search = _Search(g, g, gens, [range(g.order)] * len(gens), ident, ident, 10**6)
+        search = _Search(g, g, [range(g.order)] * len(gens), ident, ident, 10**6)
         found = search.run()
         assert len(found) == len(enumerate_aut(g))
         assert np.array_equal(search.evaluated, search.rejected.sum(axis=1) + search.survivors)
@@ -275,13 +275,13 @@ def test_search_run_returns_one_int32_block():
     gens = d8.generating_sequence()
     orders = np.asarray(d8.element_orders())
     cands = [np.flatnonzero(orders == orders[gen]) for gen in gens]
-    block = _Search(d8, d8, gens, cands, orders, orders, 10**6).run()
+    block = _Search(d8, d8, cands, orders, orders, 10**6).run()
     assert block.dtype == np.int32 and block.shape == (8, 8)  # |Aut(D8)| = 8
     trivial = cyclic(1)
-    block = _Search(trivial, trivial, [], [], np.zeros(1), np.zeros(1), 10).run()
+    block = _Search(trivial, trivial, [], np.zeros(1), np.zeros(1), 10).run()
     assert block.dtype == np.int32 and block.shape == (1, 1)
     # the identity as the only image of the first generator fails the invariant
-    search = _Search(d8, d8, gens, [[0], *cands[1:]], orders, orders, 10**6)
+    search = _Search(d8, d8, [[0], *cands[1:]], orders, orders, 10**6)
     block = search.run(first_only=True)
     assert block.dtype == np.int32 and block.shape == (0, 8)
     assert search.nodes == 1 and search.rejected[0, 0] == 1

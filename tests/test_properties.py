@@ -59,6 +59,7 @@ from blackburn.autos import (
     inner_automorphism,
     is_class_preserving,
     p_part_normalize,
+    power_of,
 )
 from blackburn.catalog import CATALOG, builtin, cyclic, direct_product
 from blackburn.classify import (
@@ -305,6 +306,16 @@ def old_p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
     if old_is_inner(g, out) != old_is_inner(g, sigma):
         raise PreconditionFailed("innerness was not preserved")
     return out
+
+
+def old_power_of(alpha: GroupMap, beta: GroupMap):
+    """power_of by single compositions of GroupMaps."""
+    cur = identity_map(alpha.source)
+    for n in range(alpha.map_order()):
+        if cur == beta:
+            return n
+        cur = cur.then(alpha)
+    return None
 
 
 def old_all_subgroups(g: Group) -> list:
@@ -784,7 +795,7 @@ def test_enumerate_aut_matches_node_by_node_search(g):
     block = _aut_images(g)
     assert block.dtype == np.int32 and block.shape == (len(got), g.order)
     assert block.tobytes() == b"".join(m._bytes for m in got)
-    search = _Search(g, g, gens, cands, np.asarray(orders), np.asarray(orders), 10**8)
+    search = _Search(g, g, cands, np.asarray(orders), np.asarray(orders), 10**8)
     search.run()
     assert search.nodes == nodes
     keys = {m._bytes for m in got}
@@ -824,7 +835,7 @@ def test_enumerate_autc_assembles_the_stabilizer_by_inner_cosets():
         g = Group(table)
         gens, cands = class_candidates(g)
         cid = g.class_ids()
-        want = _Search(g, g, gens, cands, cid, cid, 10**8).run()
+        want = _Search(g, g, cands, cid, cid, 10**8).run()
         maps, rep = enumerate_autc(g)
         assert [m.images.tobytes() for m in maps] == [w.tobytes() for w in want]
         stats = rep.search_stats
@@ -1404,6 +1415,120 @@ def test_search_maps_share_one_lazy_verdict():
         assert decide.call_count == 1 and set(kept) == set(autc)
         assert all(m.is_automorphism() for m in autc)
         assert decide.call_count == 2
+
+
+def test_class_mask_matches_the_one_map_check():
+    """The class mask of every enumerate_aut block up to order 64, and of
+    hand-built maps (inner automorphisms, copies of rows of those blocks,
+    the witness of a report, sigma of GA), against cid[f.images] == cid map by map.  A block is decided once,
+    on its first ask, and a row that is not an automorphism still raises."""
+    hand = []
+    for e in CATALOG:
+        if e.order > 64:
+            continue
+        g = e.build()
+        cid = g.class_ids()
+        with mock.patch.object(Group, "class_ids", autospec=True,
+                               side_effect=Group.class_ids) as decide:
+            maps = enumerate_aut(g)
+            assert decide.call_count == 0
+            got = [is_class_preserving(g, m) for m in maps]
+            assert decide.call_count == 1
+        assert got == [np.array_equal(cid[m.images], cid) for m in maps]
+        hand += [inner_automorphism(g, a) for a in range(0, g.order, 5)]
+        hand += [GroupMap(g, g, m.images) for m in maps[:: max(1, len(maps) // 4)]]
+        report = enumerate_autc(g)[1]
+        if report.witness is not None:
+            hand.append(report.witness)
+    b = extend_witness(build_witness(3))
+    hand += [b.sigma, inner_automorphism(b.ga_group, 100)]
+    hand += [inner_automorphism(b.ga_group, a).then(b.sigma) for a in (1, 9)]
+    for f in hand:
+        g = f.source
+        cid = g.class_ids()
+        assert is_class_preserving(g, f) == np.array_equal(cid[f.images], cid)
+    assert len({is_class_preserving(f.source, f) for f in hand}) == 2
+    # rows that are not automorphisms, in a block beside good rows and by hand
+    g = builtin("q8xc2")
+    auts = [m.images for m in enumerate_aut(g)]
+    bad = [swapped(auts[3], 1, 2), np.zeros(g.order, dtype=np.int32)]
+    maps = GroupMap._rows(g, np.asarray([auts[0], *bad, auts[-1]]))
+    cid = g.class_ids()
+    for f in (maps[0], maps[-1]):
+        assert is_class_preserving(g, f) == np.array_equal(cid[f.images], cid)
+    for f in [*maps[1:3], *(GroupMap(g, g, row) for row in bad)]:
+        with pytest.raises(NotAutomorphism):
+            is_class_preserving(g, f)
+    with pytest.raises(NotAutomorphism):  # a map of another group
+        is_class_preserving(Group(g.table), maps[0])
+
+
+def test_search_skeleton_is_built_once_per_group():
+    g, h = Group(_group("q64").table), _group("q64")
+    with mock.patch.object(autos, "_build_skeleton", wraps=autos._build_skeleton) as build:
+        enumerate_aut(g)
+        enumerate_autc(g)
+        assert find_isomorphism(g, h) is not None
+        assert _aut_images(g).shape[0] == len(enumerate_aut(g))
+        assert build.call_count == 1 and build.call_args.args == (g,)
+
+
+@settings(max_examples=30)
+@given(groups(AUT_NAMES))
+def test_search_skeleton_matches_a_fresh_build_and_holds_no_invariant(g):
+    """After a search with the order invariant, the group's skeleton equals
+    one built on a fresh Group field by field, and a search with the
+    identity-only invariant finds the maps and counts of the same search on
+    a fresh Group."""
+    enumerate_aut(g)
+    fresh = Group(g.table)
+    kept, built = autos._skeleton(g), autos._build_skeleton(fresh)
+    assert len(kept) == len(built) == len(g.generating_sequence())
+    for a, b in zip(kept, built):
+        assert a.size == b.size and a.max_width == b.max_width
+        for x, y in [(a.members, b.members), (a.prod_pos, b.prod_pos)]:
+            assert np.array_equal(x, y) and not x.flags.writeable
+        assert len(a.layers) == len(b.layers)
+        for (lo, hi, u, v), (lo2, hi2, u2, v2) in zip(a.layers, b.layers):
+            assert (lo, hi) == (lo2, hi2)
+            assert np.array_equal(u, u2) and np.array_equal(v, v2)
+            assert not u.flags.writeable and not v.flags.writeable
+    _, cands = order_candidates(g, g)
+    ident = (np.arange(g.order) == 0).astype(np.int32)
+    for first_only in (False, True):
+        got, want = (_Search(x, x, cands, ident, ident, 10**8) for x in (g, fresh))
+        assert got.run(first_only).tobytes() == want.run(first_only).tobytes()
+        assert got.stats() == want.stats()
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_power_of_matches_single_compositions(data):
+    """power_of against compositions of GroupMaps, on random automorphisms
+    and on powers of alpha, where the answer is the exponent modulo the
+    order of alpha."""
+    g = data.draw(groups(AUT_NAMES))
+    auts = enumerate_aut(g)
+    pick = st.integers(0, len(auts) - 1)
+    alpha, beta = auts[data.draw(pick)], auts[data.draw(pick)]
+    assert power_of(alpha, beta) == old_power_of(alpha, beta)
+    k = data.draw(st.integers(0, 2 * alpha.map_order()))
+    power = identity_map(g)
+    for _ in range(k):
+        power = power.then(alpha)
+    assert power_of(alpha, power) == old_power_of(alpha, power) == k % alpha.map_order()
+
+
+def test_power_of_on_the_witness_pair():
+    """beta is locally but not globally a power of alpha on the p = 3
+    witness; maps that are not automorphisms, or of another group, raise."""
+    b = build_witness(3)
+    assert power_of(b.alpha, b.beta) is None and old_power_of(b.alpha, b.beta) is None
+    assert power_of(b.alpha, b.alpha.then(b.alpha)) == 2
+    zero = GroupMap(b.g_group, b.g_group, np.zeros(b.g_group.order, dtype=np.int32))
+    for alpha, beta in [(zero, b.beta), (b.alpha, zero), (b.alpha, identity_map(Group(b.g_group.table)))]:
+        with pytest.raises(NotAutomorphism):
+            power_of(alpha, beta)
 
 
 @settings(max_examples=60)
