@@ -59,6 +59,20 @@ def perm_power(perm: np.ndarray, times: int) -> np.ndarray:
     return np.array(out)  # a fresh array, also when times == 0
 
 
+def perm_powers(perm: np.ndarray, k: int) -> np.ndarray:
+    """The (k x n) array whose row i is perm^i, for i = 0..k-1; keeps perm's
+    dtype.  The rows double at each step: rows m .. 2m-1 are perm^m applied
+    after rows 0 .. m-1, one gather."""
+    out = np.empty((k, perm.size), dtype=perm.dtype)
+    out[:1] = np.arange(perm.size)
+    m, step = 1, perm  # step is perm^m
+    while m < k:
+        top = min(2 * m, k)
+        out[m:top] = step[out[: top - m]]
+        m, step = top, step[step]
+    return out
+
+
 def perm_order(perm: np.ndarray) -> int:
     """Order of a permutation (lcm of cycle lengths)."""
     n = perm.size

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, perm_power, prime_divisors
+from ._arith import is_p_power, p_part, perm_power, perm_powers, prime_divisors
 from .core import BLOCK_ELEMENTS, Action, Group, GroupMap
 from .errors import (
     NoWitness,
@@ -424,30 +424,23 @@ def is_isomorphic(g: Group, h: Group) -> bool:
 
 def power_of(alpha: GroupMap, beta: GroupMap) -> Optional[int]:
     """Least n >= 0 with beta = alpha^n, or None; bounded by the order of alpha."""
-    _require_automorphism(alpha)
-    _require_automorphism(beta)
-    if alpha.source is not beta.source:
-        raise NotAutomorphism("maps live on different groups")
-    # cur holds the images of alpha^n
-    want = beta.images.tobytes()
-    cur = np.arange(alpha.source.order, dtype=np.int32)
-    for n in range(alpha.map_order()):
-        if cur.tobytes() == want:
-            return n
-        cur = alpha.images[cur]
-    return None
+    hits = np.flatnonzero(_power_hits(alpha.source, alpha, beta).all(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 def locally_power(g: Group, alpha: GroupMap, beta: GroupMap) -> bool:
     """True when for every x some n has x.beta = x.alpha^n."""
+    return bool(_power_hits(g, alpha, beta).any(axis=0).all())
+
+
+def _power_hits(g: Group, alpha: GroupMap, beta: GroupMap) -> np.ndarray:
+    """hits[i, x]: whether alpha^i and beta agree at x, for i below the order
+    of alpha; raises NotAutomorphism unless both maps are automorphisms of g."""
     _require_automorphism(alpha)
     _require_automorphism(beta)
-    hit = np.zeros(g.order, dtype=bool)
-    cur = np.arange(g.order, dtype=np.int32)
-    for _ in range(alpha.map_order() + 1):
-        hit |= cur == beta.images
-        cur = alpha.images[cur]
-    return bool(hit.all())
+    if alpha.source is not g or beta.source is not g:
+        raise NotAutomorphism("maps live on different groups")
+    return perm_powers(alpha.images, alpha.map_order()) == beta.images
 
 
 def _require_automorphism(f: GroupMap) -> None:
@@ -471,8 +464,7 @@ def p_part_normalize(sigma: GroupMap, gamma: GroupMap, p: int) -> GroupMap:
         raise PreconditionFailed("gamma must be inner")
     comp = gamma.then(sigma)
     r = comp.map_order()
-    while r % p == 0:
-        r //= p
+    r //= p_part(r, p)
     out = GroupMap(g, g, perm_power(comp.images, r))
     if not is_p_power(out.map_order(), p) or not is_class_preserving(g, out):
         raise PreconditionFailed("normalized map lost its defining properties")

@@ -95,7 +95,7 @@ def _blackburn_r(g: Group) -> Optional[Subgroup]:
         return None
     r = status.subgroup
     k = r.order
-    if not any(g.order_of(x) == k for x in r.members.tolist()):
+    if not (g._power_block()[0][r.members] == k).any():
         raise TrichotomyViolated("R(G) is nontrivial but not cyclic")
     if len(prime_divisors(k)) != 1:
         raise TrichotomyViolated("R(G) is nontrivial but not of prime-power order")
@@ -143,7 +143,7 @@ def q_group_witness(g: Group) -> Optional[QGroupWitness]:
     order-4 element b inverting A pointwise, if one exists."""
     orders = np.asarray(g.element_orders())
     for a in index2_subgroups(g):
-        if not _sub_abelian(g, a):
+        if not g.commutes(a.members, a.members).all():
             continue
         if (orders[a.members] <= 2).all():
             continue  # elementary abelian base is excluded
@@ -242,7 +242,7 @@ def verify_q_element_structure(g: Group, q: int) -> QElementsReport:
         violations.append("a subgroup of the q-part is not normal in G")
     abelian_odd = True
     if q != 2 and closed:
-        abelian_odd = _sub_abelian(g, sub)
+        abelian_odd = bool(g.commutes(m, m).all())
         if not abelian_odd:
             violations.append("odd q-part is not abelian")
     return QElementsReport(
@@ -326,8 +326,7 @@ def _trichotomy(g: Group, r: Optional[Subgroup], n_sub: Subgroup) -> TrichotomyV
     else:
         s = np.intersect1d(g.sylow(p).members, n)
         op = np.intersect1d(g.o_p(p).members, n)
-        ts = t[np.ix_(s, s)]
-        zs = s[(ts == ts.T).all(axis=1)]  # Z(S)
+        zs = s[g.commutes(s, s).all(axis=1)]  # Z(S)
         if np.isin(zs, op).all():
             case = "b"
         else:
@@ -355,11 +354,10 @@ def _case_c_data(g: Group, h, s, zs, op) -> CaseCData:
     """
     if zs.size != s.size:
         raise TrichotomyViolated("case c reached but the Sylow p-subgroup is not abelian")
-    t = g.table
     orders, block = g._power_block()
     op_grp, _ = Subgroup(g, op).as_group()
     for x in s[np.lexsort((s, -orders[s]))].tolist():
-        if np.array_equal(t[x, h], t[h, x]):
+        if g.commutes([x], h).all():
             # [x, H] must be nontrivial.  This skip only saves work: such an
             # x lies in C_S(H) = O_p(N), and no T <= O_p(N) completes it to S
             continue
@@ -372,16 +370,11 @@ def _case_c_data(g: Group, h, s, zs, op) -> CaseCData:
     else:
         raise TrichotomyViolated("case c reached but no direct decomposition found")
     # C_<x>(H): the part of <x> centralizing the p-complement
-    cx = x_cyc[(t[np.ix_(x_cyc, h)] == t[np.ix_(h, x_cyc)].T).all(axis=1)]
+    cx = x_cyc[g.commutes(x_cyc, h).all(axis=1)]
     # |C_<x>(H)| must be the exponent of O_p(N), and every element
     # centralizing C_<x>(H) must centralize T
-    cent_cx = (t[:, cx] == t[cx, :].T).all(axis=1)
-    cent_t = (t[:, t_mem] == t[t_mem, :].T).all(axis=1)
+    cent_cx = g.commutes(of=cx).all(axis=1)
+    cent_t = g.commutes(of=t_mem).all(axis=1)
     if cx.size != lcm(*orders[op].tolist()) or (cent_cx & ~cent_t).any():
         raise TrichotomyViolated("case c sub-assertions failed")
     return CaseCData(x=x, t_members=tuple(t_mem.tolist()))
-
-
-def _sub_abelian(parent: Group, sub: Subgroup) -> bool:
-    t = parent.table[np.ix_(sub.members, sub.members)]
-    return bool(np.array_equal(t, t.T))

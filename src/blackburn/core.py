@@ -115,6 +115,13 @@ class Group:
         T = self.table
         return T[self.inverses[by][:, None], T[:, by][of].T]
 
+    def commutes(self, by=slice(None), of=slice(None)) -> np.ndarray:
+        """The (|by| x |of|) bool array whose entry [i, j] says whether by[i]
+        and of[j] commute.  Each of `by` and `of` is an index array or a
+        slice, by default every element, as in `conjugates`."""
+        T = self.table
+        return T[by][:, of] == T[:, by][of].T
+
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -173,7 +180,7 @@ class Group:
     # -- global structure --------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool(self.commutes().all())
 
     def conjugacy_classes(self) -> list:
         """Conjugation orbits as sorted read-only int32 index arrays, ordered
@@ -212,15 +219,11 @@ class Group:
         return self._class_id
 
     def centralizer(self, xs: Iterable[int]) -> "Subgroup":
-        T = self.table
-        mask = np.ones(self.order, dtype=bool)
-        for x in xs:
-            mask &= T[:, x] == T[x, :]
+        mask = self.commutes(of=np.fromiter(xs, dtype=np.intp)).all(axis=1)
         return Subgroup._trusted(self, _mask_members(mask))
 
     def center(self) -> "Subgroup":
-        T = self.table
-        return Subgroup._trusted(self, _mask_members((T == T.T).all(axis=1)))
+        return Subgroup._trusted(self, _mask_members(self.commutes().all(axis=1)))
 
     def closure(self, seed: Iterable[int]) -> np.ndarray:
         """Smallest subgroup containing `seed`, as a sorted index array.

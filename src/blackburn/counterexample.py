@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._arith import perm_power
+from ._arith import perm_power, perm_powers
 from .autos import _is_inner, is_class_preserving, locally_power, power_of
 from .catalog import cyclic, direct_product, semidirect_product
 from .core import Action, Group, GroupMap
@@ -152,13 +152,9 @@ def base_abelian(p: int) -> BaseAbelian:
 def _action_properties(space: CoordSpace, perm: np.ndarray, p: int) -> tuple:
     """Whether the action perm on A has order p, and whether the sum of its
     first p powers sends every element of A to 0."""
-    ident = np.arange(space.size, dtype=np.int64)
-    order_p = (np.array_equal(perm_power(perm, p), ident)
-               and not np.array_equal(perm, ident))
-    total, img = ident, ident
-    for _ in range(p - 1):
-        img = perm[img]
-        total = space.add(total, img)
+    pows = perm_powers(perm, p + 1)  # row i: perm^i
+    order_p = np.array_equal(pows[p], pows[0]) and not np.array_equal(pows[1], pows[0])
+    total = space.encode_values(space.values[pows[:p]].sum(axis=0))
     return order_p, bool((total == 0).all())
 
 
@@ -176,10 +172,7 @@ class CoordWitness:
         self.space = base.space
         self.na = self.space.size
         self.size = self.na * p * p
-        f = base.action
-        self.f_pows = [np.arange(self.na, dtype=np.int64)]
-        for _ in range(p - 1):
-            self.f_pows.append(f[self.f_pows[-1]])
+        self.f_pows = perm_powers(base.action, p)  # row i: f^i
         self.x = 1  # coords (1, 0, ..., 0)
         self.z = self.space.scale(self.x, p)
         self.alpha, self.beta = self._maps()
@@ -190,7 +183,7 @@ class CoordWitness:
     def _xk_sums(self) -> np.ndarray:
         """Row i, for i = 0..p, is the value vector of the A-part of (x*k)^i,
         x + f^-1(x) + ... + f^-(i-1)(x), not yet reduced mod p^2."""
-        terms = self.space.values[[int(self.f_pows[(-t) % self.p][self.x]) for t in range(self.p)]]
+        terms = self.space.values[self.f_pows[-np.arange(self.p) % self.p, self.x]]
         return np.concatenate([np.zeros_like(terms[:1]), np.cumsum(terms, axis=0)])
 
     def _maps(self) -> tuple:
@@ -242,12 +235,8 @@ def build_witness(p: int) -> WitnessBundle:
 
     a_grp = base.space.group()
     cp = cyclic(p)
-    f = base.action.astype(np.int32)
-    maps = [np.arange(a_grp.order, dtype=np.int32)]
-    for _ in range(p - 1):
-        maps.append(f[maps[-1]])
     # act(k^j) must be the inverse action so that k^-1 a k = a*kappa
-    act = Action(cp, a_grp, [maps[(-j) % p] for j in range(p)])
+    act = Action(cp, a_grp, coords.f_pows[-np.arange(p) % p])
     k_grp = semidirect_product(a_grp, cp, act)
     g_grp = direct_product(k_grp, cp)
 
@@ -258,7 +247,7 @@ def build_witness(p: int) -> WitnessBundle:
     bundle.x, bundle.k, bundle.z = x_k * p, k_k * p, z_k * p
     bundle.h = 1
 
-    if k_grp.conj(x_k, k_k) != int(f[x_a]) * p:
+    if k_grp.conj(x_k, k_k) != int(base.action[x_a]) * p:
         raise ClaimFailed("conjugation by k does not apply the matrix action")
 
     T = g_grp.table
@@ -303,11 +292,7 @@ def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
         raise BadPrime("table-backed extension is built only for p = 3")
     g_grp, alpha, beta = bundle.g_group, bundle.alpha, bundle.beta
     cp2 = cyclic(p * p)
-    inv_alpha = alpha.inverse().images
-    maps = [np.arange(g_grp.order, dtype=np.int32)]
-    for _ in range(p * p - 1):
-        maps.append(inv_alpha[maps[-1]])
-    act = Action(cp2, g_grp, maps)
+    act = Action(cp2, g_grp, perm_powers(alpha.inverse().images, p * p))
     ga = semidirect_product(g_grp, cp2, act)
     m = p * p
     sigma_img = (beta.images[:, None] * m + np.arange(m)).ravel()
@@ -383,13 +368,12 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
     rep.record("z is central of order p in K",
                fz == co.z and space.scale(co.z, p) == 0 and co.z != 0)
     alpha, beta = co.alpha, co.beta
-    ident = np.arange(co.size, dtype=np.int64)
-    a_p = perm_power(alpha, p)
-    a_pp = perm_power(alpha, p * p)
+    pows = perm_powers(alpha, p * p + 1)  # row i: alpha^i
+    ident, a_p = pows[0], pows[p]
     rep.record("alpha has order p^2",
-               not np.array_equal(alpha, ident)
+               not np.array_equal(pows[1], ident)
                and not np.array_equal(a_p, ident)
-               and np.array_equal(a_pp, ident))
+               and np.array_equal(pows[p * p], ident))
     b_p = perm_power(beta, p)
     rep.record("beta has order p",
                not np.array_equal(beta, ident) and np.array_equal(b_p, ident))
@@ -400,9 +384,6 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
     rep.record("fixed points of alpha^p are A x <h>", np.array_equal(fixed, expect))
 
     a_range = np.arange(co.na, dtype=np.int64)
-    powers = [ident]
-    for _ in range(p * p - 1):
-        powers.append(alpha[powers[-1]])
     ok_k = all(np.array_equal(beta[co.index(a_range, i, 0)], co.index(a_range, i, 0))
                for i in range(p))
     rep.record("beta fixes K pointwise", ok_k)
@@ -414,17 +395,12 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
         for j in range(1, p):
             sj = (pow(i, -1, p) * j) % p
             stratum = co.index(a_range, i, j)
-            if not np.array_equal(beta[stratum], powers[(p * sj) % (p * p)][stratum]):
+            if not np.array_equal(beta[stratum], pows[(p * sj) % (p * p), stratum]):
                 ok_strata = False
     rep.record("beta equals alpha^(p*s) with i*s = j on mixed strata", ok_strata)
-    pointwise = np.zeros(co.size, dtype=bool)
-    cur = ident.copy()
-    for _ in range(p * p):
-        pointwise |= cur == beta
-        cur = alpha[cur]
-    rep.record("beta is pointwise a power of alpha", bool(pointwise.all()))
-    rep.record("beta is not a power of alpha",
-               all(not np.array_equal(pw, beta) for pw in powers))
+    hits = pows[: p * p] == beta  # hits[i, x]: alpha^i and beta agree at x
+    rep.record("beta is pointwise a power of alpha", bool(hits.any(axis=0).all()))
+    rep.record("beta is not a power of alpha", not hits.all(axis=1).any())
 
 
 def _verify_table_claims(bundle: WitnessBundle, rep: WitnessReport) -> None:

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import abelian_pairs, classify
-from ._arith import p_part, perm_order, prime_divisors
+from ._arith import p_part, perm_order, perm_powers, prime_divisors
 from .autos import (
     _aut_images,
     _automorphism_rows,
@@ -166,7 +166,7 @@ def r_oracle(max_order: int = FULL_MAX_ORDER) -> SuiteResult:
 
 
 def has_abelian_index2(g: Group) -> bool:
-    return any(classify._sub_abelian(g, s) for s in classify.index2_subgroups(g))
+    return any(g.commutes(s.members, s.members).all() for s in classify.index2_subgroups(g))
 
 
 def is_abelian_by_cyclic(g: Group) -> bool:
@@ -174,7 +174,7 @@ def is_abelian_by_cyclic(g: Group) -> bool:
     if g.is_abelian():
         return True
     for s in g.all_subgroups():
-        if not s.is_normal() or not classify._sub_abelian(g, s):
+        if not s.is_normal() or not g.commutes(s.members, s.members).all():
             continue
         q, _ = g.quotient(s)
         if q.order in q.element_orders():
@@ -344,10 +344,7 @@ def _matrix_automorphism(p: int, k: int, mat) -> np.ndarray:
 
 
 def _cyclic_action(n_grp: Group, q: int, phi: np.ndarray) -> Action:
-    maps = [np.arange(n_grp.order, dtype=np.int32)]
-    for _ in range(q - 1):
-        maps.append(phi[maps[-1]])
-    return Action(cyclic(q), n_grp, maps)
+    return Action(cyclic(q), n_grp, perm_powers(phi, q))
 
 
 def _v4_action(n_grp: Group, phi1: np.ndarray, phi2: np.ndarray) -> Action:

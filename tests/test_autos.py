@@ -227,6 +227,19 @@ def test_locally_power():
     assert not locally_power(v4, identity_map(v4), swap)
 
 
+def test_locally_power_rejects_maps_of_another_group():
+    """Both maps must be automorphisms of g itself: a map on a second copy of
+    C5, or on C7, raises as power_of does."""
+    def doubling(g):
+        return GroupMap(g, g, np.asarray([(2 * x) % g.order for x in range(g.order)]))
+
+    c5, other, c7 = cyclic(5), cyclic(5), cyclic(7)
+    for alpha, beta in [(doubling(c5), doubling(other)), (doubling(other), doubling(other)),
+                        (doubling(c5), doubling(c7)), (doubling(c7), doubling(c5))]:
+        with pytest.raises(NotAutomorphism):
+            locally_power(c5, alpha, beta)
+
+
 def test_power_of_implies_locally_power():
     g = builtin("c9xc3")
     for m in enumerate_aut(g):

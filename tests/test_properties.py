@@ -38,6 +38,7 @@ from blackburn._arith import (
     p_power_mask,
     perm_order,
     perm_power,
+    perm_powers,
     prime_divisors,
 )
 from blackburn.abelian_pairs import (
@@ -81,7 +82,15 @@ from blackburn.core import (
     identity_map,
     validate_group,
 )
-from blackburn.counterexample import build_witness, extend_witness
+from blackburn.counterexample import (
+    CoordWitness,
+    WitnessBundle,
+    WitnessReport,
+    _verify_coordinate_claims,
+    base_abelian,
+    build_witness,
+    extend_witness,
+)
 from blackburn.errors import (
     GroupError,
     NoIdentity,
@@ -745,6 +754,38 @@ def test_conjugates_match_the_scalar_conjugation(data):
     assert g.conjugates(by=np.asarray(by, dtype=np.int32), of=of).tolist() == want(by, of)
     assert g.conjugates(by=by).tolist() == want(by, range(n))
     assert g.conjugates(of=np.asarray(of, dtype=np.intp)).tolist() == want(range(n), of)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_commutes_matches_the_element_definition(data):
+    """Group.commutes(by, of)[i, j] says whether by[i] * of[j] equals
+    of[j] * by[i]: with both defaults, and each of by and of a slice, an
+    index array or a one-element list."""
+    g = data.draw(groups())
+    n = g.order
+
+    def operand(name):
+        kind = data.draw(st.sampled_from(["slice", "array", "one"]), label=name)
+        if kind == "slice":
+            lo = data.draw(st.integers(0, n - 1), label=f"{name} start")
+            step = data.draw(st.integers(1, 3), label=f"{name} step")
+            return slice(lo, None, step), list(range(lo, n, step))
+        if kind == "array":
+            xs = data.draw(elements(g, max_size=6), label=name)
+            return np.asarray(xs, dtype=np.intp), xs
+        x = data.draw(st.integers(0, n - 1), label=name)
+        return [x], [x]
+
+    def want(bs, xs):
+        return [[g.mul(b, x) == g.mul(x, b) for x in xs] for b in bs]
+
+    full = g.commutes()
+    assert full.dtype == bool and full.tolist() == want(range(n), range(n))
+    (by, bs), (of, xs) = operand("by"), operand("of")
+    assert g.commutes(by, of).tolist() == want(bs, xs)
+    assert g.commutes(by=by).tolist() == want(bs, range(n))
+    assert g.commutes(of=of).tolist() == want(range(n), xs)
 
 
 @settings(max_examples=60)
@@ -1796,6 +1837,45 @@ def test_arith_helpers_match_their_definitions(n, p, data):
         cur = perm[cur]
     got = perm_power(perm, times)
     assert got.dtype == dtype and np.array_equal(got, cur)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 9), st.data())
+def test_perm_powers_match_perm_power_row_by_row(n, data):
+    """Row i of perm_powers(perm, k) is perm_power(perm, i), for k = 0 too,
+    and the stack keeps perm's dtype."""
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    perm = np.asarray(data.draw(st.permutations(range(n))), dtype=dtype)
+    k = data.draw(st.integers(0, 3 * perm_order(perm)))
+    got = perm_powers(perm, k)
+    assert got.shape == (k, n) and got.dtype == dtype
+    for i, row in enumerate(got):
+        assert np.array_equal(row, perm_power(perm, i))
+
+
+def coordinate_failures(beta_of) -> list:
+    """The failed coordinate claims of the p = 3 witness with beta replaced
+    by beta_of(coords)."""
+    base = base_abelian(3)
+    co = CoordWitness(base)
+    co.beta = beta_of(co)
+    rep = WitnessReport(p=3, mode="coordinates", matrix_order=base.matrix.matrix_order,
+                        group_orders={})
+    _verify_coordinate_claims(WitnessBundle(p=3, matrix=base.matrix, base=base, coords=co), rep)
+    return rep.failures()
+
+
+def test_coordinate_power_claims_see_a_mutated_beta():
+    """Each of the two power claims on the p = 3 coordinates fails on a beta
+    made to break it, and only then: alpha^p is pointwise a power of alpha
+    and a power itself; x -> x + 1 moves the identity, which every power of
+    alpha fixes."""
+    pointwise, not_power = "beta is pointwise a power of alpha", "beta is not a power of alpha"
+    assert coordinate_failures(lambda co: co.beta) == []
+    failed = coordinate_failures(lambda co: perm_powers(co.alpha, 4)[3])
+    assert not_power in failed and pointwise not in failed
+    failed = coordinate_failures(lambda co: np.roll(np.arange(co.size), -1))
+    assert pointwise in failed and not_power not in failed
 
 
 @settings(max_examples=150)
