@@ -98,14 +98,14 @@ def symmetric(n: int) -> Group:
         raise BadParams(f"symmetric is capped at n <= 5, got {n}")
     import itertools
 
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.zeros((size, size), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(q[p[x]] for x in range(n))]
-    names = ["".join(str(x) for x in p) for p in perms]
+    perms = np.asarray(sorted(itertools.permutations(range(n))), dtype=np.int64)
+    # a permutation's base-n code grows with its place in sorted order
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ weights
+    # (p*q)(x) = q(p(x)) for p = perms[i], q = perms[j]
+    comp = perms[np.arange(len(perms))[None, :, None], perms[:, None, :]]
+    table = np.searchsorted(codes, comp @ weights).astype(np.int32)
+    names = ["".join(str(x) for x in p) for p in perms.tolist()]
     return Group(table, names)
 
 
@@ -136,8 +136,13 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: Action,
         raise OrderCap(f"semidirect product order {n * m} exceeds cap {cap}")
     tn, th = n_grp.table, h_grp.table
     # entry [n1, h1, n2, h2] is n1 * act(h1)(n2) * m + h1 h2, in int32 as
-    # in direct_product
-    table = (tn[:, action.maps][:, :, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m)
+    # in direct_product.  The broadcast sum is written in one pass into a
+    # C-ordered array, so the reshape is a view and not a second table.
+    left = tn[:, action.maps]  # [n1, h1, n2]
+    left *= m
+    table = np.empty((n, m, n, m), dtype=np.int32)
+    np.add(left[:, :, :, None], th[None, :, None, :], out=table)
+    table = table.reshape(n * m, n * m)
     names = None
     if n_grp.names is not None and h_grp.names is not None:
         names = [f"({a},{b})" for a in n_grp.names for b in h_grp.names]

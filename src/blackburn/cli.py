@@ -5,8 +5,8 @@ checks pass, 1 when a mathematical claim fails, 2 on input or usage errors.
 Reports are plain text by default; --porcelain switches to line-oriented
 key=value records with stable keys.  `autc --stats FILE` also writes the
 search statistics (nodes, and rows rejected per depth by reason) to FILE as
-JSON, and `suite --stats FILE` the elapsed seconds per suite and per case;
-the report itself does not change.
+JSON, and `suite --stats FILE` the elapsed seconds per suite and per case
+and the process's peak resident memory; the report itself does not change.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import resource
 import sys
 from typing import List, Optional
 
@@ -126,6 +127,8 @@ def cmd_suite(level: str, porcelain: bool, stats: Optional[str] = None) -> int:
         timings = {
             "level": level,
             "seconds": sum(r.seconds for r in results),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "suites": [
                 {"suite": r.suite, "seconds": r.seconds,
                  "cases": [{"case": label, "seconds": sec} for label, sec in r.case_seconds]}
@@ -199,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run the verification suites")
     p_suite.add_argument("--level", choices=("quick", "full"), default="quick")
     p_suite.add_argument("--porcelain", action="store_true")
-    p_suite.add_argument("--stats", metavar="FILE", help="write per-suite and per-case timings as JSON")
+    p_suite.add_argument("--stats", metavar="FILE",
+                         help="write per-suite and per-case timings and peak RSS as JSON")
 
     p_catalog = sub.add_parser("catalog", help="list the builtin catalog")
     p_catalog.add_argument("--porcelain", action="store_true")

@@ -38,6 +38,9 @@ CLASS_BLOCK_LIMIT = 128
 # autos, whose multiplicativity check holds d + 1 arrays of this size at
 # depth d, and the (maps x n x k) generator-column check of a block of maps.
 BLOCK_ELEMENTS = 1 << 16
+# Table entries per block of rows that `_row_zeros` scans at once, so that
+# no mask over the whole table is made.
+SCAN_ELEMENTS = 1 << 18
 
 
 class Group:
@@ -90,9 +93,7 @@ class Group:
         if self._inv is None:
             # identity is 0, so T[i, j] == 0 exactly when j is i's inverse;
             # every row holds exactly one 0
-            inv = np.argmax(self.table == 0, axis=1).astype(np.int32)
-            inv.flags.writeable = False
-            self._inv = inv
+            self._inv = _row_zeros(self.table)
         return self._inv
 
     def mul(self, a: int, b: int) -> int:
@@ -450,9 +451,29 @@ class Group:
         return Subgroup._trusted(self, _mask_members(hits == self.order))
 
     def commutator_subgroup(self) -> "Subgroup":
+        """G' as the normal closure of the commutators [a, b] of the
+        generating sequence (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, section 3.3): the closure of the
+        commutators, extended by conjugates under the generators until it
+        is normal.  G modulo that closure is generated by commuting images,
+        so it is abelian, and the closure contains G'."""
         T, inv = self.table, self.inverses
-        comms = np.unique(T[T[np.ix_(inv, inv)], T])
-        return Subgroup(self, self.closure(comms))
+        gens = self.generating_sequence()
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        sub = np.zeros(1, dtype=np.int32)
+        hgens: list = []
+        pending = [T.item(T.item(inv.item(a), inv.item(b)), T.item(a, b))
+                   for i, a in enumerate(gens) for b in gens[i + 1:]]
+        while pending:
+            x = pending.pop()
+            if not mask[x]:
+                hgens.append(x)
+                sub = self._extend(sub, mask, hgens)
+                # the subgroup is normal once every conjugate s^-1 x s of
+                # each of its generators x lies in it
+                pending.extend(T.item(T.item(inv.item(s), x), s) for s in gens)
+        return Subgroup._trusted(self, _mask_members(mask))
 
     def is_nilpotent(self) -> bool:
         return _orders_nilpotent(self._power_block()[0])
@@ -482,6 +503,19 @@ def _orders_nilpotent(orders: np.ndarray) -> bool:
     n = orders.size
     return all(np.count_nonzero(p_power_mask(orders, p, n)) == p_part(n, p)
                for p in prime_divisors(n))
+
+
+def _row_zeros(table: np.ndarray) -> np.ndarray:
+    """The column of the first 0 in each row of a square table, as a
+    read-only int32 array.  Rows are scanned SCAN_ELEMENTS table entries at
+    a time, so the only temporary is one block's mask."""
+    n = table.shape[0]
+    out = np.empty(n, dtype=np.int32)
+    step = max(1, SCAN_ELEMENTS // max(1, n))
+    for lo in range(0, n, step):
+        out[lo : lo + step] = np.argmax(table[lo : lo + step] == 0, axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def _mask_members(mask: np.ndarray) -> np.ndarray:
@@ -805,7 +839,8 @@ def validate_group(
       of that group, so its element count is exact, and reaching n proves
       that the middle nucleus is the whole loop.
 
-    The returned Group keeps the generating sequence the test used.  When
+    The returned Group keeps the generating sequence the test used and the
+    inverses the inverse check found, so neither is computed again.  When
     the test fails and n <= FULL_ASSOC_LIMIT, a full scan names the first
     failing (a, b, c) in lexicographic order; above that, the error names
     the first failing (x, a, y) of Light's test.
@@ -820,6 +855,7 @@ def validate_group(
         raise BadParams(f"declared order {order} does not match table size {n}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise NotLatinSquare("table entries out of range")
+    # astype copies, so the relabel below works on a copy of its own
     t = t.astype(np.int16 if n <= np.iinfo(np.int16).max else np.int32)
     ident = np.arange(n, dtype=t.dtype)
     # rows and columns are checked in the order row 0, column 0, row 1, ...
@@ -834,13 +870,18 @@ def validate_group(
     if e < 0 or not (np.array_equal(t[e], ident) and np.array_equal(t[:, e], ident)):
         raise NoIdentity("no two-sided identity element")
     if e != 0:
-        perm = ident.copy()
-        perm[0], perm[e] = e, 0
-        t = perm[t[np.ix_(perm, perm)]]
+        # relabel by the transposition (0 e) in place on the working copy:
+        # swap rows 0 and e, columns 0 and e, then the values 0 and e
+        t[[0, e]] = t[[e, 0]]
+        t[:, [0, e]] = t[:, [e, 0]]
+        zero = t == 0
+        t[t == e] = 0
+        t[zero] = e
+        del zero
         if names is not None:
             names = list(names)
             names[0], names[e] = names[e], names[0]
-    right_inv = np.argmax(t == 0, axis=1)
+    right_inv = _row_zeros(t)
     bad = np.flatnonzero(t[right_inv, ident] != 0)
     if bad.size:
         raise NoInverse(f"element {bad[0]} has no two-sided inverse")
@@ -858,6 +899,7 @@ def validate_group(
             raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
     g = Group(g.table, names)
     g._gens = gens
+    g._inv = right_inv
     return g
 
 

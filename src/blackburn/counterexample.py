@@ -198,8 +198,10 @@ class CoordWitness:
         images = self.space.encode_values(np.concatenate([alpha.reshape(-1, k),
                                                           beta.reshape(-1, k)]))
         i, j = np.ogrid[:p, :p]
-        return (self.index(images[:self.size].reshape(na, p, p), i, j).ravel(),
-                self.index(images[self.size:].reshape(na, 1, p), i, j).ravel())
+        a_img = self.index(images[:self.size].reshape(na, p, p), i, j)
+        b_img = self.index(images[self.size:].reshape(na, 1, p), i, j)
+        # int32 holds every index (5^7 points at p = 5), at half the bytes
+        return a_img.ravel().astype(np.int32), b_img.ravel().astype(np.int32)
 
 
 @dataclass

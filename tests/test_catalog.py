@@ -69,17 +69,25 @@ def test_generalized_quaternion_unique_involution():
         generalized_quaternion(4)
 
 
+def old_symmetric(n: int) -> tuple:
+    """The table and names of S_n by one tuple composition per product."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(q[p[x]] for x in range(n))]
+    return table, ["".join(str(x) for x in p) for p in perms]
+
+
 def test_symmetric_against_independent_composition():
-    """Rebuild S4 from raw tuples and compare structure."""
-    g = symmetric(4)
-    assert g.order == 24
-    perms = sorted(itertools.permutations(range(4)))
-    idx = {p: i for i, p in enumerate(perms)}
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            composed = tuple(b[a[x]] for x in range(4))
-            assert g.mul(i, j) == idx[composed]
-    assert sorted(len(c) for c in g.conjugacy_classes()) == [1, 3, 6, 6, 8]
+    """S1 .. S5 against a rebuild from raw tuples: the same table and names."""
+    for n in range(1, 6):
+        table, names = old_symmetric(n)
+        g = symmetric(n)
+        assert g.table.dtype == np.int32 and g.table.tobytes() == table.tobytes()
+        assert list(g.names) == names
+    assert sorted(len(c) for c in symmetric(4).conjugacy_classes()) == [1, 3, 6, 6, 8]
     with pytest.raises(BadParams):
         symmetric(6)
 
@@ -129,6 +137,13 @@ def old_semidirect_table(n_grp, h_grp, action, cap=None) -> np.ndarray:
     return table.astype(np.int32)
 
 
+def old_semidirect_broadcast(n_grp, h_grp, action, cap=None) -> np.ndarray:
+    """The int32 broadcast formula, reshaped from its broadcast order."""
+    n, m = n_grp.order, h_grp.order
+    tn, th = n_grp.table, h_grp.table
+    return (tn[:, action.maps][:, :, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m)
+
+
 def old_abelian_table(factors) -> np.ndarray:
     n = int(np.prod(factors))
     idx, table, w = np.arange(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), n
@@ -141,19 +156,23 @@ def old_abelian_table(factors) -> np.ndarray:
 
 def test_product_tables_match_the_int64_formulas():
     """Every direct and semidirect product built for the catalog and for GA
-    (p = 3), and the abelian groups of abelian_scope, byte for byte."""
+    (p = 3), and the abelian groups of abelian_scope, byte for byte; each
+    product table C-contiguous int32, and a semidirect one equal to the
+    broadcast formula too."""
     built = Counter()
 
-    def checked(make, old):
+    def checked(make, *olds):
         def run(*args, **kw):
             out = make(*args, **kw)
-            assert out.table.tobytes() == old(*args, **kw).tobytes()
-            built[old.__name__] += 1
+            assert out.table.dtype == np.int32 and out.table.flags.c_contiguous
+            for old in olds:
+                assert out.table.tobytes() == old(*args, **kw).tobytes()
+            built[olds[0].__name__] += 1
             return out
         return run
 
     direct = checked(direct_product, old_direct_table)
-    semi = checked(semidirect_product, old_semidirect_table)
+    semi = checked(semidirect_product, old_semidirect_table, old_semidirect_broadcast)
     with mock.patch.object(catalog, "direct_product", direct), \
             mock.patch.object(catalog, "semidirect_product", semi), \
             mock.patch.object(counterexample, "direct_product", direct), \

@@ -200,6 +200,8 @@ def test_suite_stats_file_leaves_report_byte_stable(capsys, tmp_path, monkeypatc
         assert f"suite.{s['suite']}.run={len(s['cases'])}" in out
         assert 0 <= sum(c["seconds"] for c in s["cases"]) <= s["seconds"] + 1e-9
     assert stats["seconds"] == sum(s["seconds"] for s in stats["suites"])
+    # the peak resident memory of this process, beside the timings
+    assert isinstance(stats["peak_rss_mib"], float) and stats["peak_rss_mib"] > 0
     # timings differ from run to run but take no part in equality
     assert suites.power_action_outc() == suites.power_action_outc()
 

@@ -1,0 +1,48 @@
+"""Peak memory of the largest tables: each is written once, and no
+whole-table temporary is made beside it.  tracemalloc counts the buffers
+numpy allocates, so a peak here is the table plus what was made around it.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from blackburn.core import Group
+from blackburn.counterexample import build_witness, extend_witness, verify_witness
+
+MIB = 1 << 20
+
+
+def traced_peak(fn) -> tuple:
+    """fn's result and the peak of the bytes allocated while it ran."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_ga_table_is_written_once():
+    # GA (order 2187) is the largest table: 18.2 MiB in int32
+    bundle, peak = traced_peak(lambda: extend_witness(build_witness(3)))
+    table = bundle.ga_group.table
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    assert peak <= 1.15 * table.nbytes
+
+
+def test_inverses_of_ga_need_no_whole_table_mask():
+    table = extend_witness(build_witness(3)).ga_group.table
+    inv, peak = traced_peak(lambda: Group(table).inverses)
+    assert np.array_equal(table[np.arange(table.shape[0]), inv], np.zeros(table.shape[0]))
+    assert peak < MIB
+
+
+def test_coordinate_witness_of_p5_is_int32():
+    co = build_witness(5).coords
+    assert co.alpha.dtype == co.beta.dtype == np.int32
+    report, peak = traced_peak(lambda: verify_witness(5))
+    assert report.ok
+    assert peak < 16 * MIB

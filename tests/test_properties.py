@@ -1720,7 +1720,16 @@ def test_validate_group_matches_element_by_element_checks(data):
         a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         table[[a, b]] = table[[b, a]]  # rows swapped: still Latin, maybe not a group
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64, np.uint8, np.uint16]))
-    assert outcome(validate_group, table.astype(dtype)) == outcome(old_validate_group, table)
+    names = [f"x{i}" for i in range(n)]
+    got = outcome(validate_group, table.astype(dtype), names)
+    assert got == outcome(old_validate_group, table, names)
+    if got[0] == "<i4":
+        # the Group holds the inverses its check found; none is scanned again
+        h = validate_group(table.astype(dtype), names)
+        with mock.patch.object(core, "_row_zeros", side_effect=AssertionError("inverses scanned twice")):
+            inv = h.inverses
+        assert inv.dtype == np.int32 and not inv.flags.writeable
+        assert np.array_equal(inv, np.argmax(h.table == 0, axis=1))
 
 
 def octonion_units() -> np.ndarray:
@@ -1778,7 +1787,9 @@ def nonassociative_loops(draw) -> np.ndarray:
 @settings(max_examples=60)
 @given(nonassociative_loops(), st.sampled_from([np.int16, np.int32, np.int64, np.uint16]))
 def test_validate_group_names_the_first_nonassociative_triple(table, dtype):
-    assert outcome(validate_group, table.astype(dtype)) == outcome(old_validate_group, table)
+    names = [f"x{i}" for i in range(len(table))]
+    assert (outcome(validate_group, table.astype(dtype), names)
+            == outcome(old_validate_group, table, names))
 
 
 @settings(max_examples=30)
@@ -1892,3 +1903,46 @@ def test_p_power_rows_match_row_by_row(k, p, data):
     # an arbitrary permutation is determined by its images of all points
     mask = p_power_mask(lengths, p, k).all(axis=1)
     assert mask.tolist() == [is_p_power(perm_order(row), p) for row in block]
+
+
+def old_commutator_subgroup(g: Group) -> np.ndarray:
+    """The closure of all n^2 commutators a^-1 b^-1 a b."""
+    T, inv = g.table, g.inverses
+    return old_closure(g, np.unique(T[T[np.ix_(inv, inv)], T]).tolist())
+
+
+def check_commutator_subgroup(g: Group) -> None:
+    mem = g.commutator_subgroup().members
+    assert mem.dtype == np.int32 and not mem.flags.writeable
+    assert np.array_equal(mem, old_commutator_subgroup(g))
+
+
+@settings(max_examples=60)
+@given(groups(LATTICE_NAMES))
+def test_commutator_subgroup_matches_all_commutators(g):
+    check_commutator_subgroup(g)
+
+
+def test_commutator_subgroup_above_the_lattice_cap():
+    """S6, Q256 and the order-243 witness group, as built and relabelled."""
+    s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
+    for g in (s6, builtin("generalized_quaternion(256)"), _group(WITNESS_243)):
+        for h in (Group(g.table), relabelled(g, g.order)):
+            check_commutator_subgroup(h)
+
+
+def test_inverses_match_the_whole_table_scan():
+    """Group.inverses against argmax(table == 0) over the whole table, on
+    every catalog group as built and relabelled, S6 and both witness
+    groups; also with blocks of one row and of a few rows, so that block
+    boundaries fall inside every table."""
+    bundle = extend_witness(build_witness(3))
+    s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
+    tables = [t for e in CATALOG for t in (e.build().table, relabelled(e.build(), e.order).table)]
+    tables += [s6.table, bundle.g_group.table, bundle.ga_group.table]
+    for scan in (1, 5000, core.SCAN_ELEMENTS):
+        with mock.patch.object(core, "SCAN_ELEMENTS", scan):
+            for t in tables:
+                inv = Group(t).inverses
+                assert inv.dtype == np.int32 and not inv.flags.writeable
+                assert np.array_equal(inv, np.argmax(t == 0, axis=1))
