@@ -9,21 +9,25 @@ where the hypotheses hold but the conclusion fails.
 Enumeration strategy.  The hypotheses and the conclusion depend only on the
 cyclic group <alpha>, and conjugating a valid pair by any automorphism gives
 a valid pair again, so one generator per Aut-conjugacy class of cyclic
-p-power-order subgroups suffices.  Small automorphism groups are enumerated
-outright as one block of images.  An automorphism is determined by its
-images of the basis, so the block is read there: the cycle lengths of every
-row at the basis give its order and its candidate count, and one int64 key
-per row (its basis images in radix n) names it.  The class of <u> is the set
-of rows whose keys are among the conjugates of the generators of <u>, which
-are gathered at the basis for the whole block at once.  The per-group
-counts stay those of checking every cyclic subgroup <alpha> in turn: they
-are class-weighted totals (see PairStats).  For
-elementary abelian groups whose GL is too large to enumerate, the
-p-power-order automorphisms are exactly the unipotent matrices, one
-conjugacy class per Jordan type; the harness checks the block-diagonal
-representative of each partition.  Completeness of those representatives is
-classical linear algebra, cross-checked by full enumeration at small sizes
-in the test suite.
+p-power-order subgroups suffices.  |Aut(A)| is known beforehand from the
+closed form of Hillar and Rhea; up to EXHAUSTIVE_AUT_CAP, Aut(A) is built
+outright as one block of images, from the basis images of the basis
+elements' orders that give an injective map (the generic image search of
+`autos` stays the oracle in the tests).  An automorphism is determined by
+its images of the basis, so the block is read there: the cycle lengths of
+every row at the basis give its order and its candidate count, and one
+int64 key per row (its basis images in radix n) names it; the block comes
+out sorted by that key.  The class of <u> is the set of rows whose keys are
+among the conjugates of the generators of <u>, which are gathered at the
+basis for the whole block at once.  The per-group counts stay those of
+checking every cyclic subgroup <alpha> in turn: they are class-weighted
+totals (see PairStats).  For elementary abelian groups whose GL is too
+large to enumerate, the p-power-order automorphisms are exactly the
+unipotent matrices, one conjugacy class per Jordan type; the harness checks
+the block-diagonal representative of each partition.  Completeness of those
+representatives is classical linear algebra, cross-checked by full
+enumeration at small sizes in the test suite.  Any other group over the cap
+is refused with OrderCap before it is built.
 
 Given alpha, candidate betas are found without scanning Aut(G): beta must
 send each basis element into its <alpha>-orbit, and a choice of orbit images
@@ -37,15 +41,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask, perm_power
-from .autos import _aut_images
-from .core import Group
-from .errors import CounterexampleFound
+from .core import BLOCK_ELEMENTS, Group
+from .errors import CounterexampleFound, OrderCap
 
 EXHAUSTIVE_AUT_CAP = 25000
 
@@ -53,8 +57,9 @@ EXHAUSTIVE_AUT_CAP = 25000
 def abelian_group(factors: Sequence[int]) -> tuple:
     """Direct product of cyclic groups with mixed-radix element indices.
 
-    Returns (group, basis, digits): basis[i] is the index of the i-th factor
-    generator, digits[i] the per-element exponent array for that factor.
+    Returns (group, basis): basis[i] is the index of the i-th factor
+    generator, the product of the later factors, so the elements of the last
+    factors come first.
     """
     factors = [int(f) for f in factors]
     n = 1
@@ -67,12 +72,10 @@ def abelian_group(factors: Sequence[int]) -> tuple:
         weights.append(w)
     idx = np.arange(n, dtype=np.int32)
     table = np.zeros((n, n), dtype=np.int32)
-    digits = []
     for f, w in zip(factors, weights):
         d = (idx // w) % f
-        digits.append(d)
         table += ((d[:, None] + d[None, :]) % f) * w
-    return Group(table), weights, digits
+    return Group(table), weights
 
 
 def abelian_scope(p: int, max_order: int) -> list:
@@ -97,10 +100,47 @@ def _partitions(k: int, largest: Optional[int] = None) -> list:
     return out
 
 
-def gl_order(p: int, r: int) -> int:
+def abelian_aut_order(p: int, exponents: Sequence[int]) -> int:
+    """|Aut(A)| for A the direct sum of cyclic groups of orders p^e, e in
+    `exponents`, by the closed form of Hillar and Rhea, "Automorphisms of
+    finite abelian groups", Amer. Math. Monthly 114 (2007).
+
+    With e_1 <= ... <= e_m, d_k = max{l : e_l = e_k} and c_k = min{l : e_l = e_k},
+    |Aut(A)| = prod_k (p^d_k - p^(k-1)) p^(e_k (m - d_k)) p^((e_k - 1)(m - c_k + 1)).
+    """
+    e = sorted(exponents)
+    m = len(e)
     out = 1
-    for i in range(r):
-        out *= p**r - p**i
+    for k, ek in enumerate(e, 1):
+        d, c = bisect_right(e, ek), bisect_left(e, ek) + 1
+        out *= (p**d - p ** (k - 1)) * p ** (ek * (m - d)) * p ** ((ek - 1) * (m - c + 1))
+    return out
+
+
+def gl_order(p: int, r: int) -> int:
+    return abelian_aut_order(p, [1] * r)
+
+
+def _extend_rows(group: Group, rows: np.ndarray, images: np.ndarray, order: int) -> np.ndarray:
+    """Homomorphisms extended by one basis element, as one block.
+
+    In `abelian_group`'s mixed radix the elements 0..s-1 are the subgroup of
+    the last factors, and the next basis element b = s, of the given order,
+    extends it to 0..order*s-1.  Row i of the (k x s) block `rows` holds the
+    images of 0..s-1, and images[i] is an image of b of b's order; row i of
+    the (k x order*s) result sends d*s + y to images[i]^d rows[i, y].  That
+    is one gather through the power block and one through the flat table,
+    made BLOCK_ELEMENTS result entries at a time.
+    """
+    n, (k, s) = group.order, rows.shape
+    _, block = group._power_block()
+    pw = block[(np.arange(order) - 1) % order]  # row d holds x^d; the block's row j-1 holds x^j
+    flat = group.table.ravel()
+    out = np.empty((k, order * s), dtype=rows.dtype)
+    step = max(1, BLOCK_ELEMENTS // (order * s))
+    for lo in range(0, k, step):
+        at = pw[:, images[lo:lo + step]].T.astype(np.intp) * n  # (rows x order) row offsets
+        out[lo:lo + step] = flat[at[:, :, None] + rows[lo:lo + step, None, :]].reshape(-1, order * s)
     return out
 
 
@@ -128,14 +168,15 @@ class PairStats:
     pairs: int = 0
 
 
-def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
+def _pairs_for_alpha(group: Group, basis, alpha: np.ndarray, p: int,
                      stats: PairStats) -> Optional[np.ndarray]:
     """Check every beta valid for <alpha>; returns a counterexample or None.
 
     The candidates are one (candidates x n) block.  Candidate c sends b_i to
     alpha^e_i(b_i), for its exponents e_i along the <alpha>-orbit of b_i in
     itertools.product order, and g = sum d_i(g) b_i to the sum of the
-    d_i(g)-th powers of those images.  Each check then keeps the rows that
+    d_i(g)-th powers of those images, built by `_extend_rows` one basis
+    element at a time from the last.  Each check then keeps the rows that
     pass it; the survivors are automorphisms, so their order and whether
     they are powers of alpha show at the basis.
     """
@@ -149,12 +190,10 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
     images = np.stack(walk)[exps, np.arange(r)]
     stats.alphas += 1
     stats.candidates += len(exps)
-    t = group.table
-    _, block = group._power_block()
-    powers = np.concatenate([np.zeros((1, n), dtype=t.dtype), block])  # row j holds x^j
-    betas = powers[digits[0], images[:, :1]]
-    for i in range(1, r):
-        betas = t[betas, powers[digits[i], images[:, i:i + 1]]]
+    orders, _ = group._power_block()
+    betas = np.zeros((len(exps), 1), dtype=group.table.dtype)  # the images of {0}
+    for i in reversed(range(r)):
+        betas = _extend_rows(group, betas, images[:, i], int(orders[basis[i]]))
     checks = (
         lambda b: (orbit[b] == orbit).all(axis=1),  # pointwise a power of alpha
         lambda b: (b[:, alpha] == alpha[b]).all(axis=1),  # commutes with alpha
@@ -175,30 +214,65 @@ def _pairs_for_alpha(group: Group, basis, digits, alpha: np.ndarray, p: int,
 # -- alpha representatives -------------------------------------------------------
 
 
+def abelian_automorphisms(group: Group, basis) -> np.ndarray:
+    """Aut(A) for (A, basis) from `abelian_group`: the images of every
+    automorphism, one row each, in ascending order of the key
+    sum img[b_i] n^i that `_conjugacy` reads.
+
+    An automorphism of A is a choice of basis images of the basis elements'
+    orders whose homomorphism is injective (Hillar and Rhea, cited at
+    `abelian_aut_order`).  The rows are built from the last basis element
+    to the first, as the injective homomorphisms of the subgroup 0..s-1 of
+    the factors done so far.  Each
+    row is extended by every image of the next basis element b that has b's
+    order (an automorphism preserves orders), ascending; the extension is
+    a homomorphism by construction.  It is injective when only 0 maps to 0,
+    and d*b + y maps to 0 exactly when img^d is the inverse of an image of
+    the row, so an extension is kept when no power img^d, 0 < d < |b|, is
+    among the row's images.  Only the kept ones are built, by
+    `_extend_rows`.  Rows extend row-major, so each new basis image is less
+    significant than those already chosen, and the keys come out ascending.
+    """
+    n = group.order
+    orders, block = group._power_block()
+    rows = np.zeros((1, 1), dtype=group.table.dtype)  # the images of {0}
+    for b in reversed(basis):
+        f = int(orders[b])
+        images = np.flatnonzero(orders == f)
+        seen = np.zeros((len(rows), n), dtype=bool)
+        seen[np.arange(len(rows))[:, None], rows] = True
+        pairs = np.flatnonzero(~seen[:, block[: f - 1, images]].any(axis=1))  # (row, image), row-major
+        src, img = np.divmod(pairs, images.size)
+        rows = _extend_rows(group, rows[src], images[img], f)
+    return rows
+
+
 def _conjugacy(auts: np.ndarray, basis):
-    """For the block of all of Aut(G), the function taking a (k x n) block of
-    automorphisms xs to the mask of the rows of auts conjugate to a row of xs.
+    """For the block of all of Aut(G), in ascending order of the keys below
+    (as `abelian_automorphisms` gives it), the function taking a (k x n)
+    block of automorphisms xs to the mask of the rows of auts conjugate to
+    a row of xs.
 
     An automorphism is determined by its images of the basis, so each row is
     keyed by one int64, sum img[b_i] n^i (exact while n^|basis| < 2^63, far
     beyond any Aut(G) that can be enumerated).  The conjugates sigma x sigma^-1
-    send b to S[sigma, x[S^-1[sigma, b]]]: one (k x |Aut| x |basis|) gather,
-    whose keys are looked up among the sorted keys of the block.
+    send b to S[sigma, x[S^-1[sigma, b]]]: one (k x |Aut|) gather per basis
+    element, whose keys are looked up among the keys of the block.
+    S^-1[sigma, b] is the one point that row sigma sends to b.
     """
     m, n = auts.shape
-    weights = n ** np.arange(len(basis), dtype=np.int64)
-    keys = auts[:, basis] @ weights
-    rank = np.argsort(keys)
-    inv = np.empty_like(auts)
-    inv[np.arange(m)[:, None], auts] = np.arange(n, dtype=auts.dtype)
-    inv_basis = inv[:, basis]
-    offsets = np.arange(0, auts.size, n)[:, None]  # row sigma starts at sigma * n
+    weights = (n ** np.arange(len(basis), dtype=np.int64)).tolist()
+    keys = auts[:, basis] @ np.array(weights)
+    inv_basis = [np.argmax(auts == b, axis=1) for b in basis]  # column i holds S^-1[sigma, b_i]
+    offsets = np.arange(0, auts.size, n)  # row sigma starts at sigma * n
     flat = auts.ravel()
 
     def conjugates(xs: np.ndarray) -> np.ndarray:
-        at_basis = flat[xs[:, inv_basis] + offsets]
+        at_basis = np.zeros((len(xs), m), dtype=np.int64)
+        for w, inv in zip(weights, inv_basis):  # one (k x |Aut|) gather per basis element
+            at_basis += flat[xs[:, inv] + offsets] * w
         mask = np.zeros(m, dtype=bool)
-        mask[rank[np.searchsorted(keys, at_basis @ weights, sorter=rank)]] = True
+        mask[np.searchsorted(keys, at_basis)] = True
         return mask
 
     return conjugates
@@ -208,9 +282,9 @@ def _exhaustive_classes(group: Group, basis, p: int):
     """One generator per Aut-conjugacy class of cyclic p-power-order subgroups.
 
     Yields (u, size, candidates): u generates the first subgroup of its class
-    in enumerate_aut order, size is the number of subgroups in the class,
-    and candidates is the class total of the count that _pairs_for_alpha
-    makes for one generator of each subgroup.
+    in the key order of `abelian_automorphisms`, size is the number of
+    subgroups in the class, and candidates is the class total of the count
+    that _pairs_for_alpha makes for one generator of each subgroup.
 
     Aut(G) is one block of images, and the cycle lengths of its rows at the
     basis give each row's p-power order and its candidate count (the
@@ -219,7 +293,7 @@ def _exhaustive_classes(group: Group, basis, p: int):
     subgroup in the class, which share their orbits, so both totals are
     sums over those rows divided by phi(|u|).
     """
-    auts = _aut_images(group)
+    auts = abelian_automorphisms(group, basis)
     lengths = cycle_lengths(auts, basis)
     products = lengths.prod(axis=1)
     covered = ~p_power_mask(lengths, p, group.order).all(axis=1)  # only p-power rows are classed
@@ -231,6 +305,20 @@ def _exhaustive_classes(group: Group, basis, p: int):
         covered |= members
         yield (auts[row], int(members.sum()) // len(gens),
                int(products[members].sum()) // len(gens))
+
+
+def _route(p: int, factors: Sequence[int], cap: int) -> str:
+    """How the harness covers A, the product of cyclic groups of the orders
+    `factors`: "exhaustive" while |Aut(A)| <= cap, "jordan" for an
+    elementary abelian A above it.  Any other A above the cap raises
+    OrderCap, before A or Aut(A) is built."""
+    size = abelian_aut_order(p, [round(math.log(f, p)) for f in factors])
+    if size <= cap:
+        return "exhaustive"
+    if is_elementary(factors):
+        return "jordan"
+    raise OrderCap(f"pointwise-power harness: |Aut| of {list(factors)} is {size}, "
+                   f"over the exhaustive cap {cap}")
 
 
 def is_elementary(factors: Sequence[int]) -> bool:
@@ -292,21 +380,22 @@ class PairHarnessReport:
 def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
     """Check that pointwise-power implies power on every abelian p-group <= cap.
 
-    The scan stops at the first violating pair (none exist): the report
-    names it in `counterexample`, and its `ok` is False."""
+    A group in scope whose Aut(A) is over EXHAUSTIVE_AUT_CAP and that is not
+    elementary abelian raises OrderCap before it is built.  The scan stops
+    at the first violating pair (none exist): the report names it in
+    `counterexample`, and its `ok` is False."""
     report = PairHarnessReport(prime=p)
     for factors in abelian_scope(p, max_order):
-        group, basis, digits = abelian_group(factors)
-        r = len(factors)
-        jordan = is_elementary(factors) and gl_order(p, r) > EXHAUSTIVE_AUT_CAP
-        stats = PairStats(factors=tuple(factors), route="jordan" if jordan else "exhaustive")
-        if jordan:
-            classes = ((alpha, 1, None) for alpha in _jordan_alphas(p, r))
+        route = _route(p, factors, EXHAUSTIVE_AUT_CAP)
+        group, basis = abelian_group(factors)
+        stats = PairStats(factors=tuple(factors), route=route)
+        if route == "jordan":
+            classes = ((alpha, 1, None) for alpha in _jordan_alphas(p, len(factors)))
         else:
             classes = _exhaustive_classes(group, basis, p)
         for alpha, size, candidates in classes:
             rep = PairStats(factors=stats.factors, route=stats.route)
-            bad = _pairs_for_alpha(group, basis, digits, alpha, p, rep)
+            bad = _pairs_for_alpha(group, basis, alpha, p, rep)
             stats.alphas += size
             stats.candidates += rep.candidates if candidates is None else candidates
             stats.pairs += size * rep.pairs

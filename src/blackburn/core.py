@@ -181,7 +181,9 @@ class Group:
     # -- global structure --------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return bool(self.commutes().all())
+        """True when the generators commute with each other."""
+        gens = self.generating_sequence()
+        return bool(self.commutes(by=gens, of=gens).all())
 
     def conjugacy_classes(self) -> list:
         """Conjugation orbits as sorted read-only int32 index arrays, ordered
@@ -224,7 +226,9 @@ class Group:
         return Subgroup._trusted(self, _mask_members(mask))
 
     def center(self) -> "Subgroup":
-        return Subgroup._trusted(self, _mask_members(self.commutes().all(axis=1)))
+        """The elements that commute with every generator."""
+        mask = self.commutes(of=self.generating_sequence()).all(axis=1)
+        return Subgroup._trusted(self, _mask_members(mask))
 
     def closure(self, seed: Iterable[int]) -> np.ndarray:
         """Smallest subgroup containing `seed`, as a sorted index array.
@@ -332,7 +336,8 @@ class Group:
         of their order; each subgroup is (mask, members, generators).
 
         A subgroup K of one layer yields K<g> in the next for each prime p
-        and each g in N_G(K) \\ K with g^p in K.  Then K<g> is the union of
+        and each g in N_G(K) \\ K with g^p in K.  N_G(K) is read on the
+        generators of K, since K = <generators>.  Then K<g> is the union of
         the cosets K g^i, i < p, gathered from the power block, and any other
         such g' in K<g> gives the same subgroup.  Every solvable subgroup has
         a series of prime index steps, each normal in the next, so it is
@@ -349,7 +354,7 @@ class Group:
             layers.append(layer)
             fresh = []
             for kmask, kmem, kgens in layer:
-                norm = kmask[self.conjugates(of=kmem)].all(axis=1)
+                norm = kmask[self.conjugates(of=np.array(kgens, dtype=np.intp))].all(axis=1)
                 index = int(np.count_nonzero(norm)) // kmem.size
                 norm &= ~kmask
                 for p in prime_divisors(index):

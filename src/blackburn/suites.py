@@ -414,9 +414,9 @@ def coprime_action_instances() -> list:
         2, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])))
 
     # mixed abelian and nonabelian N
-    c9c3, _, _ = abelian_pairs.abelian_group([9, 3])
+    c9c3, _ = abelian_pairs.abelian_group([9, 3])
     add("c9xc3/invert", c9c3, _cyclic_action(c9c3, 2, inversion(c9c3)))
-    c4c4, _, _ = abelian_pairs.abelian_group([4, 4])
+    c4c4, _ = abelian_pairs.abelian_group([4, 4])
     rot_c4c4 = next(m.images for m in enumerate_aut(c4c4) if m.map_order() == 3)
     add("c4xc4/c3", c4c4, _cyclic_action(c4c4, 3, rot_c4c4))
     q8 = builtin("q8")

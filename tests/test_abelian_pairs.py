@@ -13,6 +13,9 @@ from blackburn.abelian_pairs import (
     _conjugacy,
     _jordan_alphas,
     _pairs_for_alpha,
+    _route,
+    abelian_aut_order,
+    abelian_automorphisms,
     abelian_group,
     abelian_scope,
     gl_order,
@@ -22,13 +25,31 @@ from blackburn.abelian_pairs import (
     nonabelian_contrast,
     pointwise_power_harness,
 )
-from blackburn.autos import _aut_images, enumerate_aut
+from blackburn.autos import _aut_images, _automorphism_rows, enumerate_aut
 from blackburn.core import GroupMap
-from blackburn.errors import CounterexampleFound
+from blackburn.errors import CounterexampleFound, OrderCap
+
+# the scopes of the full pointwise-power suite and of the benchmark
+SCOPES = [(2, 32), (3, 81), (5, 125)]
+
+
+def exhaustive_groups(scopes=SCOPES):
+    """(p, factors) of every group in scope small enough to enumerate Aut."""
+    return [(p, factors) for p, cap in scopes for factors in abelian_scope(p, cap)
+            if not is_elementary(factors) or gl_order(p, len(factors)) <= EXHAUSTIVE_AUT_CAP]
+
+
+def exponents(p, factors):
+    return [round(np.log(f) / np.log(p)) for f in factors]
+
+
+def basis_keys(auts, basis, n):
+    """The key sum img[b_i] n^i of each row."""
+    return auts[:, basis].astype(np.int64) @ n ** np.arange(len(basis), dtype=np.int64)
 
 
 def test_abelian_group_basis():
-    g, basis, digits = abelian_group([4, 2])
+    g, basis = abelian_group([4, 2])
     assert g.order == 8
     assert [g.order_of(b) for b in basis] == [4, 2]
     assert g.is_abelian()
@@ -45,6 +66,58 @@ def test_gl_order():
     assert gl_order(2, 4) == 20160
     assert gl_order(2, 5) == 9999360
     assert gl_order(3, 3) == 11232
+
+
+def test_abelian_aut_order_matches_the_enumeration():
+    """The Hillar-Rhea closed form against the generic image search on every
+    group in scope that can be enumerated, and its values on the groups over
+    the cap."""
+    for p, factors in exhaustive_groups():
+        group = abelian_group(factors)[0]
+        assert abelian_aut_order(p, exponents(p, factors)) == len(_aut_images(group))
+    for exps, size in (((2, 1, 1, 1, 1), 10321920), ((3, 1, 1, 1), 43008), ((2, 2, 2), 86016),
+                       ((2, 2, 1, 1), 147456), ((), 1)):
+        assert abelian_aut_order(2, exps) == size
+    assert abelian_aut_order(3, [1, 1, 2]) == abelian_aut_order(3, [2, 1, 1]) == 23328
+
+
+@pytest.mark.parametrize("p,factors", exhaustive_groups(),
+                         ids=lambda x: "x".join(map(str, x)) if isinstance(x, list) else str(x))
+def test_abelian_automorphisms_match_the_generic_search(p, factors):
+    """The basis-image builder gives the rows of the generator-image search,
+    each an automorphism, once each and in ascending key order."""
+    group, basis = abelian_group(factors)
+    auts = abelian_automorphisms(group, basis)
+    ref = _aut_images(group)
+    assert auts.dtype == np.int32 and auts.shape == ref.shape
+    keys = basis_keys(auts, basis, group.order)
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(auts, ref[np.argsort(basis_keys(ref, basis, group.order))])
+    assert _automorphism_rows(group, auts).all()
+
+
+def test_over_cap_groups_are_refused_before_they_are_built():
+    """A group whose Aut is over the cap takes the Jordan route when it is
+    elementary abelian; otherwise the harness raises OrderCap before it
+    builds the group or its automorphisms."""
+    assert _route(2, [2, 2], 6) == "exhaustive"
+    assert _route(2, [2, 2], 5) == "jordan"
+    assert _route(2, [4, 2], 8) == "exhaustive"
+    with pytest.raises(OrderCap, match=r"\[4, 2\] is 8, over the exhaustive cap 7"):
+        _route(2, [4, 2], 7)
+    built = []
+    group_of = abelian_pairs.abelian_group
+
+    def counting_group(factors):
+        built.append(list(factors))
+        return group_of(factors)
+
+    with mock.patch.object(abelian_pairs, "EXHAUSTIVE_AUT_CAP", 7), \
+            mock.patch.object(abelian_pairs, "abelian_group", counting_group):
+        with pytest.raises(OrderCap, match=r"\[4, 2\] is 8"):
+            pointwise_power_harness(2, 8)
+    # C2 x C2 (|Aut| = 6) and C8 (4) come before C4 x C2 (8) in the scope
+    assert built == [[2], [4], [2, 2], [8]]
 
 
 def test_is_elementary():
@@ -84,8 +157,9 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     Returns (number of classes, p-power-order element count); raises
     CounterexampleFound on any gap.  Feasible only while GL(r, p) is small.
     """
-    group, basis, _ = abelian_group([p] * r)
+    group, basis = abelian_group([p] * r)
     auts = _aut_images(group)
+    auts = auts[np.argsort(basis_keys(auts, basis, group.order))]  # the order _conjugacy reads
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
     unipotent = p_power_mask(cycle_lengths(auts, basis), p, group.order).all(axis=1)
@@ -125,7 +199,7 @@ def test_counterexample_reaches_the_caller():
     """A failing pair is named in the returned report, which is then not
     ok, and in the suite's first failure: its group and the basis images
     of alpha and beta."""
-    def invert(group, basis, digits, alpha, p, stats):
+    def invert(group, basis, alpha, p, stats):
         return group.inverses  # x -> -x, standing in for a beta outside <alpha>
 
     with mock.patch.object(abelian_pairs, "_pairs_for_alpha", invert):
@@ -184,29 +258,32 @@ def _unreduced_alphas(group, p):
 
 
 def _unreduced_harness(p, max_order):
-    """The harness without the conjugacy reduction: every <alpha> in turn.
+    """The harness without the conjugacy reduction: every <alpha> in turn,
+    on the groups of the scope whose Aut can be enumerated.
 
     Returns (verdict, per-factor [factors, route, alphas, candidates, pairs]).
     """
     rows, ok = [], True
-    for factors in abelian_scope(p, max_order):
-        assert not is_elementary(factors) or gl_order(p, len(factors)) <= EXHAUSTIVE_AUT_CAP
-        group, basis, digits = abelian_group(factors)
+    for _, factors in exhaustive_groups([(p, max_order)]):
+        group, basis = abelian_group(factors)
         stats = PairStats(factors=tuple(factors), route="exhaustive")
         for alpha in _unreduced_alphas(group, p):
-            ok &= _pairs_for_alpha(group, basis, digits, alpha, p, stats) is None
+            ok &= _pairs_for_alpha(group, basis, alpha, p, stats) is None
         rows.append([stats.factors, stats.route, stats.alphas, stats.candidates, stats.pairs])
     return ok, rows
 
 
-@pytest.mark.parametrize("p,max_order", [(2, 8), (3, 27), (5, 25)])
+@pytest.mark.parametrize("p,max_order", [(2, 8), (3, 27), (5, 25), (5, 125)])
 def test_class_weighted_counts_match_every_cyclic_subgroup(p, max_order):
     """One alpha per Aut-conjugacy class, weighted by the class size, gives
     the counts of checking every cyclic subgroup <alpha> one by one."""
     ok, rows = _unreduced_harness(p, max_order)
     rep = pointwise_power_harness(p, max_order)
     assert rep.ok == ok
-    assert [[s.factors, s.route, s.alphas, s.candidates, s.pairs] for s in rep.stats] == rows
+    # every group of the scope is reported; those over the cap took the Jordan route
+    assert len(rep.stats) == len(abelian_scope(p, max_order))
+    assert [[s.factors, s.route, s.alphas, s.candidates, s.pairs]
+            for s in rep.stats if s.route == "exhaustive"] == rows
 
 
 def test_route_selection():
@@ -214,6 +291,10 @@ def test_route_selection():
     assert gl_order(3, 4) > EXHAUSTIVE_AUT_CAP and is_elementary([3] * 4)
     assert gl_order(2, 4) <= EXHAUSTIVE_AUT_CAP
     assert gl_order(3, 3) <= EXHAUSTIVE_AUT_CAP
+    for p, factors in ((2, [2] * 5), (3, [3] * 4), (5, [5] * 3)):
+        assert _route(p, factors, EXHAUSTIVE_AUT_CAP) == "jordan"
+    for p, factors in ((2, [2] * 4), (2, [4, 2, 2, 2]), (3, [9, 3, 3]), (5, [25, 5])):
+        assert _route(p, factors, EXHAUSTIVE_AUT_CAP) == "exhaustive"
 
 
 def test_contrast_case():

@@ -6,7 +6,9 @@ numpy allocates, so a peak here is the table plus what was made around it.
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from blackburn.abelian_pairs import pointwise_power_harness
 from blackburn.core import Group
 from blackburn.counterexample import build_witness, extend_witness, verify_witness
 
@@ -46,3 +48,13 @@ def test_coordinate_witness_of_p5_is_int32():
     report, peak = traced_peak(lambda: verify_witness(5))
     assert report.ok
     assert peak < 16 * MIB
+
+
+@pytest.mark.parametrize("p,max_order,mib", [(5, 125, 3.02), (3, 27, 3.58), (2, 32, 8.96),
+                                             (3, 81, 17.21)])
+def test_pointwise_power_harness_builds_aut_in_bounded_blocks(p, max_order, mib):
+    # the peaks the harness had when Aut(A) came from the generic image
+    # search; the basis-image builder writes each depth once, in blocks
+    report, peak = traced_peak(lambda: pointwise_power_harness(p, max_order))
+    assert report.ok
+    assert peak <= mib * MIB

@@ -1027,7 +1027,7 @@ def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
     """On real Aut(A) blocks, the cycle lengths at every point have the row's
     order as their lcm, and the p-power rows read from the lengths at the
     basis are those of p-power order, for the group's prime and for others."""
-    group, basis, _ = abelian_group(factors)
+    group, basis = abelian_group(factors)
     auts = _aut_images(group)
     orders = [perm_order(row) for row in auts]
     assert np.lcm.reduce(cycle_lengths(auts, np.arange(group.order)), axis=1).tolist() == orders
@@ -1135,10 +1135,11 @@ def test_pairs_for_alpha_matches_the_candidate_loop(p, max_order):
     """The block candidate check gives the loop's counts and verdict on every
     cyclic <alpha> of every abelian p-group in scope."""
     for factors in abelian_scope(p, max_order):
-        group, basis, digits = abelian_group(factors)
+        group, basis = abelian_group(factors)
+        digits = [(np.arange(group.order) // w) % f for f, w in zip(factors, basis)]
         for alpha in cyclic_p_subgroup_generators(group, p):
             got, want = PairStats(tuple(factors), "exhaustive"), PairStats(tuple(factors), "exhaustive")
-            bad = _pairs_for_alpha(group, basis, digits, alpha, p, got)
+            bad = _pairs_for_alpha(group, basis, alpha, p, got)
             assert bad is None and old_pairs_for_alpha(group, basis, digits, alpha, p, want) is None
             assert got == want
 
@@ -1929,6 +1930,31 @@ def test_commutator_subgroup_above_the_lattice_cap():
     for g in (s6, builtin("generalized_quaternion(256)"), _group(WITNESS_243)):
         for h in (Group(g.table), relabelled(g, g.order)):
             check_commutator_subgroup(h)
+
+
+def check_center(g: Group) -> None:
+    """is_abelian and center against the whole (n x n) commutation mask."""
+    commute = g.table == g.table.T
+    assert g.is_abelian() == bool(commute.all())
+    center = g.center().members
+    assert center.dtype == np.int32
+    assert np.array_equal(center, np.flatnonzero(commute.all(axis=1)))
+
+
+@settings(max_examples=60)
+@given(groups(LATTICE_NAMES))
+def test_center_matches_the_whole_commutation_mask(g):
+    check_center(g)
+
+
+def test_center_matches_the_whole_commutation_mask_on_every_catalog_group():
+    """Every catalog group as built and relabelled, S6 and both witness
+    groups, GA the largest."""
+    bundle = extend_witness(build_witness(3))
+    s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
+    gs = [h for e in CATALOG for h in (e.build(), relabelled(e.build(), e.order))]
+    for g in gs + [s6, bundle.g_group, bundle.ga_group, relabelled(bundle.g_group, 243)]:
+        check_center(Group(g.table))
 
 
 def test_inverses_match_the_whole_table_scan():
