@@ -114,15 +114,16 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
         lab = new
 
 
-def cycle_lengths(block: np.ndarray, points) -> np.ndarray:
+def cycle_lengths(block: np.ndarray, points, limit: int) -> np.ndarray:
     """The (rows x |points|) array of the lengths of the cycles through
     `points` in each row of a block of permutations: the first step at which
-    each point returns to itself.
+    each point returns to itself, or limit + 1 for a point that has not
+    returned after `limit` steps.
 
     The points are walked along every row at once, one (rows x |points|)
-    gather per step, until every point has returned, so the walk takes as
-    many steps as the longest cycle met.  Rows must be permutations; any
-    other row may never bring a point back.
+    gather per step, until every point has returned or `limit` steps are
+    made.  Rows must be permutations; any other row may never bring a point
+    back.
     """
     n = block.shape[1]
     flat = block.ravel()
@@ -130,8 +131,11 @@ def cycle_lengths(block: np.ndarray, points) -> np.ndarray:
     start = np.asarray(points, dtype=np.intp) + offsets
     lengths = np.zeros(start.shape, dtype=np.intp)
     cur, away = start, np.ones(start.shape, dtype=bool)
-    while away.any():
+    for _ in range(limit):
+        if not away.any():
+            break
         lengths += away
         cur = flat[cur] + offsets
         away &= cur != start
+    lengths += away  # a cycle longer than limit reads limit + 1
     return lengths

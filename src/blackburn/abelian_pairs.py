@@ -194,11 +194,12 @@ def _pairs_for_alpha(group: Group, basis, alpha: np.ndarray, p: int,
     betas = np.zeros((len(exps), 1), dtype=group.table.dtype)  # the images of {0}
     for i in reversed(range(r)):
         betas = _extend_rows(group, betas, images[:, i], int(orders[basis[i]]))
+    limit = _cycle_limit(p, n)
     checks = (
         lambda b: (orbit[b] == orbit).all(axis=1),  # pointwise a power of alpha
         lambda b: (b[:, alpha] == alpha[b]).all(axis=1),  # commutes with alpha
         lambda b: (np.sort(b, axis=1) == np.arange(n)).all(axis=1),  # bijective
-        lambda b: p_power_mask(cycle_lengths(b, basis), p, n).all(axis=1),  # p-power order
+        lambda b: p_power_mask(cycle_lengths(b, basis, limit), p, n).all(axis=1),  # p-power order
     )
     for check in checks:
         keep = check(betas)
@@ -278,6 +279,18 @@ def _conjugacy(auts: np.ndarray, basis):
     return conjugates
 
 
+def _cycle_limit(p: int, n: int) -> int:
+    """The largest power of p below n, at least 1.  An automorphism of a
+    group of order n fixes 0, so each of its cycles has length below n, and
+    one of p-power length is no longer than this.  `cycle_lengths` reads a
+    longer cycle as this plus 1, which is then below n too, and so no power
+    of p."""
+    top = 1
+    while top * p < n:
+        top *= p
+    return top
+
+
 def _exhaustive_classes(group: Group, basis, p: int):
     """One generator per Aut-conjugacy class of cyclic p-power-order subgroups.
 
@@ -294,7 +307,7 @@ def _exhaustive_classes(group: Group, basis, p: int):
     sums over those rows divided by phi(|u|).
     """
     auts = abelian_automorphisms(group, basis)
-    lengths = cycle_lengths(auts, basis)
+    lengths = cycle_lengths(auts, basis, _cycle_limit(p, group.order))
     products = lengths.prod(axis=1)
     covered = ~p_power_mask(lengths, p, group.order).all(axis=1)  # only p-power rows are classed
     conjugates = _conjugacy(auts, basis)

@@ -13,8 +13,8 @@ survives only if it is class-compatible (or order-compatible) and
 multiplicative on every (element, generator) pair.  Multiplicativity on
 those pairs forces it on all pairs, because every right factor is a word in
 the generators.  A survivor is therefore a homomorphism on H_d, and it is
-injective, since the invariants used (class ids or element orders) tell the
-identity apart.
+injective, since the invariants used (class ids, element orders, or orders
+with square-root counts) tell the identity apart.
 
 The search is evaluated in blocks: all partial assignments of one step form
 the rows of one (rows x |H_d|) numpy array, and both checks run on the
@@ -401,18 +401,30 @@ def _automorphism_rows(g: Group, block: np.ndarray) -> np.ndarray:
 
 
 def find_isomorphism(g: Group, h: Group, *, budget: int = DEFAULT_BUDGET) -> Optional[GroupMap]:
-    """An isomorphism g -> h found by order-matched image search, or None."""
+    """An isomorphism g -> h found by image search, or None.
+
+    Candidates and partial images must match each element's order and its
+    number of square roots, `_order_root_keys`.  Every isomorphism keeps
+    both, so a pruned row extends to no isomorphism: the hits and their
+    depth-first order are those of the order-only search of
+    `enumerate_aut`, and the first hit is the same map."""
     if g.order != h.order:
         return None
-    g_orders = np.asarray(g.element_orders(), dtype=np.int32)
-    h_orders = np.asarray(h.element_orders(), dtype=np.int32)
-    if sorted(g_orders.tolist()) != sorted(h_orders.tolist()):
+    g_keys, h_keys = _order_root_keys(g), _order_root_keys(h)
+    if not np.array_equal(np.sort(g_keys), np.sort(h_keys)):
         return None
     gens = g.generating_sequence()
-    cands = [np.flatnonzero(h_orders == g_orders[gen]) for gen in gens]
-    search = _Search(g, h, cands, g_orders, h_orders, budget)
+    cands = [np.flatnonzero(h_keys == g_keys[gen]) for gen in gens]
+    search = _Search(g, h, cands, g_keys, h_keys, budget)
     found = search.run(first_only=True)
     return GroupMap(g, h, found[0]) if len(found) else None
+
+
+def _order_root_keys(g: Group) -> np.ndarray:
+    """One int64 key per element for its order and its number of square
+    roots, the count of x with x * x equal to it."""
+    roots = np.bincount(np.diagonal(g.table), minlength=g.order)
+    return g._power_block()[0].astype(np.int64) * (g.order + 1) + roots
 
 
 def is_isomorphic(g: Group, h: Group) -> bool:

@@ -59,6 +59,7 @@ class Group:
         "_cyclic_id",
         "_normal_cyclic",
         "_gens",
+        "_gen_conj",
         "_cyclics",
         "_subs",
     )
@@ -83,6 +84,7 @@ class Group:
         self._cyclic_id = None
         self._normal_cyclic = None
         self._gens = None
+        self._gen_conj = None
         self._cyclics = None
         self._subs = None
 
@@ -90,10 +92,18 @@ class Group:
 
     @property
     def inverses(self) -> np.ndarray:
+        """Each element's inverse, as a read-only int32 array, kept.
+
+        x^-1 = x^(|x|-1), which row |x|-2 of the power block holds; the
+        identity, of order 1, is read from row 0, where 0^1 = 0.  The block
+        is the one the element orders are read from, so no scan of the
+        table for its zeros is made.
+        """
         if self._inv is None:
-            # identity is 0, so T[i, j] == 0 exactly when j is i's inverse;
-            # every row holds exactly one 0
-            self._inv = _row_zeros(self.table)
+            orders, block = self._power_block()
+            inv = block[np.maximum(orders - 2, 0), np.arange(self.order)]
+            inv.flags.writeable = False
+            self._inv = inv
         return self._inv
 
     def mul(self, a: int, b: int) -> int:
@@ -212,7 +222,7 @@ class Group:
             if n <= CLASS_BLOCK_LIMIT:
                 lab = self.conjugates().min(axis=0)
             else:
-                lab = orbit_labels(self.conjugates(by=self.generating_sequence()))
+                lab = orbit_labels(self._generator_conjugates())
             cid = (np.cumsum(lab == np.arange(n)) - 1)[lab].astype(np.int32)
             cid.flags.writeable = False
             size = np.bincount(cid)
@@ -256,8 +266,20 @@ class Group:
         coset representatives y are multiplied by the generators.  `mask`
         marks the members of H on entry and is updated to mark <H, g>.
         """
-        # Gathers from one column with intp indices are numpy's fast path.
         T = self.table
+        if sub.size == 1:
+            # H = 1: <g> is the powers of g, walked in Dimino's order.  Column
+            # g of a Latin square is a permutation, so the walk x -> x * g
+            # from g returns to 0 on any table that `validate_group` feeds it
+            g = gens[-1]
+            walk, x = [0], g
+            while x:
+                walk.append(x)
+                x = T.item(x, g)
+            out = np.array(walk, dtype=np.intp)
+            mask[out] = True
+            return out
+        # Gathers from one column with intp indices are numpy's fast path.
         sub = sub.astype(np.intp, copy=False)
         reps = [gens[-1]]
         cosets = [sub, T[:, reps[0]][sub].astype(np.intp)]
@@ -406,11 +428,31 @@ class Group:
         return Subgroup._trusted(self, _mask_members(keep))
 
     def is_normal(self, sub: "Subgroup") -> bool:
-        """True when the members form a union of conjugacy classes."""
-        cid = self.class_ids()
-        hit = np.zeros(self._class_size.size, dtype=bool)
-        hit[cid[sub.members]] = True
-        return int(self._class_size[hit].sum()) == sub.members.size
+        """True when s^-1 x s lies in N for every member x of N and every
+        generator s of G: one scatter and one (k x |N|) gather.
+
+        For any subset N of G this says that N is a union of conjugacy
+        classes.  Conjugation by s is injective, so it maps the finite set
+        N into itself exactly when it maps N onto itself, and then so does
+        its inverse, conjugation by s^-1.  Every inner automorphism is a
+        composition of these, since the generators generate G, so N is
+        invariant under all of Inn(G) (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005, section 3.3).
+        """
+        mask = np.zeros(self.order, dtype=bool)
+        mask[sub.members] = True
+        return bool(mask[self._generator_conjugates()[:, sub.members]].all())
+
+    def _generator_conjugates(self) -> np.ndarray:
+        """The read-only (k x n) block `conjugates(by=generating_sequence())`,
+        whose row i is conjugation by the i-th generator; computed on the
+        first call and kept.  Normality, the normal cyclic subgroups and the
+        orbit route of `class_ids` all read it."""
+        if self._gen_conj is None:
+            block = self.conjugates(by=self.generating_sequence())
+            block.flags.writeable = False
+            self._gen_conj = block
+        return self._gen_conj
 
     def normal_cyclics(self) -> np.ndarray:
         """For each element x, whether <x> is normal, as a read-only bool
@@ -422,7 +464,7 @@ class Group:
         """
         if self._normal_cyclic is None:
             ids = self.cyclic_ids()
-            normal = (ids[self.conjugates(by=self.generating_sequence())] == ids).all(axis=0)
+            normal = (ids[self._generator_conjugates()] == ids).all(axis=0)
             normal.flags.writeable = False
             self._normal_cyclic = normal
         return self._normal_cyclic

@@ -162,7 +162,7 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     auts = auts[np.argsort(basis_keys(auts, basis, group.order))]  # the order _conjugacy reads
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
-    unipotent = p_power_mask(cycle_lengths(auts, basis), p, group.order).all(axis=1)
+    unipotent = p_power_mask(cycle_lengths(auts, basis, group.order), p, group.order).all(axis=1)
     conjugates = _conjugacy(auts, basis)
     covered = np.zeros(len(auts), dtype=bool)
     classes = 0

@@ -198,6 +198,17 @@ def test_r_of_then_trichotomy_build_the_power_block_and_normality_once():
     assert built == {"_powers": 1, "_normal_cyclic": 1}
 
 
+def test_r_of_and_trichotomy_compute_no_class_ids():
+    """R(G) and trichotomy verdicts on N = G and N = R(G) of a fresh group
+    read normality on the generators, never the conjugacy classes."""
+    for spec in ("q16", "c7_q8", "c7_c9", "q8xc4xc2"):
+        g = Group(builtin(spec).table)
+        r = r_of(g)
+        for n_sub in (Subgroup(g, np.arange(g.order)), r.subgroup):
+            verify_normal_subgroup_trichotomy(g, n_sub)
+        assert g._class_id is None, spec
+
+
 def test_case_c_elements_centralising_h_lie_in_o_p():
     # C_S(H) = O_p(N) != S in case c, and S = <x> x T with T <= O_p(N) needs
     # x outside O_p(N): so the "[x, H] must be nontrivial" skip in

@@ -1,9 +1,13 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import blackburn
 from blackburn import autos, cli, suites
 from blackburn.catalog import builtin
 from blackburn.cli import build_parser, main
@@ -159,6 +163,18 @@ def test_catalog_listing(capsys):
     code2, out2 = run(capsys, "catalog", "--porcelain")
     assert code2 == 0
     assert "group.q16.order=16" in out2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m blackburn` in a fresh interpreter gives the report and the
+    exit code of `main`, also for a usage error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blackburn.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["catalog", "--porcelain"], ["example", "--p", "7"]):
+        proc = subprocess.run([sys.executable, "-m", "blackburn", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)
+    assert proc.returncode == 2
 
 
 def test_reports_byte_stable(capsys):

@@ -43,6 +43,7 @@ from blackburn._arith import (
 )
 from blackburn.abelian_pairs import (
     PairStats,
+    _cycle_limit,
     _pairs_for_alpha,
     abelian_group,
     abelian_scope,
@@ -951,13 +952,18 @@ def check_classes(g: Group) -> None:
 @given(st.data())
 def test_conjugacy_classes_match_the_element_loop(data):
     g = data.draw(groups([*LATTICE_NAMES, WITNESS_243]))
-    # normality needs the class numbers only, never the class list
+    # normality, read on the generators, needs neither the class numbers
+    # nor the class list; it is the class-union test on subsets and
+    # subgroups alike
     fresh = Group(g.table)
-    mem = data.draw(subsets(g))
+    if data.draw(st.booleans()):
+        mem = data.draw(subsets(g))
+    else:
+        mem = g.closure(data.draw(elements(g, max_size=3)))
     _, cid = old_conjugacy_classes(g)
     union = np.isin(cid, cid[mem]).sum() == mem.size
     assert fresh.is_normal(Subgroup._trusted(fresh, mem)) == union
-    assert fresh._classes is None
+    assert fresh._class_id is None and fresh._classes is None
     check_classes(fresh)
     check_classes(g)
 
@@ -1026,16 +1032,20 @@ def walked_cycle_lengths(perm: np.ndarray, points) -> list:
 def test_p_power_rows_of_aut_blocks_match_perm_order(factors):
     """On real Aut(A) blocks, the cycle lengths at every point have the row's
     order as their lcm, and the p-power rows read from the lengths at the
-    basis are those of p-power order, for the group's prime and for others."""
+    basis are those of p-power order, for the group's prime and for others,
+    also from the lengths walked only as far as `_cycle_limit`."""
     group, basis = abelian_group(factors)
+    n = group.order
     auts = _aut_images(group)
     orders = [perm_order(row) for row in auts]
-    assert np.lcm.reduce(cycle_lengths(auts, np.arange(group.order)), axis=1).tolist() == orders
-    at_basis = cycle_lengths(auts, basis)
+    assert np.lcm.reduce(cycle_lengths(auts, np.arange(n), n), axis=1).tolist() == orders
+    at_basis = cycle_lengths(auts, basis, n)
     assert at_basis.tolist() == [walked_cycle_lengths(row, basis) for row in auts]
     for p in (2, 3, 5):
         want = [is_p_power(k, p) for k in orders]
-        assert p_power_mask(at_basis, p, group.order).all(axis=1).tolist() == want
+        assert p_power_mask(at_basis, p, n).all(axis=1).tolist() == want
+        limited = cycle_lengths(auts, basis, _cycle_limit(p, n))
+        assert p_power_mask(limited, p, n).all(axis=1).tolist() == want
 
 
 def old_pairs_for_alpha(group, basis, digits, alpha, p, stats):
@@ -1651,6 +1661,20 @@ def test_find_isomorphism_first_hit_matches_node_by_node_search(data):
     assert iso.images.tolist() == want[0].tolist()
 
 
+@pytest.mark.parametrize("name", ["q8xc2", "q8xc4", "q8xq8", "q8xc4xc2"])
+def test_find_isomorphism_on_relabelled_q8_products_matches_the_order_only_search(name):
+    """On products with Q8, where many elements share an order but not a
+    count of square roots, the first hit is that of the node-by-node search
+    pruned on element orders alone."""
+    g = _group(name)
+    for seed in range(2):
+        h = relabelled(g, seed)
+        gens, cands = order_candidates(g, h)
+        want, _ = dfs_search(g, h, gens, cands, g.element_orders(), h.element_orders(),
+                             first_only=True)
+        assert find_isomorphism(g, h).images.tolist() == want[0].tolist()
+
+
 INGEST_NAMES = [e.name for e in CATALOG if e.order <= 48]
 # tokens int() reads or rejects in ways a plain digit parser would not
 ODD_TOKENS = ["x", "-1", "+0", "1_0", "00", "7.0", "1" + "0" * 22, "\u0663", "\u00b2"]
@@ -1893,13 +1917,16 @@ def test_coordinate_power_claims_see_a_mutated_beta():
 @settings(max_examples=150)
 @given(st.integers(1, 12), st.sampled_from(PRIMES), st.data())
 def test_p_power_rows_match_row_by_row(k, p, data):
-    """cycle_lengths against walks one point at a time, and the p-power rows
-    read from the lengths against perm_order, row by row."""
+    """cycle_lengths against walks one point at a time, also when the walk
+    stops at a limit, and the p-power rows read from the lengths against
+    perm_order, row by row."""
     dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
     rows = data.draw(st.lists(st.permutations(range(k)), max_size=10))
     block = np.asarray(rows, dtype=dtype).reshape(len(rows), k)
-    lengths = cycle_lengths(block, np.arange(k))
+    lengths = cycle_lengths(block, np.arange(k), k)
     assert lengths.tolist() == [walked_cycle_lengths(row, np.arange(k)) for row in block]
+    limit = data.draw(st.integers(0, k))
+    assert np.array_equal(cycle_lengths(block, np.arange(k), limit), np.minimum(lengths, limit + 1))
     assert [int(np.lcm.reduce(ln)) for ln in lengths] == [perm_order(row) for row in block]
     # an arbitrary permutation is determined by its images of all points
     mask = p_power_mask(lengths, p, k).all(axis=1)
@@ -1958,17 +1985,22 @@ def test_center_matches_the_whole_commutation_mask_on_every_catalog_group():
 
 
 def test_inverses_match_the_whole_table_scan():
-    """Group.inverses against argmax(table == 0) over the whole table, on
-    every catalog group as built and relabelled, S6 and both witness
-    groups; also with blocks of one row and of a few rows, so that block
-    boundaries fall inside every table."""
+    """Group.inverses, read from the power block, and `_row_zeros`, the
+    scan `validate_group` keeps, against argmax(table == 0) over the whole
+    table, on every catalog group as built and relabelled, S6 and both
+    witness groups; the scan also with blocks of one row and of a few
+    rows, so that block boundaries fall inside every table."""
     bundle = extend_witness(build_witness(3))
     s6 = parse_permgen("permgen 1\ndegree 6\ngen 1 0 2 3 4 5\ngen 1 2 3 4 5 0\n")
     tables = [t for e in CATALOG for t in (e.build().table, relabelled(e.build(), e.order).table)]
     tables += [s6.table, bundle.g_group.table, bundle.ga_group.table]
+    for t in tables:
+        inv = Group(t).inverses
+        assert inv.dtype == np.int32 and not inv.flags.writeable
+        assert np.array_equal(inv, np.argmax(t == 0, axis=1))
     for scan in (1, 5000, core.SCAN_ELEMENTS):
         with mock.patch.object(core, "SCAN_ELEMENTS", scan):
             for t in tables:
-                inv = Group(t).inverses
+                inv = core._row_zeros(t)
                 assert inv.dtype == np.int32 and not inv.flags.writeable
                 assert np.array_equal(inv, np.argmax(t == 0, axis=1))
