@@ -73,6 +73,28 @@ def perm_powers(perm: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def power_agreement(perm: np.ndarray, target: np.ndarray, k: int) -> tuple:
+    """Where `target` agrees with some perm^i, i = 0..k-1, as a bool array
+    over the points, and the least i with target == perm^i everywhere, or
+    None.
+
+    The powers are walked one intp array at a time, so no (k x n) stack is
+    made.  The walk stops at the first i where target == perm^i, since the
+    mask is then true everywhere.
+    """
+    perm = np.asarray(perm, dtype=np.intp)
+    target = np.asarray(target)
+    cur = np.arange(perm.size)
+    somewhere = np.zeros(perm.size, dtype=bool)
+    for i in range(k):
+        hit = cur == target
+        if hit.all():
+            return np.ones(perm.size, dtype=bool), i
+        somewhere |= hit
+        cur = perm[cur]
+    return somewhere, None
+
+
 def perm_order(perm: np.ndarray) -> int:
     """Order of a permutation (lcm of cycle lengths)."""
     n = perm.size

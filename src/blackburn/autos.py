@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._arith import is_p_power, p_part, perm_power, perm_powers, prime_divisors
+from ._arith import is_p_power, p_part, perm_power, power_agreement, prime_divisors
 from .core import BLOCK_ELEMENTS, Action, Group, GroupMap
 from .errors import (
     NoWitness,
@@ -436,23 +436,22 @@ def is_isomorphic(g: Group, h: Group) -> bool:
 
 def power_of(alpha: GroupMap, beta: GroupMap) -> Optional[int]:
     """Least n >= 0 with beta = alpha^n, or None; bounded by the order of alpha."""
-    hits = np.flatnonzero(_power_hits(alpha.source, alpha, beta).all(axis=1))
-    return int(hits[0]) if hits.size else None
+    return _power_agreement(alpha.source, alpha, beta)[1]
 
 
 def locally_power(g: Group, alpha: GroupMap, beta: GroupMap) -> bool:
     """True when for every x some n has x.beta = x.alpha^n."""
-    return bool(_power_hits(g, alpha, beta).any(axis=0).all())
+    return bool(_power_agreement(g, alpha, beta)[0].all())
 
 
-def _power_hits(g: Group, alpha: GroupMap, beta: GroupMap) -> np.ndarray:
-    """hits[i, x]: whether alpha^i and beta agree at x, for i below the order
-    of alpha; raises NotAutomorphism unless both maps are automorphisms of g."""
+def _power_agreement(g: Group, alpha: GroupMap, beta: GroupMap) -> tuple:
+    """`power_agreement` of beta against the powers of alpha below its order;
+    raises NotAutomorphism unless both maps are automorphisms of g."""
     _require_automorphism(alpha)
     _require_automorphism(beta)
     if alpha.source is not g or beta.source is not g:
         raise NotAutomorphism("maps live on different groups")
-    return perm_powers(alpha.images, alpha.map_order()) == beta.images
+    return power_agreement(alpha.images, beta.images, alpha.map_order())
 
 
 def _require_automorphism(f: GroupMap) -> None:

@@ -8,10 +8,13 @@ alpha.  Extending G by alpha gives a group of order p^{p+4} on which the map
 fixing the new generator and acting as beta on G is a class-preserving,
 non-inner automorphism.
 
-For p = 3 everything is materialized as multiplication tables (orders 27,
-81, 243, 2187).  For p = 5 the group of order 5^7 is kept in coordinate form
-with formula-based multiplication, and only the formula-level claims are
-verified; conjugacy-class computations at that size are out of reach.
+For p = 3, A, K and G are multiplication tables (orders 27, 81, 243), and
+sigma is verified on GA (order 2187) in coordinates, from G's table
+(`SplitExtension`).  `extend_witness` builds GA's table as well; the tests
+read it as the oracle of the coordinate route.  For p = 5 the group of
+order 5^7 is kept in coordinate form with formula-based multiplication, and
+only the formula-level claims are verified; conjugacy-class computations at
+that size are out of reach.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._arith import perm_power, perm_powers
-from .autos import _is_inner, is_class_preserving, locally_power, power_of
+from ._arith import orbit_labels, perm_power, perm_powers, power_agreement
+from .autos import _inner_mask, locally_power, power_of
 from .catalog import cyclic, direct_product, semidirect_product
 from .core import Action, Group, GroupMap
 from .errors import ActionPropertyFailed, BadPrime, ClaimFailed
@@ -187,21 +190,88 @@ class CoordWitness:
         return np.concatenate([np.zeros_like(terms[:1]), np.cumsum(terms, axis=0)])
 
     def _maps(self) -> tuple:
-        """alpha and beta on every (a, i, j), in index order, from one
-        encode_values: beta adds j*z to a, and alpha adds the A-part of
-        (x*k)^i as well.  beta does not depend on i, so its A-part is
-        encoded once per (a, j)."""
+        """alpha and beta on every (a, i, j), in index order, encoded one
+        stratum i at a time: alpha adds j*z and the A-part of (x*k)^i to a,
+        and beta adds j*z alone.  (x*k)^0 has A-part 0, so beta's A-part is
+        alpha's on the stratum i = 0, for every i."""
         p, na, k = self.p, self.na, self.space.k
         vals = self.space.values
-        beta = vals[:, None] + np.arange(p)[:, None] * vals[self.z]  # [a, j]
-        alpha = beta[:, None] + self._xk_sums()[:p, None]  # [a, i, j]
-        images = self.space.encode_values(np.concatenate([alpha.reshape(-1, k),
-                                                          beta.reshape(-1, k)]))
-        i, j = np.ogrid[:p, :p]
-        a_img = self.index(images[:self.size].reshape(na, p, p), i, j)
-        b_img = self.index(images[self.size:].reshape(na, 1, p), i, j)
+        shifted = vals[:, None] + np.arange(p)[:, None] * vals[self.z]  # [a, j]
+        xk = self._xk_sums()
+        j = np.arange(p)
         # int32 holds every index (5^7 points at p = 5), at half the bytes
-        return a_img.ravel().astype(np.int32), b_img.ravel().astype(np.int32)
+        a_img = np.empty((na, p, p), dtype=np.int32)
+        for i in range(p):
+            a_part = self.space.encode_values((shifted + xk[i]).reshape(-1, k))
+            a_img[:, i] = self.index(a_part.reshape(na, p), i, j)
+        b_part = a_img[:, :1] // (p * p)  # [a, 1, j]: alpha's A-part at i = 0
+        b_img = self.index(b_part, np.arange(p)[:, None], j)
+        return a_img.ravel(), b_img.ravel().astype(np.int32)
+
+
+class SplitExtension:
+    """GA = G x| C_m in the indices x = g*m + s of `semidirect_product`,
+    where the generator of C_m conjugates as alpha, built without a table.
+
+    (g1, s1)(g2, s2) = (g1 * alpha^-s1(g2), s1 + s2 mod m), read from G's
+    table and one stack of the powers of alpha^-1, and (g, s)^-1 =
+    (alpha^s(g^-1), -s).  The generating sequence is G's generators at
+    s = 0, then (0, 1); they generate GA, since (g, s) = (g, 0)(0, 1)^s.
+    `conjugates` and `generating_sequence` are what `autos._inner_mask`
+    reads, and the conjugations by the generators give the classes through
+    `orbit_labels`, so the automorphism, class and innerness tests of a map
+    need no table of GA.
+    """
+
+    def __init__(self, g: Group, alpha: GroupMap, m: int):
+        self.base, self.m = g, m
+        self.order = g.order * m
+        self._act = perm_powers(alpha.inverse().images, m).astype(np.intp)  # row s: alpha^-s
+        gg, s = np.divmod(np.arange(self.order), m)
+        t = -s % m  # alpha^s = alpha^-t
+        self.inverses = self._act[t, g.inverses[gg]] * m + t
+
+    def mul(self, x, y) -> np.ndarray:
+        """The products x * y of index arrays, elementwise with broadcasting."""
+        m = self.m
+        g1, s1 = np.divmod(x, m)
+        g2, s2 = np.divmod(y, m)
+        return self.base.table[g1, self._act[s1, g2]] * m + (s1 + s2) % m
+
+    def conjugates(self, by=slice(None), of=slice(None)) -> np.ndarray:
+        """The (|by| x |of|) array of by[i]^-1 * of[j] * by[i], as
+        `Group.conjugates`: each of `by` and `of` is an index array or a
+        slice, by default every element."""
+        idx = np.arange(self.order)
+        by, of = idx[by], idx[of]
+        return self.mul(self.mul(self.inverses[by, None], of), by[:, None])
+
+    def generating_sequence(self) -> list:
+        return [x * self.m for x in self.base.generating_sequence()] + [1]
+
+    def class_labels(self) -> np.ndarray:
+        """The least member of each element's conjugacy class."""
+        return orbit_labels(self.conjugates(by=self.generating_sequence()))
+
+    def is_automorphism(self, images: np.ndarray) -> bool:
+        """Whether x -> images[x] is an automorphism: it is bijective, sends
+        0 to 0, and f(x y) = f(x) f(y) for every x and each generator y.
+        That is the criterion of `core._map_masks`, exact by the argument of
+        its docstring."""
+        x = np.arange(self.order)
+        return bool(np.array_equal(np.sort(images), x) and images[0] == 0
+                    and all(np.array_equal(images[self.mul(x, y)], self.mul(images, images[y]))
+                            for y in self.generating_sequence()))
+
+    def is_class_preserving(self, images: np.ndarray) -> bool:
+        """Whether x -> images[x] keeps every element in its class."""
+        lab = self.class_labels()
+        return np.array_equal(lab[images], lab)
+
+    def is_inner(self, images: np.ndarray) -> bool:
+        """Whether some conjugation agrees with x -> images[x] on the
+        generators, as `autos._is_inner` decides it on a table."""
+        return bool(_inner_mask(self, images[self.generating_sequence()][None, :])[0])
 
 
 @dataclass
@@ -297,8 +367,7 @@ def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
     act = Action(cp2, g_grp, perm_powers(alpha.inverse().images, p * p))
     ga = semidirect_product(g_grp, cp2, act)
     m = p * p
-    sigma_img = (beta.images[:, None] * m + np.arange(m)).ravel()
-    sigma = GroupMap(ga, ga, sigma_img)
+    sigma = GroupMap(ga, ga, _sigma_images(beta, m))
     if not sigma.is_automorphism():
         raise ClaimFailed("sigma is not an automorphism of the extension")
     gen = 1  # (identity of G, generator exponent 1)
@@ -308,6 +377,23 @@ def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
         raise ClaimFailed("the extension does not conjugate by alpha")
     bundle.ga_group, bundle.sigma = ga, sigma
     return bundle
+
+
+def _sigma_images(beta: GroupMap, m: int) -> np.ndarray:
+    """sigma on GA = G x| C_m in the indices g*m + s: (g, s) -> (beta(g), s)."""
+    return (beta.images[:, None] * m + np.arange(m)).ravel()
+
+
+def _check_sigma(ga: SplitExtension, sigma: np.ndarray, alpha: GroupMap) -> None:
+    """Raise ClaimFailed unless sigma is an automorphism of GA that fixes
+    (0, 1), and conjugation by (0, 1) applies alpha to G."""
+    if not ga.is_automorphism(sigma):
+        raise ClaimFailed("sigma is not an automorphism of the extension")
+    if int(sigma[1]) != 1:
+        raise ClaimFailed("sigma moves the extending generator")
+    g = np.arange(0, ga.order, ga.m)  # G at s = 0
+    if not np.array_equal(ga.conjugates(by=[1], of=g)[0], alpha.images * ga.m):
+        raise ClaimFailed("the extension does not conjugate by alpha")
 
 
 # -- claim verification --------------------------------------------------------
@@ -333,11 +419,14 @@ class WitnessReport:
 
 
 def verify_witness(p: int, *, raise_on_fail: bool = True) -> WitnessReport:
-    """Run every verifiable claim of the construction for the given prime."""
+    """Run every verifiable claim of the construction for the given prime.
+
+    For p = 3, sigma is checked on GA = G x| C_{p^2} in coordinates
+    (`SplitExtension`), from G's table; GA's own table, which
+    `extend_witness` builds, is not made."""
     bundle = build_witness(p)
     table_mode = bundle.g_group is not None
-    if table_mode:
-        extend_witness(bundle)
+    ga = SplitExtension(bundle.g_group, bundle.alpha, p * p) if table_mode else None
     co = bundle.coords
     report = WitnessReport(
         p=p,
@@ -347,12 +436,12 @@ def verify_witness(p: int, *, raise_on_fail: bool = True) -> WitnessReport:
             "A": co.na,
             "K": co.na * p,
             "G": co.size,
-            "GA": co.size * p * p if table_mode else None,
+            "GA": ga.order if table_mode else None,
         },
     )
     _verify_coordinate_claims(bundle, report)
     if table_mode:
-        _verify_table_claims(bundle, report)
+        _verify_table_claims(bundle, ga, report)
     if raise_on_fail and not report.ok:
         raise ClaimFailed("; ".join(report.failures()))
     return report
@@ -370,12 +459,21 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
     rep.record("z is central of order p in K",
                fz == co.z and space.scale(co.z, p) == 0 and co.z != 0)
     alpha, beta = co.alpha, co.beta
-    pows = perm_powers(alpha, p * p + 1)  # row i: alpha^i
-    ident, a_p = pows[0], pows[p]
+    ident = np.arange(co.size, dtype=alpha.dtype)
+    a_range = np.arange(co.na, dtype=np.int64)
+    a_p = perm_power(alpha, p)
+    # on the stratum (i, j) with i*s = j, i and s in 1..p-1, beta must be
+    # alpha^(p*s); the walk over s ends on alpha^(p^2)
+    ok_strata, a_ps = True, a_p
+    for s in range(1, p):
+        for i in range(1, p):
+            stratum = co.index(a_range, i, i * s % p)
+            ok_strata &= np.array_equal(beta[stratum], a_ps[stratum])
+        a_ps = a_p[a_ps]
     rep.record("alpha has order p^2",
-               not np.array_equal(pows[1], ident)
+               not np.array_equal(alpha, ident)
                and not np.array_equal(a_p, ident)
-               and np.array_equal(pows[p * p], ident))
+               and np.array_equal(a_ps, ident))
     b_p = perm_power(beta, p)
     rep.record("beta has order p",
                not np.array_equal(beta, ident) and np.array_equal(b_p, ident))
@@ -385,29 +483,21 @@ def _verify_coordinate_claims(bundle: WitnessBundle, rep: WitnessReport) -> None
                               np.tile(np.arange(p, dtype=np.int64), co.na)))
     rep.record("fixed points of alpha^p are A x <h>", np.array_equal(fixed, expect))
 
-    a_range = np.arange(co.na, dtype=np.int64)
     ok_k = all(np.array_equal(beta[co.index(a_range, i, 0)], co.index(a_range, i, 0))
                for i in range(p))
     rep.record("beta fixes K pointwise", ok_k)
     ok_h = all(np.array_equal(beta[co.index(a_range, 0, j)], alpha[co.index(a_range, 0, j)])
                for j in range(1, p))
     rep.record("beta equals alpha on H beyond K", ok_h)
-    ok_strata = True
-    for i in range(1, p):
-        for j in range(1, p):
-            sj = (pow(i, -1, p) * j) % p
-            stratum = co.index(a_range, i, j)
-            if not np.array_equal(beta[stratum], pows[(p * sj) % (p * p), stratum]):
-                ok_strata = False
     rep.record("beta equals alpha^(p*s) with i*s = j on mixed strata", ok_strata)
-    hits = pows[: p * p] == beta  # hits[i, x]: alpha^i and beta agree at x
-    rep.record("beta is pointwise a power of alpha", bool(hits.any(axis=0).all()))
-    rep.record("beta is not a power of alpha", not hits.all(axis=1).any())
+    somewhere, first = power_agreement(alpha, beta, p * p)
+    rep.record("beta is pointwise a power of alpha", bool(somewhere.all()))
+    rep.record("beta is not a power of alpha", first is None)
 
 
-def _verify_table_claims(bundle: WitnessBundle, rep: WitnessReport) -> None:
-    p, g_grp, ga = bundle.p, bundle.g_group, bundle.ga_group
-    alpha, beta, sigma = bundle.alpha, bundle.beta, bundle.sigma
+def _verify_table_claims(bundle: WitnessBundle, ga: SplitExtension, rep: WitnessReport) -> None:
+    p, g_grp = bundle.p, bundle.g_group
+    alpha, beta = bundle.alpha, bundle.beta
     rep.record("table groups have orders p^p, p^(p+1), p^(p+2), p^(p+4)",
                bundle.a_group.order == p**p
                and bundle.k_group.order == p ** (p + 1)
@@ -422,8 +512,9 @@ def _verify_table_claims(bundle: WitnessBundle, rep: WitnessReport) -> None:
                locally_power(g_grp, alpha, beta))
     rep.record("beta is not a power of alpha on the table group",
                power_of(alpha, beta) is None)
+    sigma = _sigma_images(beta, ga.m)
+    _check_sigma(ga, sigma, alpha)
     rep.record("sigma restricted to G equals beta",
-               np.array_equal(sigma.images[:: p * p], beta.images * p * p))
-    rep.record("sigma is class-preserving", is_class_preserving(ga, sigma))
-    rep.record("sigma is not inner", not _is_inner(ga, sigma))
-
+               np.array_equal(sigma[:: ga.m], beta.images * ga.m))
+    rep.record("sigma is class-preserving", ga.is_class_preserving(sigma))
+    rep.record("sigma is not inner", not ga.is_inner(sigma))

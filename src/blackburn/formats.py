@@ -3,7 +3,7 @@
 cayley v1:
     cayley 1
     order n
-    names t1 ... tn        (optional; whitespace-free tokens)
+    names t1 ... tn        (optional; tokens free of whitespace and '#')
     n rows of n whitespace-separated 0-based indices
 
 permgen v1:
@@ -27,6 +27,9 @@ from .core import Group, validate_group
 from .errors import BadParams, NotPermutation, OrderCap, ParseError
 
 PERMGEN_CLOSURE_CAP = 65536
+# Bytes of the largest int32 (n x n) table a file may ask for: n <= 11585.
+# Loading one makes whole-table temporaries a few times this size.
+TABLE_BYTE_LIMIT = 1 << 29
 _DIGIT_TABLE_BYTES = b"0123456789 \t\n"
 
 
@@ -40,9 +43,17 @@ def _content_lines(text: str) -> list:
     return out
 
 
+def _check_table_bytes(n: int) -> None:
+    """Refuse, before it is allocated, an int32 table of order n over
+    TABLE_BYTE_LIMIT."""
+    if 4 * n * n > TABLE_BYTE_LIMIT:
+        raise OrderCap(f"an order-{n} table takes {4 * n * n} bytes, over the limit "
+                       f"of {TABLE_BYTE_LIMIT}")
+
+
 def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
-    """Read a cayley file; an order above `cap` is refused before any row
-    is read."""
+    """Read a cayley file; an order above `cap`, or whose table would pass
+    TABLE_BYTE_LIMIT, is refused before any row is read."""
     lines = _content_lines(text)
     if not lines or lines[0][1] != "cayley 1":
         raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
@@ -56,6 +67,7 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
         raise ParseError("order must be positive", lines[1][0])
     if cap is not None and n > cap:
         raise OrderCap(f"order {n} exceeds cap {cap}")
+    _check_table_bytes(n)
     body = lines[2:]
     names = None
     if body and body[0][1].startswith("names"):
@@ -108,8 +120,9 @@ def _checked_table(body: list, n: int) -> list:
 def dump_cayley(g: Group) -> str:
     out = ["cayley 1", f"order {g.order}"]
     if g.names is not None:
-        if any((" " in nm or "\t" in nm or not nm) for nm in g.names):
-            raise BadParams("names must be non-empty and whitespace-free")
+        # a name must read back as one token, and '#' would start a comment
+        if any(nm.split() != [nm] or "#" in nm for nm in g.names):
+            raise BadParams("names must be non-empty, whitespace-free and without '#'")
         out.append("names " + " ".join(g.names))
     for row in g.table.tolist():
         out.append(" ".join(str(x) for x in row))
@@ -117,6 +130,9 @@ def dump_cayley(g: Group) -> str:
 
 
 def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
+    """Close the generators of a permgen file; a closure over `cap`
+    elements, or whose table would pass TABLE_BYTE_LIMIT, is refused before
+    the table is allocated."""
     lines = _content_lines(text)
     if not lines or lines[0][1] != "permgen 1":
         raise ParseError("expected header 'permgen 1'", lines[0][0] if lines else 1)
@@ -143,6 +159,7 @@ def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
         gens.append(imgs)
     elements, parent, via, right = _closure(gens, degree, cap)
     n = len(elements)
+    _check_table_bytes(n)
     # Element j was first reached as parent[j] * via[j], so column j is the
     # right multiplication by that generator applied to column parent[j].
     table = np.empty((n, n), dtype=np.int32)

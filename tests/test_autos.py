@@ -1,5 +1,6 @@
 """Automorphism machinery: enumeration, powers, witnesses."""
 
+from math import gcd, prod
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from blackburn.autos import (
     power_of,
 )
 from blackburn.catalog import (
+    CATALOG,
     builtin,
     cyclic,
     dihedral,
@@ -238,6 +240,68 @@ def test_locally_power_rejects_maps_of_another_group():
                         (doubling(c5), doubling(c7)), (doubling(c7), doubling(c5))]:
         with pytest.raises(NotAutomorphism):
             locally_power(c5, alpha, beta)
+
+
+def _phi(n: int) -> int:
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def _closed_aut_order(family: str, order: int):
+    """|Aut| by its closed form, or None for a family without one."""
+    if family == "cyclic":
+        return _phi(order)
+    if family == "dihedral" and order >= 6:  # D_2n, n >= 3: n * phi(n)
+        return order // 2 * _phi(order // 2)
+    if family == "quaternion":  # Q_2^k: 2^(2k - 3) for k >= 4
+        return 24 if order == 8 else 2 ** (2 * (order.bit_length() - 1) - 3)
+    return None
+
+
+# the brute-force Aut of these has 12288-20160 rows; none has a closed form here
+AUT_SKIP = ("e16", "q8xc4xc2", "q8xq8")
+BUILTIN_FAMILIES = {"cyclic": "cyclic", "dihedral": "dihedral",
+                    "generalized_quaternion": "quaternion"}
+# |Aut(G x H)| = |Aut G| |Aut H| when |G| and |H| are coprime
+COPRIME_FACTORS = {"q8xc3": ("generalized_quaternion(8)", "cyclic(3)")}
+BUILTIN_SPECS = ("cyclic(30)", "cyclic(64)", "dihedral(6)", "dihedral(18)", "dihedral(64)")
+BUILTIN_PRODUCTS = (("dihedral(6)", "cyclic(5)"), ("dihedral(10)", "cyclic(3)"),
+                    ("generalized_quaternion(8)", "cyclic(7)"), ("cyclic(4)", "cyclic(9)"))
+
+
+def _spec_aut_order(spec: str) -> int:
+    name = spec.split("(")[0]
+    return _closed_aut_order(BUILTIN_FAMILIES[name], builtin(spec).order)
+
+
+def _closed_form_cases() -> list:
+    cases = []
+    for e in CATALOG:
+        if e.order > 64 or e.name in AUT_SKIP:
+            continue
+        want = _closed_aut_order(e.family, e.order)
+        if e.name in COPRIME_FACTORS:
+            want = prod(_spec_aut_order(f) for f in COPRIME_FACTORS[e.name])
+        if want is not None:
+            cases.append(pytest.param(e.build, want, id=e.name))
+    for spec in BUILTIN_SPECS:
+        cases.append(pytest.param(lambda spec=spec: builtin(spec), _spec_aut_order(spec), id=spec))
+    for a, b in BUILTIN_PRODUCTS:
+        cases.append(pytest.param(lambda a=a, b=b: direct_product(builtin(a), builtin(b)),
+                                  _spec_aut_order(a) * _spec_aut_order(b), id=f"{a}x{b}"))
+    return cases
+
+
+@pytest.mark.parametrize("build,want", _closed_form_cases())
+def test_enumerate_aut_matches_the_closed_form_order(build, want):
+    """The brute-force Aut count against phi(n), n phi(n) for D_2n, the
+    generalized quaternion orders and products over coprime factors."""
+    assert len(enumerate_aut(build())) == want
+
+
+def test_closed_form_cases_cover_each_family():
+    ids = {c.id for c in _closed_form_cases()}
+    assert {"c1", "c16", "d8", "d32", "q8", "q16", "q64", "q8xc3"} <= ids
+    assert len(ids) == 21 + len(BUILTIN_SPECS) + len(BUILTIN_PRODUCTS)  # 21 catalog groups
 
 
 def test_power_of_implies_locally_power():

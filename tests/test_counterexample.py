@@ -5,13 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blackburn.autos import find_isomorphism, is_class_preserving, locally_power, power_of
+from blackburn.autos import (
+    find_isomorphism,
+    inner_automorphism,
+    is_class_preserving,
+    locally_power,
+    power_of,
+)
 from blackburn.autos import _is_inner
 from blackburn.catalog import cyclic, direct_product
 from blackburn.core import GroupMap
 from blackburn.counterexample import (
     BaseAbelian,
     CoordSpace,
+    SplitExtension,
     WitnessReport,
     _verify_coordinate_claims,
     action_matrix,
@@ -168,6 +175,62 @@ def test_tampered_sigma_is_inner():
     assert tampered.is_automorphism()
     assert is_class_preserving(ga, tampered)
     assert _is_inner(ga, tampered)
+
+
+@pytest.fixture(scope="module")
+def ga_routes():
+    """GA of p = 3 as the table of extend_witness and as its coordinate form."""
+    b = extend_witness(build_witness(3))
+    return b, SplitExtension(b.g_group, b.alpha, 9)
+
+
+def test_split_extension_matches_the_table_of_ga(ga_routes):
+    b, ext = ga_routes
+    ga = b.ga_group
+    assert ext.order == ga.order
+    x = np.arange(ga.order)
+    for lo in range(0, ga.order, 243):  # a block of rows at a time
+        assert np.array_equal(ext.mul(x[lo : lo + 243, None], x), ga.table[lo : lo + 243])
+    assert np.array_equal(ext.inverses, ga.inverses)
+    gens = ext.generating_sequence()
+    assert ga.closure(gens).size == ga.order
+    assert np.array_equal(ext.conjugates(of=gens), ga.conjugates(of=gens))
+    assert np.array_equal(ext.conjugates(by=gens), ga.conjugates(by=gens))
+    # the same partition: each element labelled by its class's least member
+    least = np.asarray([c[0] for c in ga.conjugacy_classes()])
+    assert np.array_equal(ext.class_labels(), least[ga.class_ids()])
+
+
+def test_split_extension_verdicts_match_the_table_route(ga_routes):
+    """sigma, an inner map, inner maps after sigma, the identity, and three
+    maps that are not automorphisms: a bijection with two images swapped,
+    one with f(0) != 0, and sigma after swapping two left cosets of <y>,
+    y the first generator, which keeps f(x y) = f(x) f(y) for that y alone."""
+    b, ext = ga_routes
+    ga = b.ga_group
+    maps = [b.sigma, inner_automorphism(ga, 100), GroupMap(ga, ga, np.arange(ga.order))]
+    maps += [inner_automorphism(ga, a).then(b.sigma) for a in (1, 9)]
+    for i, j in ((5, 700), (0, 3)):
+        img = b.sigma.images.copy()
+        img[[i, j]] = img[[j, i]]
+        maps.append(GroupMap(ga, ga, img))
+    y = ext.generating_sequence()[0]
+    y_pows = [ga.power(y, k) for k in range(ga.order_of(y))]
+    swap = np.arange(ga.order)
+    c1, c2 = ga.table[1, y_pows], ga.table[2, y_pows]  # the cosets (0, 1)<y> and (0, 2)<y>
+    swap[c1], swap[c2] = c2, c1
+    maps.append(GroupMap(ga, ga, b.sigma.images[swap]))
+    cid = ga.class_ids()
+    seen = set()
+    for f in maps:
+        verdict = (f.is_automorphism(), np.array_equal(cid[f.images], cid), _is_inner(ga, f))
+        got = (ext.is_automorphism(f.images), ext.is_class_preserving(f.images),
+               ext.is_inner(f.images))
+        assert got == verdict
+        if verdict[0]:
+            assert is_class_preserving(ga, f) == verdict[1]
+        seen.add(verdict)
+    assert seen == {(True, True, False), (True, True, True), (False, False, False)}
 
 
 def test_verify_witness_p3():

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from blackburn.catalog import CATALOG, builtin, symmetric
-from blackburn.errors import NotPermutation, OrderCap, ParseError
+from blackburn import formats
+from blackburn.catalog import CATALOG, builtin, cyclic, symmetric
+from blackburn.cli import main
+from blackburn.core import Group
+from blackburn.errors import BadParams, NotPermutation, OrderCap, ParseError
 from blackburn.formats import (
     dump_cayley,
     parse_cayley,
@@ -57,6 +60,33 @@ def test_s3_file_roundtrip():
     assert np.array_equal(back.table, s3.table)
     assert back.names == s3.names
     assert sorted(len(c) for c in back.conjugacy_classes()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("names", [("e", "a#1", "a#2"), ("e", "a 1", "a2"), ("e", "", "a2"),
+                                   ("e", "a\n1", "a2")])
+def test_dump_refuses_names_that_do_not_read_back(names):
+    # '#' would start a comment, and whitespace would split the name
+    with pytest.raises(BadParams):
+        dump_cayley(Group(cyclic(3).table, names))
+
+
+def test_parse_refuses_tables_over_the_byte_limit(monkeypatch, tmp_path):
+    # nothing is allocated: the order line is refused before any row is read
+    with pytest.raises(OrderCap, match="over the limit"):
+        parse_cayley("cayley 1\norder 100000\n")
+    big = tmp_path / "big.cayley"
+    big.write_text("cayley 1\norder 100000\n")
+    assert main(["classify", str(big)]) == 2
+    s4_perm = "permgen 1\ndegree 4\ngen 1 2 3 0\ngen 1 0 2 3\n"
+    s5_perm = "permgen 1\ndegree 5\ngen 1 2 3 4 0\ngen 1 0 2 3 4\n"
+    # a limit that S4's table meets and S5's passes
+    monkeypatch.setattr(formats, "TABLE_BYTE_LIMIT", 4 * 24 * 24)
+    assert parse_permgen(s4_perm).order == 24
+    assert parse_cayley(dump_cayley(symmetric(4))).order == 24
+    with pytest.raises(OrderCap, match="order-120 table"):
+        parse_permgen(s5_perm)
+    with pytest.raises(OrderCap, match="order-120 table"):
+        parse_cayley(dump_cayley(symmetric(5)))
 
 
 def test_roundtrip_all_catalog():

@@ -45,9 +45,18 @@ def test_inverses_of_ga_need_no_whole_table_mask():
 def test_coordinate_witness_of_p5_is_int32():
     co = build_witness(5).coords
     assert co.alpha.dtype == co.beta.dtype == np.int32
+    # alpha is encoded one stratum at a time, and its powers are walked one
+    # array at a time, with no stack of them
     report, peak = traced_peak(lambda: verify_witness(5))
     assert report.ok
-    assert peak < 16 * MIB
+    assert peak < 6 * MIB
+
+
+def test_witness_of_p3_builds_no_table_of_ga():
+    # sigma is checked on GA's coordinates; GA's table alone is 18.2 MiB
+    report, peak = traced_peak(lambda: verify_witness(3))
+    assert report.ok and report.group_orders["GA"] == 2187
+    assert peak < 2 * MIB
 
 
 @pytest.mark.parametrize("p,max_order,mib", [(5, 125, 3.02), (3, 27, 3.58), (2, 32, 8.96),

@@ -39,6 +39,7 @@ from blackburn._arith import (
     perm_order,
     perm_power,
     perm_powers,
+    power_agreement,
     prime_divisors,
 )
 from blackburn.abelian_pairs import (
@@ -1887,6 +1888,54 @@ def test_perm_powers_match_perm_power_row_by_row(n, data):
     assert got.shape == (k, n) and got.dtype == dtype
     for i, row in enumerate(got):
         assert np.array_equal(row, perm_power(perm, i))
+
+
+def stack_agreement(perm, target, k: int) -> tuple:
+    """power_agreement read from the (k x n) stack of the powers of perm."""
+    hits = perm_powers(perm, k) == target
+    full = np.flatnonzero(hits.all(axis=1))
+    return hits.any(axis=0), (int(full[0]) if full.size else None)
+
+
+def check_power_agreement(perm, target, k: int) -> tuple:
+    mask, first = power_agreement(perm, target, k)
+    want_mask, want_first = stack_agreement(perm, target, k)
+    assert mask.dtype == bool and np.array_equal(mask, want_mask) and first == want_first
+    return mask, first
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 9), st.data())
+def test_power_agreement_matches_the_power_stack(n, data):
+    """The walk against the stack, for k = 0 too, on targets that are any
+    permutation, a power of perm, or a power of perm chosen point by point."""
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    perm = np.asarray(data.draw(st.permutations(range(n))), dtype=dtype)
+    order = perm_order(perm)
+    kind = data.draw(st.sampled_from(["any", "power", "pointwise"]))
+    if kind == "any":
+        target = np.asarray(data.draw(st.permutations(range(n))), dtype=dtype)
+    elif kind == "power":
+        target = perm_power(perm, data.draw(st.integers(0, 2 * order)))
+    else:
+        exps = data.draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+        target = perm_powers(perm, order)[exps, np.arange(n)]
+    check_power_agreement(perm, target, data.draw(st.integers(0, 2 * order)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_power_agreement_on_the_witness_pairs(p):
+    """alpha and beta of both witnesses, and betas mutated so that each
+    power claim flips: alpha^(p+1) is a power, and x -> x + 1 moves the
+    identity, which every power of alpha fixes."""
+    co = build_witness(p).coords
+    k = p * p
+    mask, first = check_power_agreement(co.alpha, co.beta, k)
+    assert mask.all() and first is None
+    mask, first = check_power_agreement(co.alpha, perm_power(co.alpha, p + 1), k)
+    assert mask.all() and first == p + 1
+    mask, first = check_power_agreement(co.alpha, np.roll(np.arange(co.size), -1), k)
+    assert not mask.all() and first is None
 
 
 def coordinate_failures(beta_of) -> list:
