@@ -17,9 +17,11 @@ elements' orders that give an injective map (the generic image search of
 its images of the basis, so the block is read there: the cycle lengths of
 every row at the basis give its order and its candidate count, and one
 int64 key per row (its basis images in radix n) names it; the block comes
-out sorted by that key.  The class of <u> is the set of rows whose keys are
-among the conjugates of the generators of <u>, which are gathered at the
-basis for the whole block at once.  The per-group counts stay those of
+out sorted by that key.  Conjugation commutes with powers, so the class of
+<u> is the set of powers x^k, k prime to p, of the rows x conjugate to u:
+u alone is conjugated by the whole block, gathered at the basis, and the
+powers are read from one table of the powers of every p-power row, walked
+at the basis too.  The per-group counts stay those of
 checking every cyclic subgroup <alpha> in turn: they are class-weighted
 totals (see PairStats).  For elementary abelian groups whose GL is too
 large to enumerate, the p-power-order automorphisms are exactly the
@@ -32,14 +34,15 @@ is refused with OrderCap before it is built.
 Given alpha, candidate betas are found without scanning Aut(G): beta must
 send each basis element into its <alpha>-orbit, and a choice of orbit images
 determines at most one endomorphism, automatically well defined because
-orbit members share the basis element's order.  All the candidates for one
-alpha are built as one block, and each hypothesis is checked on the whole
-block at once.
+orbit members share the basis element's order.  The candidates of every
+alpha of a group are built as one block, each row tagged with its alpha,
+and each hypothesis is checked on the whole block at once, each row against
+its own alpha.  So the pairs of a group cost a fixed number of whole-block
+passes, however many classes it has.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -47,7 +50,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask, perm_power
+from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask
 from .core import BLOCK_ELEMENTS, Group
 from .errors import CounterexampleFound, OrderCap
 
@@ -168,48 +171,59 @@ class PairStats:
     pairs: int = 0
 
 
-def _pairs_for_alpha(group: Group, basis, alpha: np.ndarray, p: int,
-                     stats: PairStats) -> Optional[np.ndarray]:
-    """Check every beta valid for <alpha>; returns a counterexample or None.
+def _pairs_for_alphas(group: Group, basis, alphas: np.ndarray, p: int) -> tuple:
+    """Check every beta valid for each <alpha>, for the rows alpha of the
+    (k x n) block `alphas` at once.
 
-    The candidates are one (candidates x n) block.  Candidate c sends b_i to
-    alpha^e_i(b_i), for its exponents e_i along the <alpha>-orbit of b_i in
-    itertools.product order, and g = sum d_i(g) b_i to the sum of the
-    d_i(g)-th powers of those images, built by `_extend_rows` one basis
-    element at a time from the last.  Each check then keeps the rows that
-    pass it; the survivors are automorphisms, so their order and whether
-    they are powers of alpha show at the basis.
+    Returns (candidates, pairs, bad): the candidates built and the valid
+    pairs found for each alpha, as length-k arrays, and (i, beta) for the
+    first counterexample in the order of the rows and of their candidates,
+    or None.
+
+    Candidate c of alpha sends b_i to alpha^e_i(b_i), for its exponents e_i
+    along the <alpha>-orbit of b_i in itertools.product order, and g = sum
+    d_i(g) b_i to the sum of the d_i(g)-th powers of those images.  The
+    candidates of all the alphas are one (candidates x n) block, in the
+    order of the alphas, with the row of its alpha beside each; it is built
+    by one `_extend_rows` chain, one basis element at a time from the last.
+    The orbits of every alpha come from one `orbit_labels` call on their
+    disjoint union, alpha_i shifted to i*n..(i+1)*n-1.  Each check then keeps
+    the rows that pass it against their own alpha; the survivors are
+    automorphisms, so their order and whether they are powers of alpha show
+    at the basis.
     """
-    n, r = group.order, len(basis)
-    orbit = orbit_labels(alpha[None])  # the least member of each <alpha>-orbit
-    lengths = np.bincount(orbit)[orbit[basis]]
-    walk = [np.asarray(basis)]  # row k holds alpha^k(b_i)
+    (k, n), r = alphas.shape, len(basis)
+    offsets = np.arange(0, k * n, n)[:, None]  # alpha_i moves i*n..(i+1)*n-1 in the union
+    union = (alphas + offsets).ravel()
+    labels = orbit_labels(union[None])  # the least member of each orbit of the union
+    lengths = np.bincount(labels, minlength=k * n)[labels.reshape(k, n)[:, basis]]  # (k x r)
+    walk = [np.asarray(basis) + offsets]  # row j holds alpha_i^j(b_i), in the union
     for _ in range(lengths.max() - 1):
-        walk.append(alpha[walk[-1]])
-    exps = np.array(list(itertools.product(*map(range, lengths))), dtype=np.intp)
-    images = np.stack(walk)[exps, np.arange(r)]
-    stats.alphas += 1
-    stats.candidates += len(exps)
+        walk.append(union[walk[-1]])
+    exps = np.concatenate([np.indices(ln).reshape(r, -1).T for ln in lengths.tolist()])
+    seg = np.repeat(np.arange(k), lengths.prod(axis=1))  # the alpha of each candidate
+    images = np.stack(walk)[exps, seg[:, None], np.arange(r)] - offsets[seg]
     orders, _ = group._power_block()
     betas = np.zeros((len(exps), 1), dtype=group.table.dtype)  # the images of {0}
     for i in reversed(range(r)):
         betas = _extend_rows(group, betas, images[:, i], int(orders[basis[i]]))
     limit = _cycle_limit(p, n)
-    checks = (
-        lambda b: (orbit[b] == orbit).all(axis=1),  # pointwise a power of alpha
-        lambda b: (b[:, alpha] == alpha[b]).all(axis=1),  # commutes with alpha
-        lambda b: (np.sort(b, axis=1) == np.arange(n)).all(axis=1),  # bijective
-        lambda b: p_power_mask(cycle_lengths(b, basis, limit), p, n).all(axis=1),  # p-power order
+    checks = (  # candidate rows b, each against its own alpha s
+        lambda b, s: (labels[b + offsets[s]] == labels.reshape(k, n)[s]).all(axis=1),  # pointwise
+        lambda b, s: (np.take_along_axis(b, alphas[s], axis=1)
+                      == alphas.ravel()[b + offsets[s]]).all(axis=1),  # commutes with alpha
+        lambda b, s: (np.sort(b, axis=1) == np.arange(n)).all(axis=1),  # bijective
+        lambda b, s: p_power_mask(cycle_lengths(b, basis, limit), p, n).all(axis=1),  # p-power
     )
     for check in checks:
-        keep = check(betas)
-        betas, exps = betas[keep], exps[keep]
-    stats.pairs += len(betas)
-    # beta = alpha^k exactly when e_i = k mod |orbit of b_i| for every i
-    alpha_exps = np.arange(math.lcm(*lengths.tolist()))[:, None] % lengths
-    is_power = (exps[:, None, :] == alpha_exps).all(axis=2).any(axis=1)
-    bad = np.flatnonzero(~is_power)
-    return betas[bad[0]] if bad.size else None
+        keep = check(betas, seg)
+        betas, exps, seg = betas[keep], exps[keep], seg[keep]
+    # the orbit lengths are powers of p, so the longest is their lcm, and
+    # beta = alpha^m exactly when m = e_top and e_i = e_top mod |orbit of b_i|
+    e_top = exps[np.arange(len(exps)), lengths.argmax(axis=1)[seg]]
+    bad = np.flatnonzero(((exps - e_top[:, None]) % lengths[seg] != 0).any(axis=1))
+    return (lengths.prod(axis=1), np.bincount(seg, minlength=k),
+            (int(seg[bad[0]]), betas[bad[0]]) if bad.size else None)
 
 
 # -- alpha representatives -------------------------------------------------------
@@ -291,33 +305,69 @@ def _cycle_limit(p: int, n: int) -> int:
     return top
 
 
-def _exhaustive_classes(group: Group, basis, p: int):
+def _exhaustive_classes(group: Group, basis, p: int) -> tuple:
     """One generator per Aut-conjugacy class of cyclic p-power-order subgroups.
 
-    Yields (u, size, candidates): u generates the first subgroup of its class
-    in the key order of `abelian_automorphisms`, size is the number of
-    subgroups in the class, and candidates is the class total of the count
-    that _pairs_for_alpha makes for one generator of each subgroup.
+    Returns (reps, sizes, candidates): row i of the block reps generates the
+    first subgroup of its class in the key order of `abelian_automorphisms`,
+    sizes[i] is the number of subgroups in the class, and candidates[i] is
+    the class total of the count that `_pairs_for_alphas` makes for one
+    generator of each subgroup.
 
     Aut(G) is one block of images, and the cycle lengths of its rows at the
     basis give each row's p-power order and its candidate count (the
-    product of its basis orbit sizes).  The rows conjugate to the generators
-    u^k (k prime to p) of <u> are exactly the phi(|u|) generators of each
-    subgroup in the class, which share their orbits, so both totals are
-    sums over those rows divided by phi(|u|).
+    product of its basis orbit sizes).  Conjugation commutes with powers,
+    so the rows conjugate to the generators u^k (k prime to p) of <u> are
+    the powers x^k of the rows x conjugate to u: exactly the phi(|u|)
+    generators of each subgroup in the class, which share their orbits.
+    Both totals are sums over those rows divided by phi(|u|).  u alone is
+    conjugated by the whole block, and the powers are read from
+    `_power_rows`.
     """
     auts = abelian_automorphisms(group, basis)
-    lengths = cycle_lengths(auts, basis, _cycle_limit(p, group.order))
+    n = group.order
+    limit = _cycle_limit(p, n)
+    lengths = cycle_lengths(auts, basis, limit)
     products = lengths.prod(axis=1)
-    covered = ~p_power_mask(lengths, p, group.order).all(axis=1)  # only p-power rows are classed
+    covered = ~p_power_mask(lengths, p, n).all(axis=1)  # only p-power rows are classed
+    ppower = np.flatnonzero(~covered)
+    slot = np.zeros(len(auts), dtype=np.intp)
+    slot[ppower] = np.arange(ppower.size)  # the row of each p-power row in the power table
+    powers = _power_rows(auts, basis, ppower, int(lengths[ppower].max()))
     conjugates = _conjugacy(auts, basis)
+    reps, sizes, candidates = [], [], []
     while not covered.all():
         row = int(np.argmin(covered))  # the least row not yet classed
-        gens = [k for k in range(1, int(lengths[row].max()) + 1) if k % p]
-        members = conjugates(np.stack([perm_power(auts[row], k) for k in gens]))
+        order = int(lengths[row].max())
+        units = [k for k in range(1, order) if k % p] or [0]  # the generators of <u> are u^k
+        members = np.zeros(len(auts), dtype=bool)
+        members[powers[slot[conjugates(auts[row][None])]][:, units]] = True
         covered |= members
-        yield (auts[row], int(members.sum()) // len(gens),
-               int(products[members].sum()) // len(gens))
+        reps.append(row)
+        sizes.append(int(members.sum()) // len(units))
+        candidates.append(int(products[members].sum()) // len(units))
+    return auts[reps], np.array(sizes, dtype=np.int64), np.array(candidates, dtype=np.int64)
+
+
+def _power_rows(auts: np.ndarray, basis, rows: np.ndarray, top: int) -> np.ndarray:
+    """The (|rows| x top) table whose entry [j, k] is the row of auts that is
+    auts[rows[j]]^k.
+
+    The powers are walked at the basis only, along the given rows: one
+    (|rows| x |basis|) gather per step.  Each power is looked up by its key,
+    as in `_conjugacy`, among the ascending keys of the block.
+    """
+    n = auts.shape[1]
+    weights = n ** np.arange(len(basis), dtype=np.int64)
+    keys = auts[:, basis] @ weights
+    flat = auts.ravel()
+    offsets = rows[:, None].astype(np.intp) * n
+    table = np.empty((rows.size, top), dtype=np.intp)
+    cur = np.broadcast_to(np.asarray(basis, dtype=np.intp), (rows.size, len(basis)))
+    for k in range(top):  # cur holds the basis images of rows^k
+        table[:, k] = np.searchsorted(keys, cur @ weights)
+        cur = flat[offsets + cur]
+    return table
 
 
 def _route(p: int, factors: Sequence[int], cap: int) -> str:
@@ -401,25 +451,25 @@ def pointwise_power_harness(p: int, max_order: int) -> PairHarnessReport:
     for factors in abelian_scope(p, max_order):
         route = _route(p, factors, EXHAUSTIVE_AUT_CAP)
         group, basis = abelian_group(factors)
-        stats = PairStats(factors=tuple(factors), route=route)
         if route == "jordan":
-            classes = ((alpha, 1, None) for alpha in _jordan_alphas(p, len(factors)))
+            alphas = np.stack(_jordan_alphas(p, len(factors)))
+            sizes = totals = None
         else:
-            classes = _exhaustive_classes(group, basis, p)
-        for alpha, size, candidates in classes:
-            rep = PairStats(factors=stats.factors, route=stats.route)
-            bad = _pairs_for_alpha(group, basis, alpha, p, rep)
-            stats.alphas += size
-            stats.candidates += rep.candidates if candidates is None else candidates
-            stats.pairs += size * rep.pairs
-            if bad is not None:
-                report.counterexample = (
-                    f"pointwise-power pair on {factors} is not a global power: alpha "
-                    f"sends the basis {basis} to {alpha[basis].tolist()}, beta to "
-                    f"{bad[basis].tolist()}")
-                report.stats.append(stats)
-                return report
-        report.stats.append(stats)
+            alphas, sizes, totals = _exhaustive_classes(group, basis, p)
+        candidates, pairs, bad = _pairs_for_alphas(group, basis, alphas, p)
+        if sizes is None:  # one alpha per Jordan type, each counted once
+            sizes, totals = np.ones_like(pairs), candidates
+        done = len(alphas) if bad is None else bad[0] + 1  # the scan stops at a failing alpha
+        report.stats.append(PairStats(
+            factors=tuple(factors), route=route, alphas=int(sizes[:done].sum()),
+            candidates=int(totals[:done].sum()), pairs=int((sizes * pairs)[:done].sum())))
+        if bad is not None:
+            i, beta = bad
+            report.counterexample = (
+                f"pointwise-power pair on {factors} is not a global power: alpha "
+                f"sends the basis {basis} to {alphas[i][basis].tolist()}, beta to "
+                f"{beta[basis].tolist()}")
+            return report
     return report
 
 

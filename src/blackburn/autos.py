@@ -2,16 +2,16 @@
 
 The enumeration backtracks over images of a canonical generating sequence.
 At depth d the subgroup H_d generated by the first d+1 generators is fixed,
-so its element list, a product tree of logarithmic depth, and the (element,
-generator) product positions are precomputed.  They read only the table
+so its element list, a product tree of logarithmic depth, and the (generator,
+element) product positions are precomputed.  They read only the table
 and the generating sequence, so they form one skeleton per group, built by
 the first search from it and kept on the group: enumerate_aut,
 enumerate_autc and find_isomorphism from one group share it.  The invariant
 is each search's own, read on the members of every H_d.  A partial assignment
 of generator images determines the images of all of H_d along the tree; it
 survives only if it is class-compatible (or order-compatible) and
-multiplicative on every (element, generator) pair.  Multiplicativity on
-those pairs forces it on all pairs, because every right factor is a word in
+multiplicative on every (generator, element) pair.  Multiplicativity on
+those pairs forces it on all pairs, because every left factor is a word in
 the generators.  A survivor is therefore a homomorphism on H_d, and it is
 injective, since the invariants used (class ids, element orders, or orders
 with square-root counts) tell the identity apart.
@@ -106,7 +106,7 @@ class _DepthInfo:
     computes the images of H_d in O(log |H_d|) steps.  Members are in
     breadth-first order: position 0 is the identity, positions 1..d+1 are
     the generators, and `layers` holds (lo, hi, u_pos, v_pos) for each later
-    layer.  prod_pos[j, i] is the position of members[i] * gens[j].
+    layer.  prod_pos[j, i] is the position of gens[j] * members[i].
     """
 
     __slots__ = ("members", "size", "layers", "prod_pos", "max_width")
@@ -134,7 +134,7 @@ class _DepthInfo:
         pos[self.members] = np.arange(self.size)
         u_pos = np.asarray(u_of, dtype=np.intp)
         v_pos = pos[t[g.inverses[self.members[u_pos]], self.members]]
-        self.prod_pos = pos[t[self.members[:, None], list(gens[: depth + 1])]].T
+        self.prod_pos = pos[t[list(gens[: depth + 1])][:, self.members]]
         for a in (self.members, u_pos, v_pos, self.prod_pos):
             a.flags.writeable = False
         # layer k >= 2 holds the word lengths in (2^(k-2), 2^(k-1)]
@@ -266,10 +266,11 @@ class _Search:
 
     def _survivors(self, depth: int, info: _DepthInfo, gen_imgs: np.ndarray) -> tuple:
         """The images of H_d for each row, and the rows that pass both checks:
-        invariant match, and multiplicativity on every (element, generator)
-        pair.  A surviving row is a homomorphism on H_d, and it is injective:
-        the invariant tells the identity apart, so only the identity maps to
-        the identity."""
+        invariant match, and multiplicativity on every (generator, element)
+        pair, f(s x) = f(s) f(x), which reads one table row per generator
+        image.  A surviving row is a homomorphism on H_d, and it is
+        injective: the invariant tells the identity apart, so only the
+        identity maps to the identity."""
         t, n = self._flat, self.target.order
         img = np.zeros((gen_imgs.shape[0], info.size), dtype=np.intp)
         img[:, 1 : depth + 2] = gen_imgs
@@ -278,7 +279,7 @@ class _Search:
         self.evaluated[depth] += img.shape[0]
         ok = (self.inv_tgt[img] == self.inv_src[depth]).all(axis=1)
         img, gen_imgs = self._keep(depth, 0, ok, img, gen_imgs)
-        prod = t[img[:, None, :] * n + gen_imgs[:, :, None]]
+        prod = t[gen_imgs[:, :, None] * n + img[:, None, :]]
         ok = (img[:, info.prod_pos] == prod).all(axis=(1, 2))
         img, gen_imgs = self._keep(depth, 1, ok, img, gen_imgs)
         self.survivors[depth] += img.shape[0]

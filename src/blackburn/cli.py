@@ -231,7 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ClaimFailed as exc:
         sys.stderr.write(f"claim failed: {exc}\n")
         return EXIT_CLAIM_FAILED
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:  # a missing, unreadable or undecodable file
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
     except GroupError as exc:

@@ -212,6 +212,16 @@ def _closure(gens: list, degree: int, cap: int) -> tuple:
     return np.concatenate(blocks), np.concatenate(parents), np.concatenate(vias), right
 
 
+def _decode(data: bytes, line: int = 1) -> str:
+    """The bytes of a file from `line` on, as UTF-8 text; a byte that does
+    not decode is a ParseError on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                         line + data.count(b"\n", 0, exc.start)) from None
+
+
 @dataclass(frozen=True)
 class GroupSource:
     """Where a group came from: a builtin spec or a file in either format."""
@@ -224,8 +234,8 @@ class GroupSource:
         its table is built."""
         if self.kind == "builtin":
             return builtin(self.locator)
-        with open(self.locator, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(self.locator, "rb") as fh:
+            text = _decode(fh.read())
         if self.kind == "cayley":
             return parse_cayley(text, cap)
         return parse_permgen(text, PERMGEN_CLOSURE_CAP if cap is None
@@ -239,9 +249,9 @@ def resolve_source(spec: str) -> GroupSource:
 
     if os.path.exists(spec):
         head = ""
-        with open(spec, "r", encoding="utf-8") as fh:
-            for raw in fh:  # read up to the first content line only
-                lines = _content_lines(raw)
+        with open(spec, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):  # read up to the first content line only
+                lines = _content_lines(_decode(raw, lineno))
                 if lines:
                     head = lines[0][1]
                     break

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from blackburn import abelian_pairs, suites
-from blackburn._arith import cycle_lengths, is_p_power, p_power_mask
+from blackburn._arith import cycle_lengths, is_p_power, p_power_mask, perm_power
 from blackburn.abelian_pairs import (
     EXHAUSTIVE_AUT_CAP,
-    PairStats,
     _conjugacy,
+    _cycle_limit,
+    _exhaustive_classes,
     _jordan_alphas,
-    _pairs_for_alpha,
+    _pairs_for_alphas,
     _route,
     abelian_aut_order,
     abelian_automorphisms,
@@ -186,6 +187,38 @@ def test_unipotent_jordan_cover(p, r):
     assert count == p ** (r * (r - 1))
 
 
+def old_exhaustive_classes(group, basis, p):
+    """The oracle of `_exhaustive_classes`: the class route that conjugates
+    every generator u^k of <u> by all of Aut(G), giving (u, class size,
+    class candidate total) per class."""
+    auts = abelian_automorphisms(group, basis)
+    lengths = cycle_lengths(auts, basis, _cycle_limit(p, group.order))
+    products = lengths.prod(axis=1)
+    covered = ~p_power_mask(lengths, p, group.order).all(axis=1)
+    conjugates = _conjugacy(auts, basis)
+    out = []
+    while not covered.all():
+        row = int(np.argmin(covered))
+        gens = [k for k in range(1, int(lengths[row].max()) + 1) if k % p]
+        members = conjugates(np.stack([perm_power(auts[row], k) for k in gens]))
+        covered |= members
+        out.append((auts[row].tolist(), int(members.sum()) // len(gens),
+                    int(products[members].sum()) // len(gens)))
+    return out
+
+
+@pytest.mark.parametrize("p,factors", exhaustive_groups(),
+                         ids=lambda x: "x".join(map(str, x)) if isinstance(x, list) else str(x))
+def test_exhaustive_classes_match_the_conjugates_of_every_generator(p, factors):
+    """Conjugating u alone and reading the powers of its conjugates gives the
+    representatives, class sizes and candidate totals of conjugating every
+    generator u^k of <u>."""
+    group, basis = abelian_group(factors)
+    reps, sizes, candidates = _exhaustive_classes(group, basis, p)
+    got = [(u.tolist(), int(size), int(total)) for u, size, total in zip(reps, sizes, candidates)]
+    assert got == old_exhaustive_classes(group, basis, p)
+
+
 def test_small_scopes_have_no_counterexample():
     rep = pointwise_power_harness(2, 8)
     assert rep.ok and rep.total_pairs > 0
@@ -199,10 +232,12 @@ def test_counterexample_reaches_the_caller():
     """A failing pair is named in the returned report, which is then not
     ok, and in the suite's first failure: its group and the basis images
     of alpha and beta."""
-    def invert(group, basis, alpha, p, stats):
-        return group.inverses  # x -> -x, standing in for a beta outside <alpha>
+    def invert(group, basis, alphas, p):
+        # x -> -x for the first alpha, standing in for a beta outside <alpha>
+        counts = np.ones(len(alphas), dtype=np.int64)
+        return counts, counts, (0, group.inverses)
 
-    with mock.patch.object(abelian_pairs, "_pairs_for_alpha", invert):
+    with mock.patch.object(abelian_pairs, "_pairs_for_alphas", invert):
         rep = pointwise_power_harness(3, 9)
         suite = suites.pointwise_power(full=False)
     assert not rep.ok
@@ -266,10 +301,11 @@ def _unreduced_harness(p, max_order):
     rows, ok = [], True
     for _, factors in exhaustive_groups([(p, max_order)]):
         group, basis = abelian_group(factors)
-        stats = PairStats(factors=tuple(factors), route="exhaustive")
-        for alpha in _unreduced_alphas(group, p):
-            ok &= _pairs_for_alpha(group, basis, alpha, p, stats) is None
-        rows.append([stats.factors, stats.route, stats.alphas, stats.candidates, stats.pairs])
+        alphas = np.stack(_unreduced_alphas(group, p))
+        candidates, pairs, bad = _pairs_for_alphas(group, basis, alphas, p)
+        ok &= bad is None
+        rows.append([tuple(factors), "exhaustive", len(alphas), int(candidates.sum()),
+                     int(pairs.sum())])
     return ok, rows
 
 

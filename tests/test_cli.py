@@ -247,6 +247,23 @@ def test_bad_file_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "autc"])
+def test_undecodable_file_and_directory_are_input_errors(capsys, tmp_path, command):
+    """A byte that is not UTF-8, before the header (met while the format is
+    sniffed) or in a table row (met when the file is read), and a directory
+    named as the source exit 2 with a message, not a traceback."""
+    head = tmp_path / "head.cayley"
+    head.write_bytes(b"# \xfe\ncayley 1\norder 2\n0 1\n1 0\n")
+    row = tmp_path / "row.cayley"
+    row.write_bytes(b"cayley 1\norder 2\n0 1\n1 \xff0\n")
+    for path, message in ((head, "line 1: byte 0xfe is not UTF-8"),
+                          (row, "line 4: byte 0xff is not UTF-8"),
+                          (tmp_path, "Is a directory")):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
+
 def test_max_order_refuses_before_the_table_is_built(capsys, tmp_path):
     sym7 = tmp_path / "sym7.permgen"
     sym7.write_text("permgen 1\ndegree 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")

@@ -45,7 +45,7 @@ from blackburn._arith import (
 from blackburn.abelian_pairs import (
     PairStats,
     _cycle_limit,
-    _pairs_for_alpha,
+    _pairs_for_alphas,
     abelian_group,
     abelian_scope,
 )
@@ -1143,16 +1143,19 @@ def cyclic_p_subgroup_generators(group, p):
 
 @pytest.mark.parametrize("p,max_order", [(2, 16), (3, 27), (5, 25)])
 def test_pairs_for_alpha_matches_the_candidate_loop(p, max_order):
-    """The block candidate check gives the loop's counts and verdict on every
-    cyclic <alpha> of every abelian p-group in scope."""
+    """The batched candidate check, given every cyclic <alpha> of a group as
+    one block, gives the loop's counts and verdict for each alpha, on every
+    abelian p-group in scope."""
     for factors in abelian_scope(p, max_order):
         group, basis = abelian_group(factors)
         digits = [(np.arange(group.order) // w) % f for f, w in zip(factors, basis)]
-        for alpha in cyclic_p_subgroup_generators(group, p):
-            got, want = PairStats(tuple(factors), "exhaustive"), PairStats(tuple(factors), "exhaustive")
-            bad = _pairs_for_alpha(group, basis, alpha, p, got)
-            assert bad is None and old_pairs_for_alpha(group, basis, digits, alpha, p, want) is None
-            assert got == want
+        alphas = cyclic_p_subgroup_generators(group, p)
+        candidates, pairs, bad = _pairs_for_alphas(group, basis, np.stack(alphas), p)
+        assert bad is None
+        for alpha, got_candidates, got_pairs in zip(alphas, candidates, pairs):
+            want = PairStats(tuple(factors), "exhaustive")
+            assert old_pairs_for_alpha(group, basis, digits, alpha, p, want) is None
+            assert (1, got_candidates, got_pairs) == (want.alphas, want.candidates, want.pairs)
 
 
 def test_classes_match_sympy_on_the_catalog():

@@ -1,6 +1,7 @@
 """In-process A/B of one benchmark workload on two source trees.
 
     python3 tools/ab.py --parent DIR --workload lattice --seed 1 --rounds 6
+    python3 tools/ab.py --parent DIR --workload aut-oracle --label harness:5,125 ...
 
 The change side is the tree this script sits in; --parent is the root of
 another checkout (its src/ and bench/ are read).  Both trees' toolkit
@@ -11,7 +12,9 @@ copy of the module names: before a side generates or runs anything,
 toolkit resolve to the same tree.
 
 Every round, each side generates its requests from (seed, round); the two
-lists must carry the same labels and inputs.  The requests are then run in
+lists must carry the same labels and inputs.  With --label PREFIX, only the
+requests whose label starts with PREFIX are kept, on both sides, and the
+report records the prefix.  The requests are then run in
 pairs, one request on each side, and the side that goes first alternates
 from one pair to the next.  Only the request is timed; every output is
 checked by its own side's check, outside the timer.  As in bench/run.py,
@@ -84,9 +87,11 @@ class Side:
         sys.modules.update(self.modules)
 
 
-def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdout) -> dict:
-    """Run the A/B and write its report to `out`; the modules of this
-    process's own toolkit are bound again when it returns."""
+def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdout,
+           label: str = "") -> dict:
+    """Run the A/B on the requests whose label starts with `label` and
+    write its report to `out`; the modules of this process's own toolkit
+    are bound again when it returns."""
     saved = {k: v for k, v in sys.modules.items() if _owned(k)}
     workdir = tempfile.mkdtemp(prefix="ab-")
     try:
@@ -112,6 +117,7 @@ def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdo
                 reqs.append(w.round(r))
             if [(q.label, q.data) for q in reqs[0]] != [(q.label, q.data) for q in reqs[1]]:
                 raise SystemExit(f"ab: round {r} generates different requests on the two sides")
+            reqs = [[q for q in side if q.label.startswith(label)] for side in reqs]
             gc.collect()
             gc.disable()
             try:
@@ -143,8 +149,11 @@ def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdo
         shutil.rmtree(workdir, ignore_errors=True)
         _unbind()
         sys.modules.update(saved)
+    if not ratios:
+        raise SystemExit(f"ab: no request has a label starting with {label!r}")
     report = {
         "workload": workload,
+        "label": label,
         "seed": seed,
         "rounds": rounds,
         "requests": len(ratios),
@@ -171,10 +180,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--label", default="", metavar="PREFIX",
+                        help="run only the requests whose label starts with PREFIX")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    report = run_ab(args.parent, args.workload, args.seed, args.rounds)
+    report = run_ab(args.parent, args.workload, args.seed, args.rounds, label=args.label)
     return 1 if any(report["failed"].values()) else 0
 
 
