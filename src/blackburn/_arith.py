@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -96,20 +96,10 @@ def power_agreement(perm: np.ndarray, target: np.ndarray, k: int) -> tuple:
 
 
 def perm_order(perm: np.ndarray) -> int:
-    """Order of a permutation (lcm of cycle lengths)."""
-    n = perm.size
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            ln += 1
-        out = out * ln // gcd(out, ln)
-    return out
+    """Order of a permutation: the lcm of its cycle lengths, the sizes of
+    the orbits that `orbit_labels` finds for perm alone."""
+    sizes = np.bincount(orbit_labels(np.asarray(perm)[None]))
+    return lcm(*sizes[sizes > 0].tolist())
 
 
 def orbit_labels(perms: np.ndarray) -> np.ndarray:

@@ -51,7 +51,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask
+from .autos import locally_power, power_of
 from .core import BLOCK_ELEMENTS, Group
+from .counterexample import build_witness
 from .errors import CounterexampleFound, OrderCap
 
 EXHAUSTIVE_AUT_CAP = 25000
@@ -491,9 +493,6 @@ class ContrastReport:
 
 def nonabelian_contrast(p: int = 3) -> ContrastReport:
     """Confirm the expected failure on the nonabelian witness group."""
-    from .autos import locally_power, power_of
-    from .counterexample import build_witness
-
     bundle = build_witness(p)
     if bundle.g_group is None:
         raise CounterexampleFound("contrast case needs the table-backed prime")

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._arith import is_p_power, is_prime, p_power_mask, prime_divisors
+from .autos import find_isomorphism
 from .catalog import cyclic, direct_product, elementary_abelian, generalized_quaternion
 from .core import Group, Subgroup, _mask_members, _orders_nilpotent
 from .errors import (
@@ -179,8 +180,6 @@ def blackburn_2group_form(g: Group) -> str:
         raise NotBlackburn2Group("not a Blackburn group")
     if is_q_group(g):
         return Q_GROUP
-    from .autos import find_isomorphism  # local import avoids a cycle
-
     for base, label in ((32, Q8_C4_E2), (64, Q8_Q8_E2)):
         if g.order % base != 0:
             continue

@@ -7,11 +7,14 @@ key=value records with stable keys.  `autc --stats FILE` also writes the
 search statistics (nodes, and rows rejected per depth by reason) to FILE as
 JSON, and `suite --stats FILE` the elapsed seconds per suite and per case
 and the process's peak resident memory; the report itself does not change.
+Either FILE is opened before the work, so a path that cannot be written
+fails at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import resource
@@ -71,13 +74,23 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
+def _stats_file(path: Optional[str]):
+    """The `--stats FILE` opened for writing, so that a path that cannot be
+    written fails before the work; a null context without one."""
+    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8")
+
+
+def _dump_json(fh, obj) -> None:
+    json.dump(obj, fh, indent=1)
+    fh.write("\n")
+
+
 def cmd_autc(source: str, porcelain: bool, budget: int, stats: Optional[str] = None) -> int:
     g = resolve_source(source).load()
-    maps, rep = enumerate_autc(g, budget=budget)
-    if stats is not None:
-        with open(stats, "w", encoding="utf-8") as fh:
-            json.dump(rep.search_stats, fh, indent=1)
-            fh.write("\n")
+    with _stats_file(stats) as fh:
+        maps, rep = enumerate_autc(g, budget=budget)
+        if fh is not None:
+            _dump_json(fh, rep.search_stats)
     rows = [
         ("order", g.order),
         ("generators", " ".join(str(x) for x in rep.generating_set)),
@@ -122,22 +135,20 @@ def cmd_example(p: int, porcelain: bool) -> int:
 
 
 def cmd_suite(level: str, porcelain: bool, stats: Optional[str] = None) -> int:
-    results = run_suites(level)
-    if stats is not None:
-        timings = {
-            "level": level,
-            "seconds": sum(r.seconds for r in results),
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "suites": [
-                {"suite": r.suite, "seconds": r.seconds,
-                 "cases": [{"case": label, "seconds": sec} for label, sec in r.case_seconds]}
-                for r in results
-            ],
-        }
-        with open(stats, "w", encoding="utf-8") as fh:
-            json.dump(timings, fh, indent=1)
-            fh.write("\n")
+    with _stats_file(stats) as fh:
+        results = run_suites(level)
+        if fh is not None:
+            _dump_json(fh, {
+                "level": level,
+                "seconds": sum(r.seconds for r in results),
+                # ru_maxrss is in KiB on Linux
+                "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "suites": [
+                    {"suite": r.suite, "seconds": r.seconds,
+                     "cases": [{"case": label, "seconds": sec} for label, sec in r.case_seconds]}
+                    for r in results
+                ],
+            })
     lines = []
     failed = False
     for r in results:

@@ -109,6 +109,10 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
 
+    def products(self, x, y) -> np.ndarray:
+        """The products x * y of index arrays, elementwise with broadcasting."""
+        return self.table[x, y]
+
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
@@ -647,7 +651,9 @@ class Subgroup:
 
 class GroupMap:
     """A map between groups given by an image list, one entry per source element.
-    Its predicates read its row of a `_BlockVerdict`, of one row if built by hand."""
+    Its predicates read its row of a `_BlockVerdict`, of one row if built by hand.
+    Source and target are `Group`s or any group with the arithmetic that
+    `_map_masks` reads, such as `counterexample.SplitExtension`."""
 
     __slots__ = ("source", "target", "images", "_bytes", "_block", "_row")
 
@@ -748,8 +754,8 @@ class _BlockVerdict:
 
     `masks()` is the `_map_masks` of the block.  `classes()` says, for each
     row, whether it sends every element into its own conjugacy class; it
-    reads the source's class ids, so it means something only for maps of
-    a group to itself.
+    reads the source's `class_ids()`, any labels equal exactly within a
+    class, so it means something only for maps of a group to itself.
     """
 
     __slots__ = ("source", "target", "block", "_masks", "_classes")
@@ -778,6 +784,10 @@ def _map_masks(source: Group, target: Group, block: np.ndarray) -> tuple:
     whether f is bijective, a homomorphism and an automorphism, as three
     lists of bools.
 
+    Source and target are read through `order`, `products(x, y)` and
+    `generating_sequence()` only, so either may be any group that gives
+    that arithmetic without a table, such as `counterexample.SplitExtension`.
+
     f is bijective when source and target have one order and the images
     hit every element: one scatter.  f is a homomorphism when f(0) = 0 and
     f(x s) = f(x) f(s) for every x and each s of `source.generating_sequence()`:
@@ -794,8 +804,7 @@ def _map_masks(source: Group, target: Group, block: np.ndarray) -> tuple:
     """
     n, rows = source.order, len(block)
     gens = np.asarray(source.generating_sequence(), dtype=np.intp)
-    cols = source.table[:, gens]  # cols[x, j] = x * gens[j]
-    tt = target.table
+    cols = source.products(np.arange(n)[:, None], gens)  # cols[x, j] = x * gens[j]
     bij = np.zeros(rows, dtype=bool)
     hom = np.empty(rows, dtype=bool)
     step = max(1, BLOCK_ELEMENTS // (n * max(1, gens.size)))
@@ -806,7 +815,8 @@ def _map_masks(source: Group, target: Group, block: np.ndarray) -> tuple:
             hit[np.arange(len(f))[:, None], f] = True
             bij[lo : lo + step] = hit.all(axis=1)
         hom[lo : lo + step] = ((f[:, 0] == 0)
-                               & (f[:, cols] == tt[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2)))
+                               & (f[:, cols] == target.products(f[:, :, None], f[:, None, gens]))
+                               .all(axis=(1, 2)))
     return bij.tolist(), hom.tolist(), (bij & hom & (source is target)).tolist()
 
 

@@ -10,11 +10,12 @@ non-inner automorphism.
 
 For p = 3, A, K and G are multiplication tables (orders 27, 81, 243), and
 sigma is verified on GA (order 2187) in coordinates, from G's table
-(`SplitExtension`).  `extend_witness` builds GA's table as well; the tests
-read it as the oracle of the coordinate route.  For p = 5 the group of
-order 5^7 is kept in coordinate form with formula-based multiplication, and
-only the formula-level claims are verified; conjugacy-class computations at
-that size are out of reach.
+(`SplitExtension`), by the predicates of `GroupMap`.  `extend_witness`
+builds GA's table as well and checks sigma on it with the same
+`_check_sigma`; the tests read it as the oracle of the coordinate route.
+For p = 5 the group of order 5^7 is kept in coordinate form with
+formula-based multiplication, and only the formula-level claims are
+verified; conjugacy-class computations at that size are out of reach.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from ._arith import orbit_labels, perm_power, perm_powers, power_agreement
-from .autos import _inner_mask, locally_power, power_of
+from .autos import _is_inner, is_class_preserving, locally_power, power_of
 from .catalog import cyclic, direct_product, semidirect_product
 from .core import Action, Group, GroupMap
 from .errors import ActionPropertyFailed, BadPrime, ClaimFailed
@@ -214,13 +215,12 @@ class SplitExtension:
     where the generator of C_m conjugates as alpha, built without a table.
 
     (g1, s1)(g2, s2) = (g1 * alpha^-s1(g2), s1 + s2 mod m), read from G's
-    table and one stack of the powers of alpha^-1, and (g, s)^-1 =
+    `products` and one stack of the powers of alpha^-1, and (g, s)^-1 =
     (alpha^s(g^-1), -s).  The generating sequence is G's generators at
     s = 0, then (0, 1); they generate GA, since (g, s) = (g, 0)(0, 1)^s.
-    `conjugates` and `generating_sequence` are what `autos._inner_mask`
-    reads, and the conjugations by the generators give the classes through
-    `orbit_labels`, so the automorphism, class and innerness tests of a map
-    need no table of GA.
+    It gives arithmetic only: a `GroupMap` on it decides automorphism,
+    class preservation and innerness as on a table, from `products`,
+    `class_ids`, `conjugates` and `generating_sequence`.
     """
 
     def __init__(self, g: Group, alpha: GroupMap, m: int):
@@ -231,12 +231,12 @@ class SplitExtension:
         t = -s % m  # alpha^s = alpha^-t
         self.inverses = self._act[t, g.inverses[gg]] * m + t
 
-    def mul(self, x, y) -> np.ndarray:
+    def products(self, x, y) -> np.ndarray:
         """The products x * y of index arrays, elementwise with broadcasting."""
         m = self.m
         g1, s1 = np.divmod(x, m)
         g2, s2 = np.divmod(y, m)
-        return self.base.table[g1, self._act[s1, g2]] * m + (s1 + s2) % m
+        return self.base.products(g1, self._act[s1, g2]) * m + (s1 + s2) % m
 
     def conjugates(self, by=slice(None), of=slice(None)) -> np.ndarray:
         """The (|by| x |of|) array of by[i]^-1 * of[j] * by[i], as
@@ -244,34 +244,15 @@ class SplitExtension:
         slice, by default every element."""
         idx = np.arange(self.order)
         by, of = idx[by], idx[of]
-        return self.mul(self.mul(self.inverses[by, None], of), by[:, None])
+        return self.products(self.products(self.inverses[by, None], of), by[:, None])
 
     def generating_sequence(self) -> list:
         return [x * self.m for x in self.base.generating_sequence()] + [1]
 
-    def class_labels(self) -> np.ndarray:
-        """The least member of each element's conjugacy class."""
+    def class_ids(self) -> np.ndarray:
+        """The least member of each element's conjugacy class: the orbits of
+        the conjugations by the generators."""
         return orbit_labels(self.conjugates(by=self.generating_sequence()))
-
-    def is_automorphism(self, images: np.ndarray) -> bool:
-        """Whether x -> images[x] is an automorphism: it is bijective, sends
-        0 to 0, and f(x y) = f(x) f(y) for every x and each generator y.
-        That is the criterion of `core._map_masks`, exact by the argument of
-        its docstring."""
-        x = np.arange(self.order)
-        return bool(np.array_equal(np.sort(images), x) and images[0] == 0
-                    and all(np.array_equal(images[self.mul(x, y)], self.mul(images, images[y]))
-                            for y in self.generating_sequence()))
-
-    def is_class_preserving(self, images: np.ndarray) -> bool:
-        """Whether x -> images[x] keeps every element in its class."""
-        lab = self.class_labels()
-        return np.array_equal(lab[images], lab)
-
-    def is_inner(self, images: np.ndarray) -> bool:
-        """Whether some conjugation agrees with x -> images[x] on the
-        generators, as `autos._is_inner` decides it on a table."""
-        return bool(_inner_mask(self, images[self.generating_sequence()][None, :])[0])
 
 
 @dataclass
@@ -368,13 +349,7 @@ def extend_witness(bundle: WitnessBundle) -> WitnessBundle:
     ga = semidirect_product(g_grp, cp2, act)
     m = p * p
     sigma = GroupMap(ga, ga, _sigma_images(beta, m))
-    if not sigma.is_automorphism():
-        raise ClaimFailed("sigma is not an automorphism of the extension")
-    gen = 1  # (identity of G, generator exponent 1)
-    if int(sigma.images[gen]) != gen:
-        raise ClaimFailed("sigma moves the extending generator")
-    if ga.conj(2 * m, gen) != int(alpha.images[2]) * m:
-        raise ClaimFailed("the extension does not conjugate by alpha")
+    _check_sigma(ga, sigma, alpha, m)
     bundle.ga_group, bundle.sigma = ga, sigma
     return bundle
 
@@ -384,15 +359,17 @@ def _sigma_images(beta: GroupMap, m: int) -> np.ndarray:
     return (beta.images[:, None] * m + np.arange(m)).ravel()
 
 
-def _check_sigma(ga: SplitExtension, sigma: np.ndarray, alpha: GroupMap) -> None:
+def _check_sigma(ga: Group | SplitExtension, sigma: GroupMap, alpha: GroupMap, m: int) -> None:
     """Raise ClaimFailed unless sigma is an automorphism of GA that fixes
-    (0, 1), and conjugation by (0, 1) applies alpha to G."""
-    if not ga.is_automorphism(sigma):
+    (0, 1), and conjugation by (0, 1) applies alpha to all of G.  GA is
+    the table of `extend_witness` or the `SplitExtension`; both index
+    (g, s) as g*m + s."""
+    if not sigma.is_automorphism():
         raise ClaimFailed("sigma is not an automorphism of the extension")
-    if int(sigma[1]) != 1:
+    if int(sigma.images[1]) != 1:
         raise ClaimFailed("sigma moves the extending generator")
-    g = np.arange(0, ga.order, ga.m)  # G at s = 0
-    if not np.array_equal(ga.conjugates(by=[1], of=g)[0], alpha.images * ga.m):
+    g = np.arange(0, ga.order, m)  # G at s = 0
+    if not np.array_equal(ga.conjugates(by=[1], of=g)[0], alpha.images * m):
         raise ClaimFailed("the extension does not conjugate by alpha")
 
 
@@ -512,9 +489,9 @@ def _verify_table_claims(bundle: WitnessBundle, ga: SplitExtension, rep: Witness
                locally_power(g_grp, alpha, beta))
     rep.record("beta is not a power of alpha on the table group",
                power_of(alpha, beta) is None)
-    sigma = _sigma_images(beta, ga.m)
-    _check_sigma(ga, sigma, alpha)
+    sigma = GroupMap(ga, ga, _sigma_images(beta, ga.m))
+    _check_sigma(ga, sigma, alpha, ga.m)
     rep.record("sigma restricted to G equals beta",
-               np.array_equal(sigma[:: ga.m], beta.images * ga.m))
-    rep.record("sigma is class-preserving", ga.is_class_preserving(sigma))
-    rep.record("sigma is not inner", not ga.is_inner(sigma))
+               np.array_equal(sigma.images[:: ga.m], beta.images * ga.m))
+    rep.record("sigma is class-preserving", is_class_preserving(ga, sigma))
+    rep.record("sigma is not inner", not _is_inner(ga, sigma))

@@ -17,6 +17,7 @@ right: (a*b)(x) = b(a(x)).
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,8 +214,11 @@ def _closure(gens: list, degree: int, cap: int) -> tuple:
 
 
 def _decode(data: bytes, line: int = 1) -> str:
-    """The bytes of a file from `line` on, as UTF-8 text; a byte that does
-    not decode is a ParseError on its line."""
+    """The bytes of a file from `line` on, as UTF-8 text, less one leading
+    byte-order mark at the start of the file; a byte that does not decode
+    is a ParseError on its line."""
+    if line == 1 and data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

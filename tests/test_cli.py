@@ -264,6 +264,35 @@ def test_undecodable_file_and_directory_are_input_errors(capsys, tmp_path, comma
         assert err.startswith("input error:") and message in err
 
 
+@pytest.mark.parametrize("argv, name", [(["autc", "q8xc4"], "enumerate_autc"),
+                                        (["suite", "--level", "full"], "run_suites")])
+def test_stats_path_is_opened_before_the_work(capsys, tmp_path, monkeypatch, argv, name):
+    """A --stats path that cannot be written, here a directory, exits 2
+    before the search or the suites run."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the stats file was opened")
+
+    monkeypatch.setattr(cli, name, never)
+    assert main([*argv, "--stats", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Is a directory" in err
+
+
+def test_byte_order_mark_is_dropped(capsys, tmp_path):
+    """A UTF-8 file that begins with a byte-order mark classifies as the
+    same file without it, in both formats."""
+    texts = {"grp.cayley": "cayley 1\norder 2\n0 1\n1 0\n",
+             "grp.permgen": "permgen 1\ndegree 3\ngen 1 2 0\n"}
+    for name, text in texts.items():
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run(capsys, "classify", str(plain), "--porcelain")
+        assert want[0] == 0
+        assert run(capsys, "classify", str(marked), "--porcelain") == want
+
+
 def test_max_order_refuses_before_the_table_is_built(capsys, tmp_path):
     sym7 = tmp_path / "sym7.permgen"
     sym7.write_text("permgen 1\ndegree 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")

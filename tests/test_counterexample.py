@@ -20,6 +20,7 @@ from blackburn.counterexample import (
     CoordSpace,
     SplitExtension,
     WitnessReport,
+    _check_sigma,
     _verify_coordinate_claims,
     action_matrix,
     base_abelian,
@@ -27,7 +28,7 @@ from blackburn.counterexample import (
     extend_witness,
     verify_witness,
 )
-from blackburn.errors import BadPrime
+from blackburn.errors import BadPrime, ClaimFailed, NotAutomorphism
 
 
 def test_action_matrix_p3():
@@ -190,7 +191,7 @@ def test_split_extension_matches_the_table_of_ga(ga_routes):
     assert ext.order == ga.order
     x = np.arange(ga.order)
     for lo in range(0, ga.order, 243):  # a block of rows at a time
-        assert np.array_equal(ext.mul(x[lo : lo + 243, None], x), ga.table[lo : lo + 243])
+        assert np.array_equal(ext.products(x[lo : lo + 243, None], x), ga.table[lo : lo + 243])
     assert np.array_equal(ext.inverses, ga.inverses)
     gens = ext.generating_sequence()
     assert ga.closure(gens).size == ga.order
@@ -198,14 +199,16 @@ def test_split_extension_matches_the_table_of_ga(ga_routes):
     assert np.array_equal(ext.conjugates(by=gens), ga.conjugates(by=gens))
     # the same partition: each element labelled by its class's least member
     least = np.asarray([c[0] for c in ga.conjugacy_classes()])
-    assert np.array_equal(ext.class_labels(), least[ga.class_ids()])
+    assert np.array_equal(ext.class_ids(), least[ga.class_ids()])
 
 
 def test_split_extension_verdicts_match_the_table_route(ga_routes):
-    """sigma, an inner map, inner maps after sigma, the identity, and three
+    """The GroupMap predicates on the coordinate GA equal those on the table
+    on sigma, an inner map, inner maps after sigma, the identity, and three
     maps that are not automorphisms: a bijection with two images swapped,
     one with f(0) != 0, and sigma after swapping two left cosets of <y>,
-    y the first generator, which keeps f(x y) = f(x) f(y) for that y alone."""
+    y the first generator, which keeps f(x y) = f(x) f(y) for that y alone.
+    is_class_preserving refuses the last three on both routes."""
     b, ext = ga_routes
     ga = b.ga_group
     maps = [b.sigma, inner_automorphism(ga, 100), GroupMap(ga, ga, np.arange(ga.order))]
@@ -224,13 +227,29 @@ def test_split_extension_verdicts_match_the_table_route(ga_routes):
     seen = set()
     for f in maps:
         verdict = (f.is_automorphism(), np.array_equal(cid[f.images], cid), _is_inner(ga, f))
-        got = (ext.is_automorphism(f.images), ext.is_class_preserving(f.images),
-               ext.is_inner(f.images))
-        assert got == verdict
+        on_ext = GroupMap(ext, ext, f.images)
+        assert (on_ext.is_automorphism(), _is_inner(ext, on_ext)) == (verdict[0], verdict[2])
         if verdict[0]:
-            assert is_class_preserving(ga, f) == verdict[1]
+            assert is_class_preserving(ext, on_ext) == is_class_preserving(ga, f) == verdict[1]
+        else:
+            with pytest.raises(NotAutomorphism):
+                is_class_preserving(ext, on_ext)
         seen.add(verdict)
     assert seen == {(True, True, False), (True, True, True), (False, False, False)}
+
+
+def test_check_sigma_reads_conjugation_on_all_of_g(ga_routes):
+    """Conjugation by (0, 1) must be alpha on every element of G.  After an
+    inner map by k, which is not central in G, alpha' still agrees with
+    alpha on h^2 (element 2), which is central, but not everywhere."""
+    b, ext = ga_routes
+    g, m = b.g_group, 9
+    shifted = b.alpha.then(inner_automorphism(g, b.k))
+    assert shifted.apply(2) == b.alpha.apply(2) and shifted != b.alpha
+    for ga, sigma in ((b.ga_group, b.sigma), (ext, GroupMap(ext, ext, b.sigma.images))):
+        _check_sigma(ga, sigma, b.alpha, m)
+        with pytest.raises(ClaimFailed, match="does not conjugate by alpha"):
+            _check_sigma(ga, sigma, shifted, m)
 
 
 def test_verify_witness_p3():

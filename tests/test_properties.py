@@ -1879,6 +1879,40 @@ def test_arith_helpers_match_their_definitions(n, p, data):
     assert got.dtype == dtype and np.array_equal(got, cur)
 
 
+def old_perm_order(perm) -> int:
+    """Order of a permutation by walking each cycle once: the lcm of the
+    cycle lengths."""
+    seen = np.zeros(perm.size, dtype=bool)
+    out = 1
+    for i in range(perm.size):
+        if seen[i]:
+            continue
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = int(perm[j])
+            ln += 1
+        out = lcm(out, ln)
+    return out
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 60), st.data())
+def test_perm_order_matches_the_cycle_walk(n, data):
+    """perm_order, read from the orbit sizes, against the cycle walk, from
+    one point (n = 1) up."""
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    perm = np.asarray(data.draw(st.permutations(range(n))), dtype=dtype)
+    assert perm_order(perm) == old_perm_order(perm)
+
+
+def test_perm_order_of_the_witness_maps():
+    """alpha (order 9) and beta (order 3) on G, and sigma (order 3) on GA."""
+    b = extend_witness(build_witness(3))
+    for f, order in ((b.alpha, 9), (b.beta, 3), (b.sigma, 3)):
+        assert perm_order(f.images) == old_perm_order(f.images) == order
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 9), st.data())
 def test_perm_powers_match_perm_power_row_by_row(n, data):
