@@ -75,12 +75,15 @@ def _yn(b: bool) -> str:
 
 
 def _stats_file(path: Optional[str]):
-    """The `--stats FILE` opened for writing, so that a path that cannot be
-    written fails before the work; a null context without one."""
-    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8")
+    """The `--stats FILE` opened for writing but not truncated, so that a
+    path that cannot be written fails before the work, and a run that fails
+    leaves what the file held; a null context without one."""
+    return contextlib.nullcontext() if path is None else open(path, "a", encoding="utf-8")
 
 
 def _dump_json(fh, obj) -> None:
+    """Replace what the stats file held with obj as JSON."""
+    fh.truncate(0)
     json.dump(obj, fh, indent=1)
     fh.write("\n")
 

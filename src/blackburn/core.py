@@ -39,7 +39,8 @@ CLASS_BLOCK_LIMIT = 128
 # depth d, and the (maps x n x k) generator-column check of a block of maps.
 BLOCK_ELEMENTS = 1 << 16
 # Table entries per block of rows that `_row_zeros` scans at once, so that
-# no mask over the whole table is made.
+# no mask over the whole table is made; also the bytes per block of a cayley
+# body that `formats._plain_table` reads at once.
 SCAN_ELEMENTS = 1 << 18
 
 

@@ -18,29 +18,38 @@ right: (a*b)(x) = b(a(x)).
 from __future__ import annotations
 
 import codecs
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .catalog import builtin
-from .core import Group, validate_group
+from .core import SCAN_ELEMENTS, Group, validate_group
 from .errors import BadParams, NotPermutation, OrderCap, ParseError
 
 PERMGEN_CLOSURE_CAP = 65536
 # Bytes of the largest int32 (n x n) table a file may ask for: n <= 11585.
 # Loading one makes whole-table temporaries a few times this size.
 TABLE_BYTE_LIMIT = 1 << 29
-_DIGIT_TABLE_BYTES = b"0123456789 \t\n"
+# The bytes of a plain table body (see `_plain_table`).
+_PLAIN_BYTES = b"0123456789 \t\n"
+# A line as str.splitlines() cuts it, then the line break that ends it.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
 
 
-def _content_lines(text: str) -> list:
-    """(line_number, stripped content) for non-blank, non-comment lines."""
+def _content_lines(text: str, limit: Optional[int] = None) -> list:
+    """(line_number, stripped content, offset past the line break) for the
+    first `limit` (all by default) non-blank, non-comment lines, numbered as
+    str.splitlines() numbers them; the text after the last one is not read."""
     out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for i, m in enumerate(_LINE.finditer(text), start=1):
+        line = m.group(1).split("#", 1)[0].strip()
         if line:
-            out.append((i, line))
+            out.append((i, line, m.end()))
+            if len(out) == limit:
+                break
     return out
 
 
@@ -54,8 +63,10 @@ def _check_table_bytes(n: int) -> None:
 
 def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
     """Read a cayley file; an order above `cap`, or whose table would pass
-    TABLE_BYTE_LIMIT, is refused before any row is read."""
-    lines = _content_lines(text)
+    TABLE_BYTE_LIMIT, is refused before any row is read.  Only the header
+    lines are read as text: a plain body is read from its bytes by
+    `_plain_table`, and any other body row by row by `_checked_table`."""
+    lines = _content_lines(text, 3)
     if not lines or lines[0][1] != "cayley 1":
         raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
     if len(lines) < 2 or not lines[1][1].startswith("order "):
@@ -69,43 +80,93 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
     if cap is not None and n > cap:
         raise OrderCap(f"order {n} exceeds cap {cap}")
     _check_table_bytes(n)
-    body = lines[2:]
+    head = lines[:2]
     names = None
-    if body and body[0][1].startswith("names"):
-        lineno, content = body[0]
+    if len(lines) > 2 and lines[2][1].startswith("names"):
+        lineno, content, _ = lines[2]
         names = content.split()[1:]
         if len(names) != n:
             raise ParseError(f"expected {n} names, got {len(names)}", lineno)
-        body = body[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {n} table rows, got {len(body)}",
-                         body[-1][0] if body else lines[1][0])
-    table = _digit_table([content for _, content in body], n)
+        head = lines
+    table = _plain_table(text, head[-1][2], n)
     if table is None:
+        body = _content_lines(text)[len(head):]
+        if len(body) != n:
+            raise ParseError(f"expected {n} table rows, got {len(body)}",
+                             body[-1][0] if body else lines[1][0])
         table = _checked_table(body, n)
     return validate_group(table, names)
 
 
-def _digit_table(rows: list, n: int) -> Optional[np.ndarray]:
-    """The rows as one (n x n) array when they hold only ASCII digits and
-    blanks, n entries each, all below n; None otherwise."""
-    text = "\n".join(rows)
-    # deleting every allowed byte leaves nothing exactly when all are allowed
-    if not text.isascii() or text.encode("ascii").translate(None, _DIGIT_TABLE_BYTES):
-        return None
-    try:
-        table = np.loadtxt(rows, dtype=np.int64, ndmin=2)
-    except ValueError:  # ragged rows, or an entry beyond int64
-        return None
-    if table.shape != (n, n) or table.max() >= n:
-        return None
-    return table
+def _plain_table(text: str, start: int, n: int) -> Optional[np.ndarray]:
+    """The (n x n) table that the text from offset `start` on holds when it
+    is plain, read from its bytes; None for any other text.
+
+    Plain means: ASCII digits, blanks, tabs and newlines ('\\n') only; n
+    non-blank lines of n tokens each; every token the decimal form of a
+    number below n, with no leading zero, so at most len(str(n - 1)) digits.
+    `_checked_table` accepts every such body and reads the same numbers
+    from it.  The bytes are read in blocks of about
+    SCAN_ELEMENTS, cut after a newline, so each temporary is the size of one
+    block, and the table is int16 (int32 above 32767) from the start.
+    """
+    width = len(str(n - 1))
+    if text.isascii():
+        data = text.encode("ascii")
+    else:  # the header, such as its names, need not be ASCII
+        body = text[start:]
+        if not body.isascii():
+            return None
+        data, start = b"\n" * width + body.encode("ascii"), width
+    # The `width` bytes before each block are in `data` (a header is longer),
+    # and the last of them ends a line, so no token runs into the block.
+    table = np.empty((n, n), dtype=np.int16 if n < 1 << 15 else np.int32)
+    flat = table.reshape(-1)
+    done = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + SCAN_ELEMENTS) + 1 or len(data)
+        if data[start:stop].translate(None, _PLAIN_BYTES):
+            return None
+        # positions count from the byte before the block; the byte p places
+        # before position i is at[p][i]
+        raw = np.frombuffer(data, np.uint8, stop - start + width, start - width)
+        at = [raw[width - 1 - p :] for p in range(width)]
+        digit = at[0] >= 48
+        ends = (digit[:-1] > digit[1:]).nonzero()[0]  # the last digit of each token
+        if digit[-1]:  # a token ends the text
+            ends = np.append(ends, len(digit) - 1)
+        k = len(ends)
+        if k % n or done + k > n * n:
+            return None
+        # each token read place by place from its end, while the bytes are
+        # still its digits
+        value = at[0][ends] - np.int32(48)
+        inside = None
+        for p in range(1, width):
+            byte = at[p][ends]
+            inside = byte >= 48 if inside is None else inside & (byte >= 48)
+            value += (byte - 48) * inside * np.int32(10**p)
+        # a token longer than `width`, or with a leading zero, has more digits
+        # than its number is written with
+        written = k + sum(np.count_nonzero(value >= 10**p) for p in range(1, width))
+        if written != np.count_nonzero(digit) or np.count_nonzero(value >= n):
+            return None
+        # each row's first and last token on one line, and no two rows on one
+        newlines = (at[0] == 10).nonzero()[0]
+        line = newlines.searchsorted(ends.reshape(-1, n)[:, :: max(n - 1, 1)])
+        first, last = line[:, 0], line[:, -1]
+        if np.count_nonzero(first != last) or np.count_nonzero(first[1:] == last[:-1]):
+            return None
+        flat[done : done + k] = value
+        done += k
+        start = stop
+    return table if done == n * n else None
 
 
 def _checked_table(body: list, n: int) -> list:
     """Row by row conversion that names the first malformed row."""
     table = []
-    for lineno, content in body:
+    for lineno, content, _ in body:
         try:
             row = [int(x) for x in content.split()]
         except ValueError:
@@ -146,7 +207,7 @@ def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
     if degree < 1:
         raise ParseError("degree must be positive", lines[1][0])
     gens = []
-    for lineno, content in lines[2:]:
+    for lineno, content, _ in lines[2:]:
         if not content.startswith("gen"):
             raise ParseError("expected a 'gen ...' line", lineno)
         try:
@@ -255,7 +316,7 @@ def resolve_source(spec: str) -> GroupSource:
         head = ""
         with open(spec, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):  # read up to the first content line only
-                lines = _content_lines(_decode(raw, lineno))
+                lines = _content_lines(_decode(raw, lineno), 1)
                 if lines:
                     head = lines[0][1]
                     break

@@ -46,3 +46,16 @@ def test_ab_label_runs_only_the_requests_it_names(tmp_path):
     assert report["failed"] == {"parent": 0, "change": 0}
     proc = run_ab(parent, "--label", "no-such-request")
     assert proc.returncode != 0 and "no request has a label" in proc.stderr
+
+
+def test_ab_by_label_reports_each_request_kind(tmp_path):
+    proc = run_ab(copy_tree(tmp_path), "--label", "trichotomy:", "--by-label")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    kinds = report["by_label"]
+    # one kind per group, the "#i" of each sampled subgroup cut off
+    assert kinds and all(k.startswith("trichotomy:") and "#" not in k for k in kinds)
+    assert sum(row["requests"] for row in kinds.values()) == report["requests"]
+    for kind, row in kinds.items():
+        assert row["median_ratio_change_over_parent"] > 0
+        assert f"{kind} " in proc.stdout

@@ -278,6 +278,19 @@ def test_stats_path_is_opened_before_the_work(capsys, tmp_path, monkeypatch, arg
     assert err.startswith("input error:") and "Is a directory" in err
 
 
+def test_failed_run_keeps_the_old_stats_file(capsys, tmp_path):
+    """A run that fails after the --stats FILE was opened leaves what the
+    file held; a run that succeeds replaces it whole."""
+    path = tmp_path / "stats.json"
+    old = "old\n" * 1000
+    path.write_text(old)
+    assert main(["autc", "q8xc4", "--budget", "1", "--stats", str(path)]) == 2
+    assert "search exceeded 1 nodes" in capsys.readouterr().err
+    assert path.read_text() == old
+    assert run(capsys, "autc", "c7_q8", "--stats", str(path))[0] == 0
+    assert json.loads(path.read_text())["nodes"] > 0
+
+
 def test_byte_order_mark_is_dropped(capsys, tmp_path):
     """A UTF-8 file that begins with a byte-order mark classifies as the
     same file without it, in both formats."""

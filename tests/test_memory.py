@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from blackburn.abelian_pairs import pointwise_power_harness
+from blackburn.catalog import cyclic, direct_product, generalized_quaternion
 from blackburn.core import Group
 from blackburn.counterexample import build_witness, extend_witness, verify_witness
+from blackburn.formats import dump_cayley, parse_cayley
 
 MIB = 1 << 20
 
@@ -67,3 +69,13 @@ def test_pointwise_power_harness_builds_aut_in_bounded_blocks(p, max_order, mib)
     report, peak = traced_peak(lambda: pointwise_power_harness(p, max_order))
     assert report.ok
     assert peak <= mib * MIB
+
+
+def test_cayley_text_is_read_in_bounded_blocks():
+    # an order-512 text of 0.95 MiB; its bytes are copied once, read in
+    # blocks of about SCAN_ELEMENTS bytes into an int16 table, then validated
+    g = direct_product(generalized_quaternion(8), cyclic(64))
+    text = dump_cayley(g)
+    h, peak = traced_peak(lambda: parse_cayley(text))
+    assert np.array_equal(h.table, g.table) and h.names == g.names
+    assert peak <= 4 * MIB

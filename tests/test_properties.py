@@ -49,7 +49,7 @@ from blackburn.abelian_pairs import (
     abelian_group,
     abelian_scope,
 )
-from blackburn import autos, core
+from blackburn import autos, core, formats
 from blackburn.autos import (
     _aut_images,
     _automorphism_rows,
@@ -64,7 +64,7 @@ from blackburn.autos import (
     p_part_normalize,
     power_of,
 )
-from blackburn.catalog import CATALOG, builtin, cyclic, direct_product
+from blackburn.catalog import CATALOG, builtin, cyclic, direct_product, generalized_quaternion
 from blackburn.classify import (
     NONTRIVIAL,
     TRIVIAL,
@@ -106,7 +106,7 @@ from blackburn.errors import (
     ParseError,
     PreconditionFailed,
 )
-from blackburn.formats import PERMGEN_CLOSURE_CAP, _content_lines, parse_cayley, parse_permgen
+from blackburn.formats import PERMGEN_CLOSURE_CAP, parse_cayley, parse_permgen
 from blackburn.suites import FULL_MAX_ORDER, _normal_via_cyclic, blackburn_catalog
 from test_core import NONASSOC_LOOP
 
@@ -475,9 +475,20 @@ def old_validate_group(table, names=None) -> Group:
     return Group(t.astype(np.int32), names)
 
 
+def old_content_lines(text: str) -> list:
+    """(line_number, stripped content) for non-blank, non-comment lines, cut
+    by str.splitlines()."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
 def old_parse_cayley(text: str) -> Group:
     """Every entry converted and range-checked with int(), row by row."""
-    lines = _content_lines(text)
+    lines = old_content_lines(text)
     if not lines or lines[0][1] != "cayley 1":
         raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
     if len(lines) < 2 or not lines[1][1].startswith("order "):
@@ -515,7 +526,7 @@ def old_parse_cayley(text: str) -> Group:
 
 def old_parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
     """Closure over tuples, and every product of two elements composed."""
-    lines = _content_lines(text)
+    lines = old_content_lines(text)
     degree = int(lines[1][1].split()[1])
     gens = []
     for lineno, content in lines[2:]:
@@ -1686,16 +1697,20 @@ ODD_TOKENS = ["x", "-1", "+0", "1_0", "00", "7.0", "1" + "0" * 22, "\u0663", "\u
 
 @st.composite
 def cayley_texts(draw) -> str:
-    """A relabelled catalog table with the identity anywhere, laid out with
-    random blanks, tabs and comments, possibly with one corruption."""
-    g = _group(draw(st.sampled_from(INGEST_NAMES)))
+    """A relabelled catalog table with the identity anywhere, laid out
+    plainly (single spaces and no comments, as `dump_cayley` writes it) or
+    with random blanks, tabs, comments and blank lines, possibly with one
+    corruption of its entries and one of its lines."""
+    # c7_q16 (order 112) for tokens of three digits
+    g = _group(draw(st.sampled_from(INGEST_NAMES) | st.just("c7_q16")))
     n = g.order
     perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
     rows = np.empty((n, n), dtype=np.int64)
     rows[np.ix_(perm, perm)] = perm[g.table]
     rows = [[str(x) for x in row] for row in rows.tolist()]
     rnd = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(["none", "entry", "range", "short", "token", "swap"]))
+    kind = draw(st.sampled_from(["none", "entry", "range", "short", "token", "swap", "shift",
+                                 "zeros"]) | st.just("none"))
     i, j = rnd.randrange(n), rnd.randrange(n)
     if kind == "entry":
         rows[i][j] = str((int(rows[i][j]) + rnd.randrange(1, n + 1)) % (n + 1))
@@ -1708,18 +1723,37 @@ def cayley_texts(draw) -> str:
     elif kind == "swap":
         k = rnd.randrange(n)
         rows[i], rows[k] = rows[k], rows[i]
-    blanks = [" ", "  ", "\t", " \t "]
-    lines = ["# a table", "cayley 1", f"order {n}   # order"]
+    elif kind == "shift":  # n + 1 entries in one row and n - 1 in another, n^2 in all
+        rows[i].append(rows[(i + 1) % n].pop())
+    elif kind == "zeros":  # such as 007
+        rows[i][j] = "0" * rnd.randrange(1, 3) + rows[i][j]
+    line_kind = draw(st.sampled_from(["none", "crlf", "\r", "\x0b", "unended", "trailing",
+                                      "blank"]) | st.just("none"))
+    plain = draw(st.sampled_from([True, True, False]))
+    blanks = [" "] if plain else [" ", "  ", "\t", " \t "]
+    body = []
+    for row in rows:
+        if plain:
+            line = " ".join(row)
+        else:
+            line = rnd.choice(["", " ", "\t"]) + "".join(rnd.choice(blanks) + x for x in row)
+            if rnd.random() < 0.2:
+                line += rnd.choice(blanks) + "# comment"
+        if line_kind == "trailing" and rnd.random() < 0.5:
+            line += rnd.choice(blanks) * rnd.randrange(1, 3)
+        body.append(line)
+        if line_kind == "blank" and rnd.random() < 0.2:
+            body.append(rnd.choice(["", "   ", "\t"]))
+        elif not plain and rnd.random() < 0.1:
+            body.append(rnd.choice(["", "   ", "# between rows"]))
+    if line_kind in ("\r", "\x0b"):  # a line break of str.splitlines() inside a row
+        row = body[i]
+        body[i] = row.replace(" ", line_kind, 1) if " " in row else row + line_kind
+    lines = ["cayley 1", f"order {n}"] if plain else ["# a table", "cayley 1", f"order {n}   # order"]
     if draw(st.booleans()):
         lines.append("names " + " ".join(f"g{x}" for x in range(n)))
-    for row in rows:
-        line = rnd.choice(["", " ", "\t"]) + "".join(rnd.choice(blanks) + x for x in row)
-        if rnd.random() < 0.2:
-            line += rnd.choice(blanks) + "# comment"
-        lines.append(line)
-        if rnd.random() < 0.1:
-            lines.append(rnd.choice(["", "   ", "# between rows"]))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines + body) + ("" if line_kind == "unended" else "\n")
+    return text.replace("\n", "\r\n") if line_kind == "crlf" else text
 
 
 @st.composite
@@ -1732,9 +1766,31 @@ def permgen_texts(draw) -> str:
 
 
 @settings(max_examples=150)
-@given(cayley_texts())
-def test_parse_cayley_matches_row_by_row_parser(text):
-    assert outcome(parse_cayley, text) == outcome(old_parse_cayley, text)
+@given(cayley_texts(), st.sampled_from([1, 64, core.SCAN_ELEMENTS]))
+def test_parse_cayley_matches_row_by_row_parser(text, block):
+    # small blocks cut the body after every line, or every few lines
+    with mock.patch.object(formats, "SCAN_ELEMENTS", block):
+        got = outcome(parse_cayley, text)
+    assert got == outcome(old_parse_cayley, text)
+
+
+@pytest.mark.parametrize("named", [False, True])
+@pytest.mark.parametrize("group", [cyclic(1), builtin("d8"), builtin("q128"),
+                                   generalized_quaternion(256)], ids=lambda g: str(g.order))
+def test_plain_cayley_text_is_read_from_its_bytes(group, named):
+    """A relabelled table laid out as `dump_cayley` writes it never reaches
+    the row-by-row reader, and reads as that reader reads it."""
+    n = group.order
+    perm = np.random.default_rng(n).permutation(n)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    lines = ["cayley 1", f"order {n}"] + (["names " + " ".join(f"g{x}" for x in range(n))]
+                                          if named else [])
+    text = "\n".join(lines + [" ".join(map(str, row)) for row in table.tolist()]) + "\n"
+    with mock.patch.object(formats, "_checked_table",
+                           side_effect=AssertionError("read row by row")):
+        got = outcome(parse_cayley, text)
+    assert got[0] == "<i4" and got == outcome(old_parse_cayley, text)
 
 
 @settings(max_examples=100)
