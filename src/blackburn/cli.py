@@ -8,7 +8,8 @@ search statistics (nodes, and rows rejected per depth by reason) to FILE as
 JSON, and `suite --stats FILE` the elapsed seconds per suite and per case
 and the process's peak resident memory; the report itself does not change.
 Either FILE is opened before the work, so a path that cannot be written
-fails at once.
+fails at once, and emptied only when the stats are written, so a run that
+fails leaves what it held.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import resource
+import stat
 import sys
 from typing import List, Optional
 
@@ -82,8 +85,11 @@ def _stats_file(path: Optional[str]):
 
 
 def _dump_json(fh, obj) -> None:
-    """Replace what the stats file held with obj as JSON."""
-    fh.truncate(0)
+    """Replace what the stats file held with obj as JSON; a FILE that is no
+    regular file, such as /dev/null or a pipe, cannot be emptied and is
+    only written to."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
     json.dump(obj, fh, indent=1)
     fh.write("\n")
 

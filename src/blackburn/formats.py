@@ -18,7 +18,6 @@ right: (a*b)(x) = b(a(x)).
 from __future__ import annotations
 
 import codecs
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,25 +31,35 @@ PERMGEN_CLOSURE_CAP = 65536
 # Bytes of the largest int32 (n x n) table a file may ask for: n <= 11585.
 # Loading one makes whole-table temporaries a few times this size.
 TABLE_BYTE_LIMIT = 1 << 29
-# The bytes of a plain table body (see `_plain_table`).
-_PLAIN_BYTES = b"0123456789 \t\n"
-# A line as str.splitlines() cuts it, then the line break that ends it.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+# The bytes of a plain table body other than its newlines (see `_plain_table`).
+_PLAIN_BYTES = b"0123456789 \t"
+# The bytes "0" and "\n" as 0-d arrays, with which numpy compares a byte
+# array faster than with a Python int.
+_ZERO = np.array(ord("0"), dtype=np.uint8)
+_NEWLINE = np.array(ord("\n"), dtype=np.uint8)
 
 
 def _content_lines(text: str, limit: Optional[int] = None) -> list:
     """(line_number, stripped content, offset past the line break) for the
-    first `limit` (all by default) non-blank, non-comment lines, numbered as
-    str.splitlines() numbers them; the text after the last one is not read."""
-    out = []
-    for i, m in enumerate(_LINE.finditer(text), start=1):
-        line = m.group(1).split("#", 1)[0].strip()
-        if line:
-            out.append((i, line, m.end()))
-            if len(out) == limit:
-                break
-    return out
+    first `limit` (all by default) non-blank, non-comment lines, cut and
+    numbered as str.splitlines() cuts them; with a limit, only a prefix of
+    the text that holds those lines is cut."""
+    size = len(text) if limit is None else 4096  # doubled until it holds them
+    while True:
+        lines = text[:size].splitlines(keepends=True)
+        if size < len(text):
+            lines.pop()  # it, or its "\r\n", may run on past the prefix
+        out, end = [], 0
+        for i, raw in enumerate(lines, start=1):
+            end += len(raw)
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                out.append((i, line, end))
+                if len(out) == limit:
+                    return out
+        if size >= len(text):
+            return out
+        size *= 2
 
 
 def _check_table_bytes(n: int) -> None:
@@ -65,7 +74,8 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
     """Read a cayley file; an order above `cap`, or whose table would pass
     TABLE_BYTE_LIMIT, is refused before any row is read.  Only the header
     lines are read as text: a plain body is read from its bytes by
-    `_plain_table`, and any other body row by row by `_checked_table`."""
+    `_plain_table`, as are its content lines joined when it is not, and
+    what is left row by row by `_checked_table`."""
     lines = _content_lines(text, 3)
     if not lines or lines[0][1] != "cayley 1":
         raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
@@ -94,73 +104,77 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
         if len(body) != n:
             raise ParseError(f"expected {n} table rows, got {len(body)}",
                              body[-1][0] if body else lines[1][0])
-        table = _checked_table(body, n)
+        # with comments, blank lines and line ends other than "\n" cut away,
+        # the rows may still be plain
+        table = _plain_table("\n".join(content for _, content, _ in body), 0, n)
+        if table is None:
+            table = _checked_table(body, n)
     return validate_group(table, names)
 
 
 def _plain_table(text: str, start: int, n: int) -> Optional[np.ndarray]:
-    """The (n x n) table that the text from offset `start` on holds when it
-    is plain, read from its bytes; None for any other text.
+    """The (n x n) table that `text` holds from offset `start` on when that
+    body is plain, read from its bytes; None for any other body.  The text
+    before `start`, if any, ends with a line break.
 
     Plain means: ASCII digits, blanks, tabs and newlines ('\\n') only; n
-    non-blank lines of n tokens each; every token the decimal form of a
+    lines of n tokens each, with no blank line between them and no blank
+    after the last token of a line; every token the decimal form of a
     number below n, with no leading zero, so at most len(str(n - 1)) digits.
     `_checked_table` accepts every such body and reads the same numbers
-    from it.  The bytes are read in blocks of about
-    SCAN_ELEMENTS, cut after a newline, so each temporary is the size of one
-    block, and the table is int16 (int32 above 32767) from the start.
+    from it.  The bytes are read in blocks of about SCAN_ELEMENTS, cut after
+    a newline, so each temporary is the size of one block, and the table is
+    int16 (int32 above 32767) from the start.
     """
     width = len(str(n - 1))
-    if text.isascii():
-        data = text.encode("ascii")
-    else:  # the header, such as its names, need not be ASCII
-        body = text[start:]
-        if not body.isascii():
+    if start < width or not text.isascii():  # the body alone, after `width` line breaks
+        text, start = "\n" * width + text[start:], width
+        if not text.isascii():
             return None
-        data, start = b"\n" * width + body.encode("ascii"), width
-    # The `width` bytes before each block are in `data` (a header is longer),
-    # and the last of them ends a line, so no token runs into the block.
-    table = np.empty((n, n), dtype=np.int16 if n < 1 << 15 else np.int32)
-    flat = table.reshape(-1)
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):  # so that a newline follows each row
+        data += b"\n"
+    table = np.empty(n * n, dtype=np.int16 if n < 1 << 15 else np.int32)
     done = 0
     while start < len(data):
         stop = data.find(b"\n", start + SCAN_ELEMENTS) + 1 or len(data)
-        if data[start:stop].translate(None, _PLAIN_BYTES):
+        newlines = data[start:stop].translate(None, _PLAIN_BYTES)
+        if newlines.strip(b"\n"):
             return None
-        # positions count from the byte before the block; the byte p places
-        # before position i is at[p][i]
+        # positions count from the byte before the block, which ends a line;
+        # the byte p places before position i is raw[width - 1 - p + i]
         raw = np.frombuffer(data, np.uint8, stop - start + width, start - width)
-        at = [raw[width - 1 - p :] for p in range(width)]
-        digit = at[0] >= 48
+        byte = raw[width - 1 :]
+        digit = byte >= _ZERO
         ends = (digit[:-1] > digit[1:]).nonzero()[0]  # the last digit of each token
-        if digit[-1]:  # a token ends the text
-            ends = np.append(ends, len(digit) - 1)
         k = len(ends)
-        if k % n or done + k > n * n:
+        rows = k // n
+        if rows * n != k or len(newlines) != rows or done + k > n * n:
             return None
         # each token read place by place from its end, while the bytes are
         # still its digits
-        value = at[0][ends] - np.int32(48)
+        value = byte[ends] - _ZERO
+        if width > 2:  # uint8 holds two digits
+            value = value.astype(np.int32)
         inside = None
         for p in range(1, width):
-            byte = at[p][ends]
-            inside = byte >= 48 if inside is None else inside & (byte >= 48)
-            value += (byte - 48) * inside * np.int32(10**p)
+            place = raw[width - 1 - p :][ends]
+            inside = place >= _ZERO if inside is None else inside & (place >= _ZERO)
+            value += np.multiply((place - _ZERO) * inside, 10**p, dtype=value.dtype)
         # a token longer than `width`, or with a leading zero, has more digits
         # than its number is written with
-        written = k + sum(np.count_nonzero(value >= 10**p) for p in range(1, width))
-        if written != np.count_nonzero(digit) or np.count_nonzero(value >= n):
+        written = k
+        for p in range(1, width):
+            written += np.count_nonzero(value >= 10**p)
+        # and the `rows` newlines come right after the last token of each
+        # row, so that there is no other newline and each row is one line
+        if (written != np.count_nonzero(digit) or np.count_nonzero(value >= n)
+                or np.count_nonzero(byte[1:][ends[n - 1 :: n]] == _NEWLINE) != rows):
             return None
-        # each row's first and last token on one line, and no two rows on one
-        newlines = (at[0] == 10).nonzero()[0]
-        line = newlines.searchsorted(ends.reshape(-1, n)[:, :: max(n - 1, 1)])
-        first, last = line[:, 0], line[:, -1]
-        if np.count_nonzero(first != last) or np.count_nonzero(first[1:] == last[:-1]):
-            return None
-        flat[done : done + k] = value
+        table[done : done + k] = value
         done += k
         start = stop
-    return table if done == n * n else None
+    return table.reshape(n, n) if done == n * n else None
 
 
 def _checked_table(body: list, n: int) -> list:

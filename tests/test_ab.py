@@ -48,8 +48,8 @@ def test_ab_label_runs_only_the_requests_it_names(tmp_path):
     assert proc.returncode != 0 and "no request has a label" in proc.stderr
 
 
-def test_ab_by_label_reports_each_request_kind(tmp_path):
-    proc = run_ab(copy_tree(tmp_path), "--label", "trichotomy:", "--by-label")
+def test_ab_reports_each_request_kind(tmp_path):
+    proc = run_ab(copy_tree(tmp_path), "--label", "trichotomy:")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     kinds = report["by_label"]

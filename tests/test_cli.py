@@ -291,6 +291,14 @@ def test_failed_run_keeps_the_old_stats_file(capsys, tmp_path):
     assert json.loads(path.read_text())["nodes"] > 0
 
 
+@pytest.mark.parametrize("argv", [["autc", "c7_q8"], ["suite", "--level", "quick"]])
+def test_stats_file_need_not_be_regular(capsys, argv):
+    """A --stats FILE that cannot be emptied, here the null device, is
+    written to as it is."""
+    assert main([*argv, "--stats", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_byte_order_mark_is_dropped(capsys, tmp_path):
     """A UTF-8 file that begins with a byte-order mark classifies as the
     same file without it, in both formats."""

@@ -1774,22 +1774,55 @@ def test_parse_cayley_matches_row_by_row_parser(text, block):
     assert got == outcome(old_parse_cayley, text)
 
 
-@pytest.mark.parametrize("named", [False, True])
-@pytest.mark.parametrize("group", [cyclic(1), builtin("d8"), builtin("q128"),
-                                   generalized_quaternion(256)], ids=lambda g: str(g.order))
-def test_plain_cayley_text_is_read_from_its_bytes(group, named):
-    """A relabelled table laid out as `dump_cayley` writes it never reaches
-    the row-by-row reader, and reads as that reader reads it."""
+def relabelled_lines(group, named: bool) -> list:
+    """The lines of a cayley file of the group relabelled at random, as
+    `dump_cayley` writes them."""
     n = group.order
     perm = np.random.default_rng(n).permutation(n)
     table = np.empty_like(group.table)
     table[np.ix_(perm, perm)] = perm[group.table]
     lines = ["cayley 1", f"order {n}"] + (["names " + " ".join(f"g{x}" for x in range(n))]
                                           if named else [])
-    text = "\n".join(lines + [" ".join(map(str, row)) for row in table.tolist()]) + "\n"
+    return lines + [" ".join(map(str, row)) for row in table.tolist()]
+
+
+def read_from_bytes(text: str) -> tuple:
+    """What parse_cayley makes of the text, which must not be read row by row."""
     with mock.patch.object(formats, "_checked_table",
                            side_effect=AssertionError("read row by row")):
-        got = outcome(parse_cayley, text)
+        return outcome(parse_cayley, text)
+
+
+@pytest.mark.parametrize("named", [False, True])
+@pytest.mark.parametrize("group", [cyclic(1), builtin("d8"), builtin("q128"),
+                                   generalized_quaternion(256), cyclic(300)],
+                         ids=lambda g: str(g.order))
+def test_plain_cayley_text_is_read_from_its_bytes(group, named):
+    """A relabelled table laid out as `dump_cayley` writes it never reaches
+    the row-by-row reader, and reads as that reader reads it (order 300
+    has entries above 255)."""
+    text = "\n".join(relabelled_lines(group, named)) + "\n"
+    got = read_from_bytes(text)
+    assert got[0] == "<i4" and got == outcome(old_parse_cayley, text)
+
+
+# the lines of a file laid out other than `dump_cayley` lays them out
+LAYOUTS = {
+    "unended": lambda lines: "\n".join(lines),
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "comments": lambda lines: "# a table\n" + "".join(f"{x}  # a comment\n" for x in lines),
+    "blank-lines": lambda lines: "\n\n".join(lines) + "\n\n",
+    "blanks": lambda lines: "".join(f"\t{x} \n" for x in lines),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("group", [builtin("d8"), cyclic(300)], ids=lambda g: str(g.order))
+def test_cayley_text_of_digits_is_read_from_its_bytes_in_any_layout(group, layout):
+    """With comments, blank lines, blanks and line ends cut away, a table of
+    digits is still read from its bytes, as the row-by-row reader reads it."""
+    text = LAYOUTS[layout](relabelled_lines(group, True))
+    got = read_from_bytes(text)
     assert got[0] == "<i4" and got == outcome(old_parse_cayley, text)
 
 

@@ -2,7 +2,6 @@
 
     python3 tools/ab.py --parent DIR --workload lattice --seed 1 --rounds 6
     python3 tools/ab.py --parent DIR --workload aut-oracle --label harness:5,125 ...
-    python3 tools/ab.py --parent DIR --workload classify --by-label ...
 
 The change side is the tree this script sits in; --parent is the root of
 another checkout (its src/ and bench/ are read).  Both trees' toolkit
@@ -24,9 +23,9 @@ rounds.
 
 The report gives each side's p50 and p90 request latency, the median over
 requests of the per-request time ratio change / parent, and the failed
-checks per side; the last line of standard output is the same as JSON.
-With --by-label it also gives, for each request kind (the label up to its
-first '#'), the number of requests and their median ratio.
+checks per side, and for each request kind (the label up to its first
+'#') the number of requests and their median ratio; the last line of
+standard output is the same as JSON.
 The exit code is 1 when a check failed on either side.  One process sees
 both sides under the same load, so the ratio is steadier on a shared
 machine than separate runs of bench/run.py; it supports a speed claim but
@@ -91,11 +90,10 @@ class Side:
 
 
 def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdout,
-           label: str = "", by_label: bool = False) -> dict:
+           label: str = "") -> dict:
     """Run the A/B on the requests whose label starts with `label` and
-    write its report to `out`, with the ratios of each request kind when
-    `by_label`; the modules of this process's own toolkit are bound again
-    when it returns."""
+    write its report to `out`; the modules of this process's own toolkit
+    are bound again when it returns."""
     saved = {k: v for k, v in sys.modules.items() if _owned(k)}
     workdir = tempfile.mkdtemp(prefix="ab-")
     try:
@@ -171,14 +169,13 @@ def run_ab(parent_root: str, workload: str, seed: int, rounds: int, out=sys.stdo
         p90 = statistics.quantiles(ts, n=10)[8] if len(ts) > 1 else ts[0]
         report[name] = {"p50_ms": round(statistics.median(ts) * 1000, 4),
                         "p90_ms": round(p90 * 1000, 4)}
-    if by_label:
-        report["by_label"] = {
-            kind: {"requests": len(rs), "median_ratio_change_over_parent":
-                   round(statistics.median(rs), 4)}
-            for kind, rs in sorted(kinds.items())}
-        for kind, row in report["by_label"].items():
-            out.write(f"{kind:<32} {row['requests']:>5} requests  median ratio "
-                      f"{row['median_ratio_change_over_parent']:.4f}\n")
+    report["by_label"] = {
+        kind: {"requests": len(rs), "median_ratio_change_over_parent":
+               round(statistics.median(rs), 4)}
+        for kind, rs in sorted(kinds.items())}
+    for kind, row in report["by_label"].items():
+        out.write(f"{kind:<32} {row['requests']:>5} requests  median ratio "
+                  f"{row['median_ratio_change_over_parent']:.4f}\n")
     for name in times:
         out.write(f"{name:<6} p50 {report[name]['p50_ms']:.4f} ms  "
                   f"p90 {report[name]['p90_ms']:.4f} ms  failed {failed[name]}\n")
@@ -196,13 +193,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, required=True)
     parser.add_argument("--label", default="", metavar="PREFIX",
                         help="run only the requests whose label starts with PREFIX")
-    parser.add_argument("--by-label", action="store_true",
-                        help="also report the median ratio of each request kind")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    report = run_ab(args.parent, args.workload, args.seed, args.rounds, label=args.label,
-                    by_label=args.by_label)
+    report = run_ab(args.parent, args.workload, args.seed, args.rounds, label=args.label)
     return 1 if any(report["failed"].values()) else 0
 
 
