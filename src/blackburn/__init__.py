@@ -54,7 +54,7 @@ from .counterexample import (
     extend_witness,
     verify_witness,
 )
-from .formats import dump_cayley, parse_cayley, parse_permgen, resolve_source
+from .formats import dump_cayley, load_source, parse_cayley, parse_permgen
 from .suites import SuiteResult, run_suites
 
 __all__ = [
@@ -89,6 +89,7 @@ __all__ = [
     "is_dedekind",
     "is_isomorphic",
     "is_q_group",
+    "load_source",
     "locally_power",
     "nonabelian_contrast",
     "outc_trivial",
@@ -103,7 +104,6 @@ __all__ = [
     "q_group_witness",
     "r_of",
     "r_of_lattice",
-    "resolve_source",
     "semidirect_product",
     "symmetric",
     "validate_group",

@@ -234,7 +234,7 @@ def _pairs_for_alphas(group: Group, basis, alphas: np.ndarray, p: int) -> tuple:
 def abelian_automorphisms(group: Group, basis) -> np.ndarray:
     """Aut(A) for (A, basis) from `abelian_group`: the images of every
     automorphism, one row each, in ascending order of the key
-    sum img[b_i] n^i that `_conjugacy` reads.
+    sum img[b_i] n^i of `_row_keys`.
 
     An automorphism of A is a choice of basis images of the basis elements'
     orders whose homomorphism is injective (Hillar and Rhea, cited at
@@ -264,22 +264,27 @@ def abelian_automorphisms(group: Group, basis) -> np.ndarray:
     return rows
 
 
-def _conjugacy(auts: np.ndarray, basis):
-    """For the block of all of Aut(G), in ascending order of the keys below
+def _row_keys(auts: np.ndarray, basis) -> tuple:
+    """(weights, keys) of a block of automorphisms: an automorphism is
+    determined by its images of the basis, so each row is keyed by one
+    int64, keys = sum img[b_i] * weights[i] with weights[i] = n^i (exact
+    while n^|basis| < 2^63, far beyond any Aut(G) that can be enumerated)."""
+    weights = auts.shape[1] ** np.arange(len(basis), dtype=np.int64)
+    return weights, auts[:, basis] @ weights
+
+
+def _conjugacy(auts: np.ndarray, basis, weights: np.ndarray, keys: np.ndarray):
+    """For the block of all of Aut(G), in ascending order of its `_row_keys`
     (as `abelian_automorphisms` gives it), the function taking a (k x n)
     block of automorphisms xs to the mask of the rows of auts conjugate to
     a row of xs.
 
-    An automorphism is determined by its images of the basis, so each row is
-    keyed by one int64, sum img[b_i] n^i (exact while n^|basis| < 2^63, far
-    beyond any Aut(G) that can be enumerated).  The conjugates sigma x sigma^-1
-    send b to S[sigma, x[S^-1[sigma, b]]]: one (k x |Aut|) gather per basis
-    element, whose keys are looked up among the keys of the block.
-    S^-1[sigma, b] is the one point that row sigma sends to b.
+    The conjugates sigma x sigma^-1 send b to S[sigma, x[S^-1[sigma, b]]]:
+    one (k x |Aut|) gather per basis element, whose keys are looked up
+    among the keys of the block.  S^-1[sigma, b] is the one point that row
+    sigma sends to b.
     """
     m, n = auts.shape
-    weights = (n ** np.arange(len(basis), dtype=np.int64)).tolist()
-    keys = auts[:, basis] @ np.array(weights)
     inv_basis = [np.argmax(auts == b, axis=1) for b in basis]  # column i holds S^-1[sigma, b_i]
     offsets = np.arange(0, auts.size, n)  # row sigma starts at sigma * n
     flat = auts.ravel()
@@ -335,8 +340,9 @@ def _exhaustive_classes(group: Group, basis, p: int) -> tuple:
     ppower = np.flatnonzero(~covered)
     slot = np.zeros(len(auts), dtype=np.intp)
     slot[ppower] = np.arange(ppower.size)  # the row of each p-power row in the power table
-    powers = _power_rows(auts, basis, ppower, int(lengths[ppower].max()))
-    conjugates = _conjugacy(auts, basis)
+    weights, keys = _row_keys(auts, basis)
+    powers = _power_rows(auts, basis, ppower, int(lengths[ppower].max()), weights, keys)
+    conjugates = _conjugacy(auts, basis, weights, keys)
     reps, sizes, candidates = [], [], []
     while not covered.all():
         row = int(np.argmin(covered))  # the least row not yet classed
@@ -351,17 +357,16 @@ def _exhaustive_classes(group: Group, basis, p: int) -> tuple:
     return auts[reps], np.array(sizes, dtype=np.int64), np.array(candidates, dtype=np.int64)
 
 
-def _power_rows(auts: np.ndarray, basis, rows: np.ndarray, top: int) -> np.ndarray:
+def _power_rows(auts: np.ndarray, basis, rows: np.ndarray, top: int,
+                weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The (|rows| x top) table whose entry [j, k] is the row of auts that is
     auts[rows[j]]^k.
 
     The powers are walked at the basis only, along the given rows: one
-    (|rows| x |basis|) gather per step.  Each power is looked up by its key,
-    as in `_conjugacy`, among the ascending keys of the block.
+    (|rows| x |basis|) gather per step.  Each power is looked up by its key
+    among the ascending `_row_keys` of the block.
     """
     n = auts.shape[1]
-    weights = n ** np.arange(len(basis), dtype=np.int64)
-    keys = auts[:, basis] @ weights
     flat = auts.ravel()
     offsets = rows[:, None].astype(np.intp) * n
     table = np.empty((rows.size, top), dtype=np.intp)

@@ -24,14 +24,14 @@ import stat
 import sys
 from typing import List, Optional
 
-from . import classify
+from . import autos, classify
 from ._arith import prime_divisors
 from .autos import DEFAULT_BUDGET, enumerate_autc
 from .catalog import CATALOG, CATALOG_VERSION
 from .core import DEFAULT_ORDER_CAP
 from .counterexample import SUPPORTED_WITNESS_PRIMES, verify_witness
 from .errors import ClaimFailed, GroupError, ParseError
-from .formats import resolve_source
+from .formats import load_source
 from .suites import run_suites
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _emit_rows(rows: List[tuple], porcelain: bool) -> None:
 
 
 def cmd_classify(source: str, porcelain: bool, max_order: int) -> int:
-    g = resolve_source(source).load(cap=max_order)
+    g = load_source(source, max_order)
     if g.order > max_order:
         raise GroupError(f"group order {g.order} exceeds --max-order {max_order}")
     status = classify.r_of(g)
@@ -95,7 +95,7 @@ def _dump_json(fh, obj) -> None:
 
 
 def cmd_autc(source: str, porcelain: bool, budget: int, stats: Optional[str] = None) -> int:
-    g = resolve_source(source).load()
+    g = load_source(source, autos.AUTC_ORDER_CAP)  # read per call, as enumerate_autc reads it
     with _stats_file(stats) as fh:
         maps, rep = enumerate_autc(g, budget=budget)
         if fh is not None:

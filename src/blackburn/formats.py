@@ -1,4 +1,4 @@
-"""File formats for groups and source resolution.
+"""File formats for groups and the loading of a CLI source.
 
 cayley v1:
     cayley 1
@@ -13,12 +13,17 @@ permgen v1:
 
 '#' starts a comment in both formats.  Permutation products compose left to
 right: (a*b)(x) = b(a(x)).
+
+`load_source(spec, cap)` turns a CLI source argument into a Group: an
+existing file is read once, as UTF-8 less one leading byte-order mark, and
+parsed in the format its first content line names; any other spec is a
+builtin.
 """
 
 from __future__ import annotations
 
 import codecs
-from dataclasses import dataclass
+import os
 from typing import Optional
 
 import numpy as np
@@ -62,6 +67,22 @@ def _content_lines(text: str, limit: Optional[int] = None) -> list:
         size *= 2
 
 
+def _header(lines: list, kind: str, key: str, symbol: str) -> int:
+    """The size n of a file whose first content lines are `kind 1` and
+    `key n`; a ParseError on the first of them that is missing or wrong."""
+    if not lines or lines[0][1] != f"{kind} 1":
+        raise ParseError(f"expected header '{kind} 1'", lines[0][0] if lines else 1)
+    if len(lines) < 2 or not lines[1][1].startswith(f"{key} "):
+        raise ParseError(f"expected '{key} {symbol}'", lines[1][0] if len(lines) > 1 else 1)
+    try:
+        n = int(lines[1][1].split()[1])
+    except (IndexError, ValueError):
+        raise ParseError(f"malformed {key} line", lines[1][0])
+    if n < 1:
+        raise ParseError(f"{key} must be positive", lines[1][0])
+    return n
+
+
 def _check_table_bytes(n: int) -> None:
     """Refuse, before it is allocated, an int32 table of order n over
     TABLE_BYTE_LIMIT."""
@@ -77,16 +98,7 @@ def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
     `_plain_table`, as are its content lines joined when it is not, and
     what is left row by row by `_checked_table`."""
     lines = _content_lines(text, 3)
-    if not lines or lines[0][1] != "cayley 1":
-        raise ParseError("expected header 'cayley 1'", lines[0][0] if lines else 1)
-    if len(lines) < 2 or not lines[1][1].startswith("order "):
-        raise ParseError("expected 'order n'", lines[1][0] if len(lines) > 1 else 1)
-    try:
-        n = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("malformed order line", lines[1][0])
-    if n < 1:
-        raise ParseError("order must be positive", lines[1][0])
+    n = _header(lines, "cayley", "order", "n")
     if cap is not None and n > cap:
         raise OrderCap(f"order {n} exceeds cap {cap}")
     _check_table_bytes(n)
@@ -210,16 +222,7 @@ def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
     elements, or whose table would pass TABLE_BYTE_LIMIT, is refused before
     the table is allocated."""
     lines = _content_lines(text)
-    if not lines or lines[0][1] != "permgen 1":
-        raise ParseError("expected header 'permgen 1'", lines[0][0] if lines else 1)
-    if len(lines) < 2 or not lines[1][1].startswith("degree "):
-        raise ParseError("expected 'degree d'", lines[1][0] if len(lines) > 1 else 1)
-    try:
-        degree = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("malformed degree line", lines[1][0])
-    if degree < 1:
-        raise ParseError("degree must be positive", lines[1][0])
+    degree = _header(lines, "permgen", "degree", "d")
     gens = []
     for lineno, content, _ in lines[2:]:
         if not content.startswith("gen"):
@@ -288,55 +291,32 @@ def _closure(gens: list, degree: int, cap: int) -> tuple:
     return np.concatenate(blocks), np.concatenate(parents), np.concatenate(vias), right
 
 
-def _decode(data: bytes, line: int = 1) -> str:
-    """The bytes of a file from `line` on, as UTF-8 text, less one leading
-    byte-order mark at the start of the file; a byte that does not decode
-    is a ParseError on its line."""
-    if line == 1 and data.startswith(codecs.BOM_UTF8):
+def _decode(data: bytes) -> str:
+    """The bytes of a file as UTF-8 text, less one leading byte-order mark;
+    a byte that does not decode is a ParseError on its line."""
+    if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8):]
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
-                         line + data.count(b"\n", 0, exc.start)) from None
+                         1 + data.count(b"\n", 0, exc.start)) from None
 
 
-@dataclass(frozen=True)
-class GroupSource:
-    """Where a group came from: a builtin spec or a file in either format."""
-
-    kind: str  # "builtin" | "cayley" | "permgen"
-    locator: str
-
-    def load(self, cap: Optional[int] = None) -> Group:
-        """The group; a file group of order above `cap` is refused before
-        its table is built."""
-        if self.kind == "builtin":
-            return builtin(self.locator)
-        with open(self.locator, "rb") as fh:
-            text = _decode(fh.read())
-        if self.kind == "cayley":
-            return parse_cayley(text, cap)
+def load_source(spec: str, cap: Optional[int] = None) -> Group:
+    """The group a CLI source argument names: an existing file, read once
+    and parsed in the format its first content line names, or else a
+    builtin spec.  A file group of order above `cap` is refused before its
+    table is built."""
+    if not os.path.exists(spec):
+        return builtin(spec)
+    with open(spec, "rb") as fh:
+        text = _decode(fh.read())
+    lines = _content_lines(text, 1)
+    head = lines[0][1] if lines else ""
+    if head.startswith("cayley"):
+        return parse_cayley(text, cap)
+    if head.startswith("permgen"):
         return parse_permgen(text, PERMGEN_CLOSURE_CAP if cap is None
                              else min(cap, PERMGEN_CLOSURE_CAP))
-
-
-def resolve_source(spec: str) -> GroupSource:
-    """Interpret a CLI source argument: existing file (sniffed by header) or
-    builtin spec."""
-    import os
-
-    if os.path.exists(spec):
-        head = ""
-        with open(spec, "rb") as fh:
-            for lineno, raw in enumerate(fh, 1):  # read up to the first content line only
-                lines = _content_lines(_decode(raw, lineno), 1)
-                if lines:
-                    head = lines[0][1]
-                    break
-        if head.startswith("cayley"):
-            return GroupSource("cayley", spec)
-        if head.startswith("permgen"):
-            return GroupSource("permgen", spec)
-        raise ParseError("file is neither cayley nor permgen format", 1)
-    return GroupSource("builtin", spec)
+    raise ParseError("file is neither cayley nor permgen format", 1)

@@ -15,6 +15,7 @@ from blackburn.abelian_pairs import (
     _jordan_alphas,
     _pairs_for_alphas,
     _route,
+    _row_keys,
     abelian_aut_order,
     abelian_automorphisms,
     abelian_group,
@@ -164,7 +165,7 @@ def unipotent_class_cover(p: int, r: int) -> tuple:
     if len(auts) != gl_order(p, r):
         raise CounterexampleFound("automorphism enumeration does not match GL order")
     unipotent = p_power_mask(cycle_lengths(auts, basis, group.order), p, group.order).all(axis=1)
-    conjugates = _conjugacy(auts, basis)
+    conjugates = _conjugacy(auts, basis, *_row_keys(auts, basis))
     covered = np.zeros(len(auts), dtype=bool)
     classes = 0
     for rep in _jordan_alphas(p, r):
@@ -195,7 +196,7 @@ def old_exhaustive_classes(group, basis, p):
     lengths = cycle_lengths(auts, basis, _cycle_limit(p, group.order))
     products = lengths.prod(axis=1)
     covered = ~p_power_mask(lengths, p, group.order).all(axis=1)
-    conjugates = _conjugacy(auts, basis)
+    conjugates = _conjugacy(auts, basis, *_row_keys(auts, basis))
     out = []
     while not covered.all():
         row = int(np.argmin(covered))

@@ -138,6 +138,38 @@ def test_autc_refuses_groups_above_the_order_cap(capsys, monkeypatch):
     assert "exceeds the enumeration cap" in capsys.readouterr().err
 
 
+def test_autc_refuses_a_file_above_the_order_cap_before_its_rows(capsys, tmp_path, monkeypatch):
+    """A cayley file whose order is above the cap is refused at its order
+    line, before any row is read: the next line is no table row."""
+    monkeypatch.setattr(autos, "AUTC_ORDER_CAP", 16)
+    big = tmp_path / "big.cayley"
+    big.write_text("cayley 1\norder 32\nnot a table row\n")
+    assert main(["autc", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert "32" in err and "16" in err and "line" not in err
+
+
+@pytest.mark.parametrize("name, text, order", [
+    ("c2.cayley", "cayley 1\norder 2\n0 1\n1 0\n", 2),
+    ("c4.permgen", "permgen 1\ndegree 4\ngen 1 2 3 0\n", 4)])
+@pytest.mark.parametrize("command", ["classify", "autc"])
+def test_file_source_is_opened_once(capsys, tmp_path, monkeypatch, command, name, text, order):
+    path = tmp_path / name
+    path.write_text(text)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main([command, str(path)]) == 0
+    assert len(opened) == 1
+    assert f"order: {order}" in capsys.readouterr().out
+
+
 def test_example_p3(capsys):
     code, out = run(capsys, "example", "--p", "3")
     assert code == 0
@@ -249,9 +281,9 @@ def test_bad_file_is_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "autc"])
 def test_undecodable_file_and_directory_are_input_errors(capsys, tmp_path, command):
-    """A byte that is not UTF-8, before the header (met while the format is
-    sniffed) or in a table row (met when the file is read), and a directory
-    named as the source exit 2 with a message, not a traceback."""
+    """A byte that is not UTF-8, before the header or in a table row, and a
+    directory named as the source exit 2 with a message, not a
+    traceback."""
     head = tmp_path / "head.cayley"
     head.write_bytes(b"# \xfe\ncayley 1\norder 2\n0 1\n1 0\n")
     row = tmp_path / "row.cayley"

@@ -1,4 +1,4 @@
-"""File formats: parsing, serialization, source resolution."""
+"""File formats: parsing, serialization, source loading."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from blackburn.core import Group
 from blackburn.errors import BadParams, NotPermutation, OrderCap, ParseError
 from blackburn.formats import (
     dump_cayley,
+    load_source,
     parse_cayley,
     parse_permgen,
-    resolve_source,
 )
 
 
@@ -127,24 +127,52 @@ def test_parse_permgen_identity_is_index_zero():
     assert g.names[0] == "012"
 
 
-def test_resolve_source(tmp_path):
+def test_load_source(tmp_path):
     path = tmp_path / "c2.cayley"
     path.write_text("cayley 1\norder 2\n0 1\n1 0\n")
-    src = resolve_source(str(path))
-    assert src.kind == "cayley"
-    assert src.load().order == 2
+    assert load_source(str(path)).order == 2
 
     perm = tmp_path / "c3.perm"
     perm.write_text("permgen 1\ndegree 3\ngen 1 2 0\n")
-    assert resolve_source(str(perm)).load().order == 3
+    assert load_source(str(perm)).order == 3
 
-    assert resolve_source("q16").kind == "builtin"
-    assert resolve_source("q16").load().order == 16
+    assert load_source("q16").order == 16
+    with pytest.raises(OrderCap):  # a file above the cap, in either format
+        load_source(str(path), cap=1)
+    with pytest.raises(OrderCap):
+        load_source(str(perm), cap=2)
 
     bad = tmp_path / "junk.txt"
     bad.write_text("hello\n")
-    with pytest.raises(ParseError):
-        resolve_source(str(bad))
+    with pytest.raises(ParseError, match="neither cayley nor permgen"):
+        load_source(str(bad))
+
+
+HEADERS = {"cayley": ("order", "n", "0\n"), "permgen": ("degree", "d", "gen 0\n")}
+
+
+@pytest.mark.parametrize("kind", ["cayley", "permgen"])
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param("", "expected header '{kind} 1'", 1, id="empty"),
+    pytest.param("# c\n{key} 1\n{body}", "expected header '{kind} 1'", 2, id="no-kind"),
+    pytest.param("{kind} 2\n{key} 1\n{body}", "expected header '{kind} 1'", 1, id="kind-2"),
+    pytest.param("{kind} 1\n", "expected '{key} {symbol}'", 1, id="no-size-at-end"),
+    pytest.param("{kind} 1\n\n{body}", "expected '{key} {symbol}'", 3, id="no-size"),
+    pytest.param("{kind} 1\n{key}\n{body}", "expected '{key} {symbol}'", 2, id="bare-key"),
+    pytest.param("{kind} 1\n# c\n{key} x\n{body}", "malformed {key} line", 3, id="malformed"),
+    pytest.param("{kind} 1\n{key} 0\n", "{key} must be positive", 2, id="zero"),
+    pytest.param("{kind} 1\n{key} -3\n{body}", "{key} must be positive", 2, id="negative"),
+])
+def test_header_errors(kind, text, message, line):
+    """Both parsers report a missing or wrong header line with the same
+    message and line number."""
+    key, symbol, body = HEADERS[kind]
+    parse = {"cayley": parse_cayley, "permgen": parse_permgen}[kind]
+    fill = dict(kind=kind, key=key, symbol=symbol, body=body)
+    with pytest.raises(ParseError) as err:
+        parse(text.format(**fill))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: " + message.format(**fill)
 
 
 def test_builtin_resolution_matches_catalog():

@@ -1,13 +1,17 @@
-"""Every function that the traced benchmark wraps still exists under its name.
+"""Every name that the traced benchmark wraps, or that the package exports,
+still exists.
 
 The tracer looks each spec of bench/layers.json up in its owner's __dict__,
-so a rename in the toolkit would break the traced run; this test breaks
-first.
+so a rename in the toolkit would break the traced run; the first test breaks
+first.  A name left in `blackburn.__all__` after its object is gone would
+fail only `from blackburn import *`; the second test reads each one.
 """
 
 import importlib
 import json
 import os
+
+import blackburn
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -24,3 +28,8 @@ def test_every_layer_spec_resolves():
         if name not in vars(owner):
             missing.append(spec)
     assert specs and missing == []
+
+
+def test_every_public_export_resolves():
+    missing = [name for name in blackburn.__all__ if not hasattr(blackburn, name)]
+    assert blackburn.__all__ and missing == []

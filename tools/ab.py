@@ -29,7 +29,10 @@ standard output is the same as JSON.
 The exit code is 1 when a check failed on either side.  One process sees
 both sides under the same load, so the ratio is steadier on a shared
 machine than separate runs of bench/run.py; it supports a speed claim but
-does not replace the benchmark's end-to-end metrics.
+does not replace the benchmark's end-to-end metrics.  A kind's ratio
+depends on the requests run around it (on a shared 2-CPU machine,
+classify:a4 read 0.913 under --label and 1.041 in full classify rounds),
+so the per-kind ratios cannot show a bound of +-2% per kind there.
 """
 
 from __future__ import annotations
