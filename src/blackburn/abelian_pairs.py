@@ -52,7 +52,7 @@ import numpy as np
 
 from ._arith import cycle_lengths, is_p_power, is_prime, orbit_labels, p_power_mask
 from .autos import locally_power, power_of
-from .core import BLOCK_ELEMENTS, Group
+from .core import BLOCK_ELEMENTS, Group, check_table_order
 from .counterexample import build_witness
 from .errors import CounterexampleFound, OrderCap
 
@@ -70,6 +70,7 @@ def abelian_group(factors: Sequence[int]) -> tuple:
     n = 1
     for f in factors:
         n *= f
+    check_table_order(n)
     weights = []
     w = n
     for f in factors:

@@ -2,7 +2,9 @@
 
 Constructors produce groups that are associative by construction, with the
 identity at index 0 and structured element names.  Names never affect
-semantics; they only make reports and serialized tables readable.
+semantics; they only make reports and serialized tables readable.  A
+constructor given its order refuses one whose table would pass the limit
+of `core.check_table_order` before it builds anything of that order.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from typing import Callable
 import numpy as np
 
 from ._arith import is_prime
-from .core import Action, Group, DEFAULT_ORDER_CAP
-from .errors import BadParams, OrderCap
+from .core import Action, Group, check_table_order
+from .errors import BadParams
 
 
 def cyclic(n: int) -> Group:
     if n < 1:
         raise BadParams(f"cyclic order must be >= 1, got {n}")
+    check_table_order(n)
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
@@ -33,6 +36,7 @@ def elementary_abelian(p: int, k: int) -> Group:
     if k < 0:
         raise BadParams("k must be >= 0")
     n = p**k
+    check_table_order(n)
     idx = np.arange(n, dtype=np.int64)
     digits = np.stack([(idx // p**i) % p for i in range(k)], axis=1) if k else np.zeros((1, 0))
     table = np.zeros((n, n), dtype=np.int64)
@@ -47,6 +51,7 @@ def dihedral(n: int) -> Group:
     """Dihedral group of order n (n even, n >= 2)."""
     if n < 2 or n % 2 != 0:
         raise BadParams(f"dihedral order must be even and >= 2, got {n}")
+    check_table_order(n)
     m = n // 2
     # index = rot + m*flip; (r,0)(s,0)=(r+s,0); flip inverts the rotation part
     idx = np.arange(n)
@@ -69,6 +74,7 @@ def q_group(a: Group, t: int) -> Group:
     if t == 0 or a.mul(t, t) != 0:
         raise BadParams(f"element {t} is not an involution")
     n = a.order
+    check_table_order(2 * n)
     ta, inv = a.table, a.inverses
     table = np.zeros((2 * n, 2 * n), dtype=np.int32)
     # index = x + n*eps encodes x * b^eps; b*y = y^-1*b and b*b = t
@@ -88,6 +94,7 @@ def generalized_quaternion(order: int) -> Group:
     m = order.bit_length() - 1
     if order < 8 or 2**m != order:
         raise BadParams(f"generalized quaternion order must be 2^m >= 8, got {order}")
+    check_table_order(order)
     half = cyclic(order // 2)
     return q_group(half, order // 4)
 
@@ -109,11 +116,10 @@ def symmetric(n: int) -> Group:
     return Group(table, names)
 
 
-def direct_product(g: Group, h: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
+def direct_product(g: Group, h: Group) -> Group:
     n, m = g.order, h.order
-    if n * m > cap:
-        raise OrderCap(f"direct product order {n * m} exceeds cap {cap}")
-    # int32 tables throughout: every index is below n * m <= cap
+    check_table_order(n * m)
+    # int32 tables throughout: every index is below n * m
     tg, th = g.table, h.table
     table = (tg[:, None, :, None] * m + th[None, :, None, :]).reshape(n * m, n * m)
     names = None
@@ -122,8 +128,7 @@ def direct_product(g: Group, h: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     return Group(table, names)
 
 
-def semidirect_product(n_grp: Group, h_grp: Group, action: Action,
-                       cap: int = DEFAULT_ORDER_CAP) -> Group:
+def semidirect_product(n_grp: Group, h_grp: Group, action: Action) -> Group:
     """Pairs (n, h) with (n1,h1)(n2,h2) = (n1 * act(h1)(n2), h1*h2).
 
     With this convention h n h^-1 = act(h)(n), i.e. conjugation by h from the
@@ -132,8 +137,7 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: Action,
     if action.acted is not n_grp or action.actor is not h_grp:
         raise BadParams("action must act on N by elements of H")
     n, m = n_grp.order, h_grp.order
-    if n * m > cap:
-        raise OrderCap(f"semidirect product order {n * m} exceeds cap {cap}")
+    check_table_order(n * m)
     tn, th = n_grp.table, h_grp.table
     # entry [n1, h1, n2, h2] is n1 * act(h1)(n2) * m + h1 h2, in int32 as
     # in direct_product.  The broadcast sum is written in one pass into a
@@ -160,6 +164,7 @@ def power_action(actor: Group, acted: Group, exps) -> Action:
 
 def cyclic_by_cyclic(n: int, m: int, u: int) -> Group:
     """C_n x| C_m with the generator acting by x -> x^u (needs u^m = 1 mod n)."""
+    check_table_order(n * m)
     base, top = cyclic(n), cyclic(m)
     exps = [pow(u % n, j, n) for j in range(m)]
     return semidirect_product(base, top, power_action(top, base, exps))
@@ -172,6 +177,7 @@ def quaternion_power_product(n: int, q_order: int, u_a: int, u_b: int) -> Group:
     assignment must extend to a homomorphism into (Z/n)^* or the action
     check rejects it.
     """
+    check_table_order(n * q_order)
     base = cyclic(n)
     q = generalized_quaternion(q_order)
     half = q_order // 2
@@ -219,18 +225,20 @@ def semidihedral16() -> Group:
 
 
 def catalog_build(name: str, *params) -> Group:
-    """Build a named constructor with parameters."""
-    builders: dict = {
-        "cyclic": cyclic,
-        "elementary_abelian": elementary_abelian,
-        "dihedral": dihedral,
-        "generalized_quaternion": generalized_quaternion,
-        "symmetric": symmetric,
-        "q_group": q_group,
+    """Build a named constructor with its integer parameters."""
+    builders: dict = {  # name -> (constructor, number of parameters)
+        "cyclic": (cyclic, 1),
+        "elementary_abelian": (elementary_abelian, 2),
+        "dihedral": (dihedral, 1),
+        "generalized_quaternion": (generalized_quaternion, 1),
+        "symmetric": (symmetric, 1),
     }
     if name not in builders:
         raise BadParams(f"unknown constructor {name!r}")
-    return builders[name](*params)
+    build, arity = builders[name]
+    if len(params) != arity:
+        raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,7 @@ CATALOG: tuple = tuple(sorted(_entries(), key=lambda x: (x.order, x.name)))
 CATALOG_VERSION = 1
 _BY_NAME = {entry.name: entry for entry in CATALOG}
 
-_CALL_RE = re.compile(r"^([a-z_]+)\(([0-9,\s]*)\)$")
+_CALL_RE = re.compile(r"^([a-z_]+)\(((?:\s*[0-9]+\s*,)*\s*[0-9]*\s*)\)$")
 
 
 def builtin(spec: str) -> Group:

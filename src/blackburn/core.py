@@ -26,7 +26,9 @@ from .errors import (
     OrderCap,
 )
 
-DEFAULT_ORDER_CAP = 65536
+# Bytes of the largest int32 (n x n) table a group may have: n <= 11585.
+# Loading or building one makes whole-table temporaries a few times this size.
+TABLE_BYTE_LIMIT = 1 << 29
 SUBGROUP_ENUM_CAP = 128
 # Largest order at which a table that fails the associativity check is
 # scanned in full, so that the error names its first failing (a, b, c).
@@ -42,6 +44,14 @@ BLOCK_ELEMENTS = 1 << 16
 # no mask over the whole table is made; also the bytes per block of a cayley
 # body that `formats._plain_table` reads at once.
 SCAN_ELEMENTS = 1 << 18
+
+
+def check_table_order(n: int) -> None:
+    """Refuse, before it is allocated, an int32 table of order n over
+    TABLE_BYTE_LIMIT, which is read at each call."""
+    if 4 * n * n > TABLE_BYTE_LIMIT:
+        raise OrderCap(f"an order-{n} table takes {4 * n * n} bytes, over the limit "
+                       f"of {TABLE_BYTE_LIMIT}")
 
 
 class Group:
@@ -336,7 +346,7 @@ class Group:
             self._cyclics = [flat[e - k : e] for e, k in zip(ends, sizes.tolist())]
         return [Subgroup._trusted(self, m) for m in self._cyclics]
 
-    def all_subgroups(self, cap: int = SUBGROUP_ENUM_CAP) -> list:
+    def all_subgroups(self) -> list:
         """Every subgroup, each exactly once, ordered by (order, members).
 
         Built once per group by cyclic extension (Neubüser 1960; Holt, Eick
@@ -346,8 +356,8 @@ class Group:
         completes the set: every subgroup is a join of cyclic subgroups, and
         every cyclic subgroup is solvable, hence already found.
         """
-        if self.order > cap:
-            raise OrderCap(f"all_subgroups: order {self.order} exceeds cap {cap}")
+        if self.order > SUBGROUP_ENUM_CAP:
+            raise OrderCap(f"all_subgroups: order {self.order} exceeds cap {SUBGROUP_ENUM_CAP}")
         if self._subs is None:
             # member arrays only, as for `_cyclics`
             layers = self._cyclic_extension()
@@ -869,12 +879,7 @@ def trivial_action(actor: Group, acted: Group) -> Action:
 # -- validation of raw tables ----------------------------------------------
 
 
-def validate_group(
-    table,
-    names: Optional[Sequence[str]] = None,
-    *,
-    order: Optional[int] = None,
-) -> Group:
+def validate_group(table, names: Optional[Sequence[str]] = None) -> Group:
     """Validate a raw multiplication table and return a Group.
 
     The identity is located and relabeled to index 0.  Checks: Latin square,
@@ -909,8 +914,6 @@ def validate_group(
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise NotLatinSquare(f"table must be square, got shape {t.shape}")
     n = int(t.shape[0])
-    if order is not None and order != n:
-        raise BadParams(f"declared order {order} does not match table size {n}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise NotLatinSquare("table entries out of range")
     # astype copies, so the relabel below works on a copy of its own

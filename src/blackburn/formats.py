@@ -24,18 +24,16 @@ from __future__ import annotations
 
 import codecs
 import os
+from math import isqrt
 from typing import Optional
 
 import numpy as np
 
 from .catalog import builtin
-from .core import SCAN_ELEMENTS, Group, validate_group
+from . import core
+from .core import SCAN_ELEMENTS, Group, check_table_order, validate_group
 from .errors import BadParams, NotPermutation, OrderCap, ParseError
 
-PERMGEN_CLOSURE_CAP = 65536
-# Bytes of the largest int32 (n x n) table a file may ask for: n <= 11585.
-# Loading one makes whole-table temporaries a few times this size.
-TABLE_BYTE_LIMIT = 1 << 29
 # The bytes of a plain table body other than its newlines (see `_plain_table`).
 _PLAIN_BYTES = b"0123456789 \t"
 # The bytes "0" and "\n" as 0-d arrays, with which numpy compares a byte
@@ -83,25 +81,21 @@ def _header(lines: list, kind: str, key: str, symbol: str) -> int:
     return n
 
 
-def _check_table_bytes(n: int) -> None:
-    """Refuse, before it is allocated, an int32 table of order n over
-    TABLE_BYTE_LIMIT."""
-    if 4 * n * n > TABLE_BYTE_LIMIT:
-        raise OrderCap(f"an order-{n} table takes {4 * n * n} bytes, over the limit "
-                       f"of {TABLE_BYTE_LIMIT}")
+def _check_cap(n: int, cap: Optional[int]) -> None:
+    if cap is not None and n > cap:
+        raise OrderCap(f"order {n} exceeds cap {cap}")
 
 
 def parse_cayley(text: str, cap: Optional[int] = None) -> Group:
     """Read a cayley file; an order above `cap`, or whose table would pass
-    TABLE_BYTE_LIMIT, is refused before any row is read.  Only the header
+    core.TABLE_BYTE_LIMIT, is refused before any row is read.  Only the header
     lines are read as text: a plain body is read from its bytes by
     `_plain_table`, as are its content lines joined when it is not, and
     what is left row by row by `_checked_table`."""
     lines = _content_lines(text, 3)
     n = _header(lines, "cayley", "order", "n")
-    if cap is not None and n > cap:
-        raise OrderCap(f"order {n} exceeds cap {cap}")
-    _check_table_bytes(n)
+    _check_cap(n, cap)
+    check_table_order(n)
     head = lines[:2]
     names = None
     if len(lines) > 2 and lines[2][1].startswith("names"):
@@ -217,10 +211,10 @@ def dump_cayley(g: Group) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
+def parse_permgen(text: str, cap: Optional[int] = None) -> Group:
     """Close the generators of a permgen file; a closure over `cap`
-    elements, or whose table would pass TABLE_BYTE_LIMIT, is refused before
-    the table is allocated."""
+    elements, or over the largest order whose table core.TABLE_BYTE_LIMIT
+    admits, is refused before the table is allocated."""
     lines = _content_lines(text)
     degree = _header(lines, "permgen", "degree", "d")
     gens = []
@@ -236,9 +230,10 @@ def parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
         if sorted(imgs) != list(range(degree)):
             raise NotPermutation(f"line {lineno}: image list is not a permutation")
         gens.append(imgs)
-    elements, parent, via, right = _closure(gens, degree, cap)
+    limit = isqrt(core.TABLE_BYTE_LIMIT // 4)
+    elements, parent, via, right = _closure(gens, degree, limit if cap is None
+                                            else min(cap, limit))
     n = len(elements)
-    _check_table_bytes(n)
     # Element j was first reached as parent[j] * via[j], so column j is the
     # right multiplication by that generator applied to column parent[j].
     table = np.empty((n, n), dtype=np.int32)
@@ -306,10 +301,12 @@ def _decode(data: bytes) -> str:
 def load_source(spec: str, cap: Optional[int] = None) -> Group:
     """The group a CLI source argument names: an existing file, read once
     and parsed in the format its first content line names, or else a
-    builtin spec.  A file group of order above `cap` is refused before its
-    table is built."""
+    builtin spec.  A group of order above `cap` is refused: a file's before
+    its table is built, a builtin's once it is built."""
     if not os.path.exists(spec):
-        return builtin(spec)
+        g = builtin(spec)
+        _check_cap(g.order, cap)
+        return g
     with open(spec, "rb") as fh:
         text = _decode(fh.read())
     lines = _content_lines(text, 1)
@@ -317,6 +314,5 @@ def load_source(spec: str, cap: Optional[int] = None) -> Group:
     if head.startswith("cayley"):
         return parse_cayley(text, cap)
     if head.startswith("permgen"):
-        return parse_permgen(text, PERMGEN_CLOSURE_CAP if cap is None
-                             else min(cap, PERMGEN_CLOSURE_CAP))
+        return parse_permgen(text, cap)
     raise ParseError("file is neither cayley nor permgen format", 1)

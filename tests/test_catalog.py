@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blackburn import catalog, counterexample
+from blackburn import catalog, core, counterexample
 from blackburn.abelian_pairs import abelian_group, abelian_scope
 from blackburn.autos import find_isomorphism, is_isomorphic
 from blackburn.catalog import (
@@ -27,6 +27,7 @@ from blackburn.catalog import (
     semidirect_product,
     symmetric,
 )
+from blackburn.cli import main
 from blackburn.core import Action, trivial_action
 from blackburn.counterexample import build_witness, extend_witness
 from blackburn.errors import BadParams, OrderCap
@@ -42,6 +43,37 @@ def test_catalog_build_dispatch():
     assert catalog_build("dihedral", 8).order == 8
     with pytest.raises(BadParams):
         catalog_build("nope", 3)
+
+
+def test_every_constructor_refuses_a_table_over_the_limit_before_building(monkeypatch, capsys):
+    # at the shipped limit, as the product cap did at its default
+    with pytest.raises(OrderCap, match="order-90000 table"):
+        direct_product(cyclic(300), cyclic(300))
+    c4, c5, c6, c14 = cyclic(4), cyclic(5), cyclic(6), cyclic(14)
+    # a limit that an order-24 table meets and an order-25 table passes
+    monkeypatch.setattr(core, "TABLE_BYTE_LIMIT", 4 * 24 * 24)
+    assert cyclic(24).order == direct_product(c4, c6).order == 24
+    assert abelian_group([4, 6])[0].order == cyclic_by_cyclic(3, 8, 2).order == 24
+    refused = [
+        lambda: cyclic(25),
+        lambda: elementary_abelian(5, 2),
+        lambda: elementary_abelian(2, 1000),
+        lambda: dihedral(26),
+        lambda: q_group(c14, 7),
+        lambda: direct_product(c5, c5),
+        lambda: semidirect_product(c5, c6, trivial_action(c6, c5)),
+        lambda: abelian_group([5, 5]),
+        # the composite constructors refuse before they build a factor
+        lambda: generalized_quaternion(32),
+        lambda: cyclic_by_cyclic(5, 5, 1),
+        lambda: quaternion_power_product(5, 8, 1, -1),
+    ]
+    with mock.patch.object(catalog, "cyclic", side_effect=AssertionError("factor built")):
+        for build in refused:
+            with pytest.raises(OrderCap, match="over the limit"):
+                build()
+    assert main(["classify", "cyclic(25)"]) == 2
+    assert "order-25 table" in capsys.readouterr().err
 
 
 def test_q_group_of_c4_is_q8():
@@ -108,8 +140,6 @@ def test_direct_product():
     assert g.order == 32 and g.center().order == 8
     q8 = generalized_quaternion(8)
     assert is_isomorphic(direct_product(q8, cyclic(1)), q8)
-    with pytest.raises(OrderCap):
-        direct_product(cyclic(300), cyclic(300), cap=1000)
 
 
 def test_semidirect_trivial_action_equals_direct():

@@ -135,7 +135,7 @@ def test_autc_refuses_groups_above_the_order_cap(capsys, monkeypatch):
     with pytest.raises(OrderCap):
         autos.enumerate_autc(builtin("q32"))
     assert main(["autc", "q32"]) == 2
-    assert "exceeds the enumeration cap" in capsys.readouterr().err
+    assert "order 32 exceeds cap 16" in capsys.readouterr().err
 
 
 def test_autc_refuses_a_file_above_the_order_cap_before_its_rows(capsys, tmp_path, monkeypatch):
@@ -344,6 +344,20 @@ def test_byte_order_mark_is_dropped(capsys, tmp_path):
         want = run(capsys, "classify", str(plain), "--porcelain")
         assert want[0] == 0
         assert run(capsys, "classify", str(marked), "--porcelain") == want
+
+
+@pytest.mark.parametrize("spec", ["cyclic()", "cyclic(1,2)", "elementary_abelian(2)",
+                                  "q_group(4,2)", "cyclic(1 2)", "cyclic(1,,2)"])
+def test_a_malformed_builtin_spec_is_a_usage_error(capsys, spec):
+    assert main(["classify", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_max_order_refuses_a_builtin_above_it(capsys):
+    assert main(["classify", "q32", "--max-order", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "32" in err and "16" in err
+    assert main(["classify", "q32", "--max-order", "32"]) == 0
 
 
 def test_max_order_refuses_before_the_table_is_built(capsys, tmp_path):

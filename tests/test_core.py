@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from blackburn import core
 from blackburn.catalog import cyclic, dihedral, direct_product, generalized_quaternion, symmetric
 from blackburn.core import Group, GroupMap, Subgroup, validate_group
 from blackburn.errors import (
@@ -253,18 +254,21 @@ def test_quotient_order_multiplies():
                 assert q.order * s.order == g.order
 
 
-def test_all_subgroups_order_cap():
+def test_all_subgroups_order_cap(monkeypatch):
+    monkeypatch.setattr(core, "SUBGROUP_ENUM_CAP", 100)
     with pytest.raises(OrderCap):
-        symmetric(5).all_subgroups(cap=100)
+        symmetric(5).all_subgroups()
 
 
-def test_all_subgroups_are_computed_once_per_group():
+def test_all_subgroups_are_computed_once_per_group(monkeypatch):
     g = symmetric(4)
     first = g.all_subgroups()
     with mock.patch.object(Group, "_cyclic_extension", side_effect=AssertionError("recomputed")):
         second = g.all_subgroups()
-        with pytest.raises(OrderCap):  # the cap is checked before the cache
-            g.all_subgroups(cap=10)
+        # the cap is checked before the cache
+        with pytest.raises(OrderCap), monkeypatch.context() as m:
+            m.setattr(core, "SUBGROUP_ENUM_CAP", 10)
+            g.all_subgroups()
     assert second == first and second is not first
     second.clear()
     assert g.all_subgroups() == first

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blackburn import formats
+from blackburn import core
 from blackburn.catalog import CATALOG, builtin, cyclic, symmetric
 from blackburn.cli import main
 from blackburn.core import Group
@@ -80,10 +80,10 @@ def test_parse_refuses_tables_over_the_byte_limit(monkeypatch, tmp_path):
     s4_perm = "permgen 1\ndegree 4\ngen 1 2 3 0\ngen 1 0 2 3\n"
     s5_perm = "permgen 1\ndegree 5\ngen 1 2 3 4 0\ngen 1 0 2 3 4\n"
     # a limit that S4's table meets and S5's passes
-    monkeypatch.setattr(formats, "TABLE_BYTE_LIMIT", 4 * 24 * 24)
+    monkeypatch.setattr(core, "TABLE_BYTE_LIMIT", 4 * 24 * 24)
     assert parse_permgen(s4_perm).order == 24
     assert parse_cayley(dump_cayley(symmetric(4))).order == 24
-    with pytest.raises(OrderCap, match="order-120 table"):
+    with pytest.raises(OrderCap, match="permutation closure exceeds cap 24"):
         parse_permgen(s5_perm)
     with pytest.raises(OrderCap, match="order-120 table"):
         parse_cayley(dump_cayley(symmetric(5)))
@@ -141,6 +141,9 @@ def test_load_source(tmp_path):
         load_source(str(path), cap=1)
     with pytest.raises(OrderCap):
         load_source(str(perm), cap=2)
+    with pytest.raises(OrderCap, match="order 32 exceeds cap 16"):  # and a builtin
+        load_source("q32", cap=16)
+    assert load_source("q32", cap=32).order == 32
 
     bad = tmp_path / "junk.txt"
     bad.write_text("hello\n")

@@ -106,7 +106,7 @@ from blackburn.errors import (
     ParseError,
     PreconditionFailed,
 )
-from blackburn.formats import PERMGEN_CLOSURE_CAP, parse_cayley, parse_permgen
+from blackburn.formats import parse_cayley, parse_permgen
 from blackburn.suites import FULL_MAX_ORDER, _normal_via_cyclic, blackburn_catalog
 from test_core import NONASSOC_LOOP
 
@@ -524,7 +524,7 @@ def old_parse_cayley(text: str) -> Group:
     return old_validate_group(table, names)
 
 
-def old_parse_permgen(text: str, cap: int = PERMGEN_CLOSURE_CAP) -> Group:
+def old_parse_permgen(text: str, cap: int = 11585) -> Group:
     """Closure over tuples, and every product of two elements composed."""
     lines = old_content_lines(text)
     degree = int(lines[1][1].split()[1])
